@@ -116,10 +116,7 @@ printSweepSummary(const ExperimentContext &ctx)
     std::cerr << "### sweep summary: pair-cache capacity "
               << ctx.cacheCapacity() << ", " << c.hits << "/" << c.lookups
               << " hits (" << static_cast<int>(c.hitRate() * 100.0 + 0.5)
-              << "%)";
-    if (ctx.options().shards > 1)
-        std::cerr << ", " << ctx.options().shards << " shards/cell";
-    std::cerr << "\n";
+              << "%)\n";
 }
 
 void

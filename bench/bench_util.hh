@@ -54,11 +54,10 @@ std::vector<double> meanRelativeMisses(ExperimentContext &ctx,
 void printHeader(const std::string &what);
 
 /**
- * Print the sweep summary — pair-cache capacity and hit rate, plus the
- * shard count when sharding is on — to stderr. Stderr, deliberately:
- * the tables on stdout must stay byte-identical across thread counts
- * (the parallel engine bypasses the context cache), and the golden
- * harness snapshots stdout only.
+ * Print the sweep summary — pair-cache capacity and hit rate — to
+ * stderr. Stderr, deliberately: the tables on stdout must stay
+ * byte-identical across thread counts (the parallel engine bypasses
+ * the context cache), and the golden harness snapshots stdout only.
  */
 void printSweepSummary(const ExperimentContext &ctx);
 

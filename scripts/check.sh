@@ -5,7 +5,7 @@
 # ANCHORTLB_CHECKED build with the whole test suite (including the
 # parallel-engine determinism tests), the same suite again under
 # AddressSanitizer and UndefinedBehaviorSanitizer, and the concurrency
-# suites (thread pool + parallel sweep engine) under ThreadSanitizer.
+# suites plus the bench_e2e smoke under ThreadSanitizer.
 #
 # This is the tier-1 entry point (see ROADMAP.md). The fast inner loop
 # remains:  cmake -B build -S . && cmake --build build -j && ctest
@@ -126,18 +126,19 @@ note "serve smoke (sweep service + result store)"
 "$repo/scripts/serve_smoke.sh" "$repo/build-checked/tools/anchortlb" ||
     failures+=("serve smoke")
 
-# TSan over the concurrency suites only: the full grid under TSan is
-# slow, and everything else is single-threaded by construction.
+# TSan over the concurrency suites and the e2e smoke only: the full
+# grid under TSan is slow, and everything else is single-threaded by
+# construction.
 tsan_leg() {
     note "build build-tsan (ThreadSanitizer, concurrency suites)"
     cmake -S "$repo" -B "$repo/build-tsan" -DANCHORTLB_WERROR=ON \
         -DANCHORTLB_SANITIZE=thread > /dev/null
     cmake --build "$repo/build-tsan" -j "$jobs" \
         --target test_common test_sim test_integration test_ingest \
-        test_serve
+        test_serve bench_e2e anchortlb
     (cd "$repo/build-tsan" &&
         ctest --output-on-failure -j "$jobs" \
-            -R 'ThreadPool|ParallelRunner|Sharded|Batch|MultiProcess|SwitchPolicy|AsidRetention|Serve')
+            -R 'ThreadPool|ParallelRunner|Batch|MultiProcess|SwitchPolicy|AsidRetention|Serve|bench_e2e_smoke')
 }
 
 if [[ $fast == 0 ]]; then

@@ -8,7 +8,7 @@
 # with `gcov --json-format` and a small python step (the container has
 # no gcovr/lcov). Prints a per-module table for src/ and enforces a
 # minimum line coverage over the focus set src/sim + src/tlb — the
-# paper-critical translation and sharding logic — and, per file, over
+# paper-critical translation and cell logic — and, per file, over
 # src/sim/multiprocess.cc (the switch-policy/shootdown scheduler).
 #
 # Knobs:

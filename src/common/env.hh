@@ -3,8 +3,8 @@
  * Typed readers for the ANCHORTLB_* environment knobs.
  *
  * Every tunable the binaries accept from the environment flows through
- * these helpers so parsing and validation live in one place (SimOptions,
- * the thread pool and the sharded runner all read their knobs here).
+ * these helpers so parsing and validation live in one place (SimOptions
+ * and the thread pool read their knobs here).
  */
 
 #ifndef ANCHORTLB_COMMON_ENV_HH

@@ -107,12 +107,6 @@ MappedTraceSource::fill(MemAccess *out, std::size_t max)
 }
 
 void
-MappedTraceSource::skip(std::uint64_t n)
-{
-    consumed_ = std::min(consumed_ + n, count_);
-}
-
-void
 MappedTraceSource::reset()
 {
     consumed_ = 0;

@@ -6,9 +6,9 @@
  * ifstream one read at a time; for replaying large captured traces the
  * kernel's page cache is the better buffer. MappedTraceSource maps the
  * whole file read-only and decodes records straight out of the mapping
- * in the batched fill() hot path — no user-space buffering, no seeks,
- * and skip() is a cursor assignment. bench_trace_codec records the
- * measured throughput advantage over the ifstream reader.
+ * in the batched fill() hot path — no user-space buffering and no
+ * seeks. bench_trace_codec records the measured throughput advantage
+ * over the ifstream reader.
  *
  * The v1 format is the natural fit for zero-copy (records are fixed
  * 8-byte words); ATLBTRC2 blocks must be decoded anyway, so the v2
@@ -45,9 +45,6 @@ class MappedTraceSource : public TraceSource
 
     /** Decode up to @p max records straight from the mapping. */
     std::size_t fill(MemAccess *out, std::size_t max) override;
-
-    /** O(1): advancing the stream is a cursor addition. */
-    void skip(std::uint64_t n) override;
 
     void reset() override;
 

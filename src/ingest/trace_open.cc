@@ -133,14 +133,6 @@ ClampedTraceSource::fill(MemAccess *out, std::size_t max)
 }
 
 void
-ClampedTraceSource::skip(std::uint64_t n)
-{
-    n = std::min(n, limit_ - consumed_);
-    inner_->skip(n);
-    consumed_ += n;
-}
-
-void
 ClampedTraceSource::reset()
 {
     inner_->reset();

@@ -61,8 +61,7 @@ std::unique_ptr<TraceSource> openTraceFile(const std::string &path);
 /**
  * Limit an underlying source to its first @p limit accesses. The grid
  * replays trace prefixes when the requested cell accesses are fewer
- * than the trace length; fill/skip/reset all respect the clamp so the
- * sharded runner's exact-slice maths holds.
+ * than the trace length; next/fill/reset all respect the clamp.
  */
 class ClampedTraceSource : public TraceSource
 {
@@ -72,7 +71,6 @@ class ClampedTraceSource : public TraceSource
 
     bool next(MemAccess &out) override;
     std::size_t fill(MemAccess *out, std::size_t max) override;
-    void skip(std::uint64_t n) override;
     void reset() override;
 
     std::uint64_t length() const { return limit_; }

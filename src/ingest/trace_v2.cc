@@ -486,12 +486,10 @@ TraceV2Source::fill(MemAccess *out, std::size_t max)
             loadBlockRaw(block);
         const std::uint64_t target = consumed_ % block_capacity_;
         if (emitted_ > target) {
-            // reset()/re-read of an earlier position within the cached
-            // block: the delta chain only runs forward, restart it.
+            // reset() back into the cached block: the delta chain only
+            // runs forward, restart it.
             restartBlockDecode();
         }
-        while (emitted_ < target)
-            decodeNext(); // skip() landed mid-block: decode and discard
         const std::uint64_t run = std::min<std::uint64_t>(
             max - produced, index_[block].count - target);
         for (std::uint64_t i = 0; i < run; ++i) {
@@ -503,12 +501,6 @@ TraceV2Source::fill(MemAccess *out, std::size_t max)
         consumed_ += run;
     }
     return produced;
-}
-
-void
-TraceV2Source::skip(std::uint64_t n)
-{
-    consumed_ = std::min(consumed_ + n, total_);
 }
 
 void

@@ -33,10 +33,9 @@
  *          bits waste ~12% and every delta is large anyway.
  *
  * Why this shape:
- *  - Fixed access count per block means TraceSource::skip computes the
- *    target block as consumed / capacity — O(1) across block
- *    boundaries, which sim/sharded_runner's exact-slice seeking
- *    requires. Only the landing block is decoded.
+ *  - Fixed access count per block means the block holding access i is
+ *    i / capacity: a reader locates any access from the index alone,
+ *    without reading or decoding the blocks before it.
  *  - Per-block checksums mean a flipped bit is detected at decode time
  *    with a fatal diagnostic instead of silently simulating garbage;
  *    the checksummed index means footer corruption is caught at open.
@@ -150,14 +149,6 @@ class TraceV2Source : public TraceSource
 
     /** Streamed decode straight into @p out (no intermediate buffer). */
     std::size_t fill(MemAccess *out, std::size_t max) override;
-
-    /**
-     * O(1) reposition: the target block index is a division; no
-     * intervening block is read or decoded. Landing mid-block costs a
-     * decode-and-discard of the block prefix on the next read (delta
-     * coding is sequential within a block).
-     */
-    void skip(std::uint64_t n) override;
 
     void reset() override;
 

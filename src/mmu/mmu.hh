@@ -141,10 +141,7 @@ struct MmuStats
     /** L2-level accesses (i.e. L1 misses). */
     std::uint64_t l2Accesses() const { return accesses - l1_hits; }
 
-    /**
-     * Accumulate another stat block (all counters sum). Associative and
-     * commutative; the sharded runner's SimResult::merge builds on it.
-     */
+    /** Accumulate another stat block (all counters sum). */
     MmuStats &operator+=(const MmuStats &other)
     {
         accesses += other.accesses;
@@ -338,13 +335,6 @@ class Mmu
     virtual bool supportsNested() const { return false; }
 
     const MmuStats &stats() const { return stats_; }
-
-    /**
-     * Zero the counters while keeping all TLB/walk-cache state warm.
-     * The sharded runner calls this at the warmup/measurement boundary
-     * so a shard's stats cover exactly its slice of the trace.
-     */
-    void resetStats() { stats_ = MmuStats{}; }
 
     const std::string &name() const { return name_; }
     const MmuConfig &config() const { return config_; }

@@ -274,17 +274,12 @@ SweepServer::resolveCells(const SweepRequest &request,
         opts.accesses = *request.accesses;
     if (request.seed)
         opts.seed = *request.seed;
-    if (request.shards)
-        opts.shards = static_cast<unsigned>(*request.shards);
-    if (request.warmup)
-        opts.shard_warmup = *request.warmup;
     if (request.scale)
         opts.footprint_scale = *request.scale;
-    if (opts.accesses == 0 || opts.shards == 0 ||
-        opts.footprint_scale <= 0.0 || opts.footprint_scale > 1.0) {
+    if (opts.accesses == 0 || !validFootprintScale(opts.footprint_scale)) {
         resp.ok = false;
-        resp.error = "invalid options: accesses and shards must be "
-                     "positive, scale in (0, 1]";
+        resp.error =
+            "invalid options: accesses must be positive, scale in (0, 1]";
         return;
     }
 

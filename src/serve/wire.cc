@@ -550,10 +550,6 @@ encodeRequest(const SweepRequest &req)
         appendU64(out, first, "accesses", *req.accesses);
     if (req.seed)
         appendU64(out, first, "seed", *req.seed);
-    if (req.shards)
-        appendU64(out, first, "shards", *req.shards);
-    if (req.warmup)
-        appendU64(out, first, "warmup", *req.warmup);
     if (req.scale) {
         appendU64(out, first, "scale_bits",
                   std::bit_cast<std::uint64_t>(*req.scale));
@@ -609,10 +605,6 @@ decodeRequest(const std::string &line, SweepRequest &out,
         out.accesses = u;
     if (getU64(doc, "seed", u))
         out.seed = u;
-    if (getU64(doc, "shards", u))
-        out.shards = u;
-    if (getU64(doc, "warmup", u))
-        out.warmup = u;
     if (getU64(doc, "scale_bits", u))
         out.scale = std::bit_cast<double>(u);
 

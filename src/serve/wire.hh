@@ -116,8 +116,6 @@ struct SweepRequest
     // with the same explicit knobs address the same cells.
     std::optional<std::uint64_t> accesses;
     std::optional<std::uint64_t> seed;
-    std::optional<std::uint64_t> shards;
-    std::optional<std::uint64_t> warmup;
     std::optional<double> scale;
 };
 

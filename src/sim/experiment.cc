@@ -17,7 +17,6 @@
 #include "mmu/rmm_mmu.hh"
 #include "os/distance_selector.hh"
 #include "os/table_builder.hh"
-#include "sim/sharded_runner.hh"
 
 namespace atlb
 {
@@ -34,20 +33,14 @@ SimOptions::fromEnv()
     opts.cache_pairs_from_env = envPresent("ANCHORTLB_CACHE_PAIRS");
     opts.cache_pairs = static_cast<std::size_t>(
         envU64("ANCHORTLB_CACHE_PAIRS", opts.cache_pairs));
-    opts.shards = static_cast<unsigned>(
-        envU64("ANCHORTLB_SHARDS", opts.shards));
-    opts.shard_warmup =
-        envU64("ANCHORTLB_SHARD_WARMUP", opts.shard_warmup);
     if (envPresent("ANCHORTLB_PER_ACCESS"))
         opts.translate_mode = TranslateMode::PerAccess;
     if (opts.accesses == 0)
         ATLB_FATAL("ANCHORTLB_ACCESSES must be positive");
-    if (opts.footprint_scale <= 0.0 || opts.footprint_scale > 1.0)
+    if (!validFootprintScale(opts.footprint_scale))
         ATLB_FATAL("ANCHORTLB_SCALE must be in (0, 1]");
     if (opts.cache_pairs == 0)
         ATLB_FATAL("ANCHORTLB_CACHE_PAIRS must be >= 1");
-    if (opts.shards == 0)
-        ATLB_FATAL("ANCHORTLB_SHARDS must be >= 1");
     return opts;
 }
 
@@ -112,7 +105,7 @@ cellKeyFor(const SimOptions &options, const CellSpec &spec,
                             spec.distance_override.has_value();
 
     Fnv1a h;
-    h.addU64(1) // key format version: bump on any field change below
+    h.addU64(2) // key format version: bump on any field change below
         .addString(spec.workload)
         .addString(scenarioName(spec.scenario))
         .addString(schemeName(spec.scheme))
@@ -125,9 +118,7 @@ cellKeyFor(const SimOptions &options, const CellSpec &spec,
     // suite pins them to byte-identical results.
     h.addU64(options.accesses)
         .addU64(options.seed)
-        .addDouble(options.footprint_scale)
-        .addU64(options.shards)
-        .addU64(options.shard_warmup);
+        .addDouble(options.footprint_scale);
 
     // Every MmuConfig field, declaration order. Keep in sync with
     // mmu_config.hh: a new field must be folded here (and the version
@@ -259,15 +250,6 @@ runSchemeCell(const SimOptions &options, const WorkloadSpec &spec,
               const PageTable &table, Scheme scheme,
               std::uint64_t anchor_distance)
 {
-    // K > 1 routes the cell through the sharded runner; shards == 1 is
-    // the exact serial walk below (the byte-identity anchor every
-    // sharded-mode test compares against).
-    if (options.shards > 1) {
-        return runShardedCell(options, spec, scenario, map, table,
-                              scheme, anchor_distance)
-            .merged;
-    }
-
     const std::unique_ptr<TraceSource> trace =
         makeCellTrace(options, spec, cellAccesses(options, spec));
     const std::unique_ptr<Mmu> mmu =

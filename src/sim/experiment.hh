@@ -68,22 +68,6 @@ struct SimOptions
     /** True when ANCHORTLB_CACHE_PAIRS was set explicitly (clamp). */
     bool cache_pairs_from_env = false;
     /**
-     * Within-cell shards (ANCHORTLB_SHARDS). 1 = the exact serial
-     * simulation path, byte-identical to pre-sharding builds. K > 1
-     * splits each cell's access stream into K deterministic slices
-     * simulated concurrently on independent TLB/MMU instances and
-     * merged via SimResult::merge — an *approximation* whose miss rates
-     * stay within shardMissRateEpsilon of serial (sharded_runner.hh).
-     */
-    unsigned shards = 1;
-    /**
-     * Warmup accesses each shard k > 0 replays from the tail of the
-     * preceding shard's slice before its measured run, rebuilding TLB
-     * warmth the serial walk would have at that point
-     * (ANCHORTLB_SHARD_WARMUP). Clamped to the shard's start offset.
-     */
-    std::uint64_t shard_warmup = 32'768;
-    /**
      * Replay-loop flavour. Batch (the default) drives each scheme's
      * devirtualized translateBatch kernel; PerAccess is the
      * counter-identical reference loop, selectable with
@@ -97,6 +81,17 @@ struct SimOptions
     /** Read accesses/scale/threads overrides from ANCHORTLB_* env vars. */
     static SimOptions fromEnv();
 };
+
+/**
+ * Whether @p scale is a usable SimOptions::footprint_scale, i.e. in
+ * (0, 1]. Written as a conjunction of two comparisons so that NaN,
+ * which fails every comparison, is rejected. The one check for every
+ * source of the knob: the environment, the CLI and the wire.
+ */
+constexpr bool validFootprintScale(double scale)
+{
+    return scale > 0.0 && scale <= 1.0;
+}
 
 /**
  * Footprint-scaled catalog spec for @p workload (fatal if unknown).
@@ -121,10 +116,7 @@ std::uint64_t cellAccesses(const SimOptions &options,
 
 /**
  * The access stream of one cell: a PatternTrace for synthetic specs, a
- * clamped file reader for trace-driven ones. Shared by the serial cell
- * body and the sharded runner (which passes each shard's slice end as
- * @p num_accesses), which is what keeps the two modes replaying the
- * same stream.
+ * clamped file reader for trace-driven ones.
  */
 std::unique_ptr<TraceSource> makeCellTrace(const SimOptions &options,
                                            const WorkloadSpec &spec,
@@ -142,8 +134,8 @@ constexpr VirtAddr traceBaseVa()
 
 /**
  * Seed of @p spec's access stream under @p options: every run of a cell
- * (serial, parallel sweep, or any shard of it) derives its trace from
- * this one value, which is what makes the execution modes comparable.
+ * (serial, parallel sweep, or served) derives its trace from this one
+ * value, which is what makes the execution paths comparable.
  */
 std::uint64_t traceSeedFor(const SimOptions &options,
                            const WorkloadSpec &spec);
@@ -151,8 +143,6 @@ std::uint64_t traceSeedFor(const SimOptions &options,
 /**
  * Construct @p scheme's MMU over @p table. @p map is only read by RMM
  * (its range table); @p anchor_distance only by the anchor schemes.
- * Shared by the serial cell body and the sharded runner, which builds
- * one MMU per shard.
  */
 std::unique_ptr<Mmu> buildSchemeMmu(const MmuConfig &config,
                                     const PageTable &table,
@@ -267,13 +257,14 @@ std::uint64_t traceContentHash(const std::string &workload);
 /**
  * Canonical content address of the cell (@p options, @p spec): a fixed
  * field sequence folded through FNV-1a (see DESIGN.md section 13).
- * Hashes exactly the inputs that shape the result — workload, scenario,
- * scheme, the effective distance override, the trace content hash for
- * trace-driven workloads, the accesses/seed/footprint_scale/shards/
- * shard_warmup knobs, and every MmuConfig field. Deliberately excluded:
- * threads, cache_pairs and translate_mode, which the test suite pins to
- * byte-identical results. A stray distance_override on a non-Anchor
- * scheme is canonicalized away (run() ignores it there).
+ * Hashes exactly the inputs that shape the result, in this order: the
+ * key format version (2), workload, scenario, scheme, the effective
+ * distance override, the trace content hash for trace-driven
+ * workloads, the accesses/seed/footprint_scale knobs, and every
+ * MmuConfig field. Deliberately excluded: threads, cache_pairs and
+ * translate_mode, which the test suite pins to byte-identical results.
+ * A stray distance_override on a non-Anchor scheme is canonicalized
+ * away (run() ignores it there).
  */
 CellKey cellKeyFor(const SimOptions &options, const CellSpec &spec,
                    std::uint64_t trace_content_hash = 0);

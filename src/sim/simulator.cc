@@ -1,34 +1,9 @@
 #include "simulator.hh"
 
-#include "common/check.hh"
 #include "common/logging.hh"
 
 namespace atlb
 {
-
-SimResult &
-SimResult::merge(const SimResult &other)
-{
-    // Identity element: an empty partial adopts the other side whole,
-    // so std::accumulate over shards needs no special first step.
-    if (scheme.empty() && stats.accesses == 0) {
-        *this = other;
-        return *this;
-    }
-    if (other.scheme.empty() && other.stats.accesses == 0)
-        return *this;
-    ANCHOR_DCHECK(workload == other.workload &&
-                      scenario == other.scenario &&
-                      scheme == other.scheme &&
-                      anchor_distance == other.anchor_distance,
-                  "merging partials of different cells");
-    stats += other.stats;
-    instructions += other.instructions;
-    l2_hit_cycles += other.l2_hit_cycles;
-    coalesced_cycles += other.coalesced_cycles;
-    walk_cycles += other.walk_cycles;
-    return *this;
-}
 
 double
 SimResult::regularHitFraction() const

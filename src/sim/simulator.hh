@@ -68,23 +68,6 @@ struct SimResult
     double regularHitFraction() const;
     double coalescedHitFraction() const;
     double l2MissFraction() const;
-
-    /**
-     * Fold another partial result into this one: every counter sums
-     * (stats, instructions, the cycle buckets); derived metrics (CPI,
-     * hit fractions) are recomputed from the merged counters by their
-     * accessors, never averaged. A default-constructed SimResult is the
-     * identity element. The operation is associative and commutative up
-     * to floating-point rounding of `instructions` (the integer
-     * counters merge exactly in any order); the sharded runner relies
-     * on this to combine per-shard partials
-     * (tests/sim/test_sharded_runner.cc).
-     *
-     * Both sides must describe the same cell: merging partials with
-     * differing workload/scenario/scheme/anchor_distance labels is a
-     * caller bug (checked builds panic).
-     */
-    SimResult &merge(const SimResult &other);
 };
 
 /**

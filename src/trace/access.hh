@@ -59,27 +59,6 @@ class TraceSource
         return n;
     }
 
-    /**
-     * Discard the next @p n accesses (or fewer if the trace ends
-     * first), advancing the stream exactly as @p n next() calls would.
-     * The sharded runner uses this to seek each shard to its slice; the
-     * base implementation drains through fill() into a scratch buffer,
-     * while sources with cheap positioning (file seeks, generator
-     * fast-forward) override it.
-     */
-    virtual void skip(std::uint64_t n)
-    {
-        MemAccess scratch[256];
-        while (n > 0) {
-            const std::size_t want = static_cast<std::size_t>(
-                n < 256 ? n : 256);
-            const std::size_t got = fill(scratch, want);
-            if (got == 0)
-                return;
-            n -= got;
-        }
-    }
-
     /** Rewind to the beginning of the stream. */
     virtual void reset() = 0;
 };

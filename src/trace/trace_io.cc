@@ -116,17 +116,6 @@ TraceFileSource::next(MemAccess &out)
 }
 
 void
-TraceFileSource::skip(std::uint64_t n)
-{
-    const std::uint64_t left = count_ - consumed_;
-    if (n > left)
-        n = left;
-    consumed_ += n;
-    in_.seekg(static_cast<std::streamoff>(16 + consumed_ * 8),
-              std::ios::beg);
-}
-
-void
 TraceFileSource::reset()
 {
     in_.clear();

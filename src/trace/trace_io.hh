@@ -60,9 +60,6 @@ class TraceFileSource : public TraceSource
 
     bool next(MemAccess &out) override;
 
-    /** O(1) seek: records are fixed-width, so skipping is a file seek. */
-    void skip(std::uint64_t n) override;
-
     void reset() override;
 
     std::uint64_t length() const { return count_; }

@@ -160,17 +160,6 @@ PatternTrace::next(MemAccess &out)
     return true;
 }
 
-void
-PatternTrace::skip(std::uint64_t n)
-{
-    const std::uint64_t left = num_accesses_ - produced_;
-    n = std::min(n, left);
-    produced_ += n;
-    MemAccess scratch;
-    for (std::uint64_t i = 0; i < n; ++i)
-        produceOne(scratch);
-}
-
 std::size_t
 PatternTrace::fill(MemAccess *out, std::size_t max)
 {

@@ -152,14 +152,6 @@ class PatternTrace : public TraceSource
      */
     std::size_t fill(MemAccess *out, std::size_t max) override;
 
-    /**
-     * Fast-forward without materialising accesses: advances the
-     * generator state (RNG, cursors, phase machine) exactly as
-     * producing @p n accesses would, so skip(n) + next() equals
-     * n x next() + next() (tests/trace/test_trace_fill.cc).
-     */
-    void skip(std::uint64_t n) override;
-
     void reset() override;
 
     const WorkloadSpec &spec() const { return spec_; }

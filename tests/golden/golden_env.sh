@@ -7,14 +7,11 @@
 # bytes* of the bench tables at a fixed seed, not the paper shapes
 # (test_paper_shapes.cc does that at realistic budgets).
 #
-# ANCHORTLB_THREADS=2 and ANCHORTLB_SHARDS=1 are part of the contract
-# being pinned: stdout must be byte-identical to a serial 1-thread run
-# (PR 2's determinism guarantee) and the K=1 sharded path must be
-# byte-identical to the pre-sharding serial walk (this PR's guarantee).
+# ANCHORTLB_THREADS=2 is part of the contract being pinned: stdout must
+# be byte-identical to a serial 1-thread run.
 
 export ANCHORTLB_ACCESSES=20000
 export ANCHORTLB_SCALE=0.02
 export ANCHORTLB_SEED=42
 export ANCHORTLB_THREADS=2
-export ANCHORTLB_SHARDS=1
-unset ANCHORTLB_CACHE_PAIRS ANCHORTLB_SHARD_WARMUP
+unset ANCHORTLB_CACHE_PAIRS

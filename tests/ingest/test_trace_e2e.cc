@@ -2,9 +2,8 @@
  * @file
  * End-to-end fidelity of the ingestion pipeline: a text capture
  * imported to v1 and to v2 must drive every scheme to counter-identical
- * results, and a trace-driven cell must behave exactly like any other
- * cell under the sharded runner (K=1 byte-identical to serial, K>1
- * slicing exactly).
+ * results, and a trace-driven cell must replay exactly the requested
+ * prefix of its capture.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +21,6 @@
 #include "os/distance_selector.hh"
 #include "os/table_builder.hh"
 #include "sim/experiment.hh"
-#include "sim/sharded_runner.hh"
 #include "trace/trace_io.hh"
 
 namespace atlb
@@ -167,47 +165,6 @@ TEST_F(TraceE2eTest, AllSchemesCounterIdenticalAcrossContainers)
         expectSameCounters(r1, r2, schemeName(cell.scheme));
         EXPECT_EQ(r1.stats.accesses, 6'000u) << schemeName(cell.scheme);
     }
-}
-
-TEST_F(TraceE2eTest, ShardedOneShardIsByteIdenticalToSerial)
-{
-    SimOptions opts = testOptions();
-    const WorkloadSpec spec = scaledWorkloadSpec(opts, "trace:" + v2_);
-    const MemoryMap map = buildScenario(
-        ScenarioKind::MedContig, scenarioParamsFor(opts, spec));
-    const PageTable thp = buildPageTable(map, true);
-
-    const SimResult serial = runSchemeCell(
-        opts, spec, ScenarioKind::MedContig, map, thp, Scheme::Thp, 0);
-    opts.shards = 1;
-    const ShardedResult sharded = runShardedCell(
-        opts, spec, ScenarioKind::MedContig, map, thp, Scheme::Thp, 0);
-    ASSERT_EQ(sharded.plan.size(), 1u);
-    expectSameCounters(serial, sharded.merged, "K=1");
-}
-
-TEST_F(TraceE2eTest, ShardedSlicesCoverTheTraceExactly)
-{
-    SimOptions opts = testOptions();
-    opts.shards = 3;
-    opts.shard_warmup = 500;
-    const WorkloadSpec spec = scaledWorkloadSpec(opts, "trace:" + v2_);
-    const MemoryMap map = buildScenario(
-        ScenarioKind::MedContig, scenarioParamsFor(opts, spec));
-    const PageTable thp = buildPageTable(map, true);
-
-    const ShardedResult sharded = runShardedCell(
-        opts, spec, ScenarioKind::MedContig, map, thp, Scheme::Thp, 0);
-    ASSERT_EQ(sharded.plan.size(), 3u);
-    std::uint64_t covered = 0;
-    for (std::size_t i = 0; i < sharded.plan.size(); ++i) {
-        EXPECT_EQ(sharded.shards[i].stats.accesses,
-                  sharded.plan[i].length())
-            << "shard " << i;
-        covered += sharded.shards[i].stats.accesses;
-    }
-    EXPECT_EQ(covered, 6'000u);
-    EXPECT_EQ(sharded.merged.stats.accesses, 6'000u);
 }
 
 TEST_F(TraceE2eTest, AccessClampAndPrefixReplay)

@@ -35,7 +35,7 @@
 #include "os/memory_map.hh"
 #include "os/page_table.hh"
 #include "os/table_builder.hh"
-#include "sim/sharded_runner.hh"
+#include "sim/experiment.hh"
 
 namespace atlb
 {
@@ -231,20 +231,16 @@ TEST_F(DifferentialStress, TenThousandStepsZeroMismatches)
 }
 
 /**
- * Seed-sweep stress for sharded mode: 16 RNG seeds x the five
- * translation schemes, each cell run both serially and 4-way sharded.
- * Under ANCHORTLB_CHECKED every translate() of every shard is
- * oracle-verified against the authoritative page table and ANCHOR_DCHECK
- * validates merge labels and slice sizes, so this sweep drags the
- * sharded code path through 16 different mapping layouts and access
- * streams with the full checker armour on. The release-build assertions
- * here are the conservation laws that hold at ANY budget: merged
- * counters account for exactly the serial stream, and every per-shard
- * counter sums into the merged result. (The tight accuracy epsilon is
- * enforced at a realistic budget by test_sharded_runner.cc; this sweep
- * only guards against gross divergence.)
+ * Seed-sweep stress for the cell body: 16 RNG seeds x the five
+ * translation schemes, each cell run through runSchemeCell. Under
+ * ANCHORTLB_CHECKED every translate() is oracle-verified against the
+ * authoritative page table, so this sweep drags the cell path through
+ * 16 different mapping layouts and access streams with the full
+ * checker armour on. The release-build assertion is the conservation
+ * law that holds at any budget: the counters account for exactly the
+ * requested stream.
  */
-TEST(ShardedSeedSweep, SixteenSeedsFiveSchemesConserveCounters)
+TEST(SeedSweep, SixteenSeedsFiveSchemesConserveCounters)
 {
     const Scheme schemes[] = {Scheme::Base, Scheme::Thp, Scheme::Cluster,
                               Scheme::Rmm, Scheme::Anchor};
@@ -260,8 +256,6 @@ TEST(ShardedSeedSweep, SixteenSeedsFiveSchemesConserveCounters)
         options.seed = seed * 7919; // spread seeds far apart
         options.footprint_scale = 0.02;
         options.threads = 1;
-        options.shards = 4;
-        options.shard_warmup = 2'048;
         // Rotate the pair with the seed so the sweep covers different
         // mapping layouts, not just different streams over one layout.
         const std::string &workload = workloads[seed % 4];
@@ -288,37 +282,13 @@ TEST(ShardedSeedSweep, SixteenSeedsFiveSchemesConserveCounters)
             const std::uint64_t dist =
                 scheme == Scheme::Anchor ? distance : 0;
 
-            const ShardAccuracy acc = compareShardedToSerial(
-                options, spec, scenario, map, table, scheme, dist);
-
-            // Conservation: both modes measured the exact stream.
-            ASSERT_EQ(acc.serial.stats.accesses, options.accesses);
-            ASSERT_EQ(acc.sharded.stats.accesses, options.accesses);
-            const auto accounted = [](const MmuStats &s) {
-                return s.l1_hits + s.l2_regular_hits + s.coalesced_hits +
-                       s.page_walks;
-            };
-            EXPECT_EQ(accounted(acc.sharded.stats),
-                      acc.sharded.stats.accesses);
-
-            // Gross-divergence guard (loose: quick-budget slices are
-            // shorter than a TLB refill, see the accuracy-test note).
-            EXPECT_LE(acc.missRateDelta(), 0.05)
-                << "sharded walks " << acc.sharded.misses()
-                << " vs serial " << acc.serial.misses();
-
-            // Per-shard partials must sum into the merged result.
-            const ShardedResult run = runShardedCell(
-                options, spec, scenario, map, table, scheme, dist);
-            MmuStats sum;
-            for (const SimResult &shard : run.shards)
-                sum += shard.stats;
-            EXPECT_EQ(sum.accesses, run.merged.stats.accesses);
-            EXPECT_EQ(sum.page_walks, run.merged.stats.page_walks);
-            EXPECT_EQ(sum.translation_cycles,
-                      run.merged.stats.translation_cycles);
-            // And the sharded run must be reproducible.
-            EXPECT_EQ(run.merged.misses(), acc.sharded.misses());
+            const SimResult r = runSchemeCell(options, spec, scenario, map,
+                                              table, scheme, dist);
+            const MmuStats &s = r.stats;
+            ASSERT_EQ(s.accesses, options.accesses);
+            EXPECT_EQ(s.l1_hits + s.l2_regular_hits + s.coalesced_hits +
+                          s.page_walks,
+                      s.accesses);
         }
     }
 }

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -225,12 +226,25 @@ TEST(ServeServer, InvalidKnobsAreARequestError)
 {
     TestServer ts("bad_knobs");
 
-    SweepRequest req = gridRequest(WireOp::Submit);
-    req.scale = 2.0; // out of (0, 1]
-    const SweepResponse resp = roundTrip(ts, req);
-    EXPECT_FALSE(resp.ok);
-    EXPECT_FALSE(resp.error.empty());
-    EXPECT_EQ(counterValue(resp, "simulations"), 0u);
+    // Out of (0, 1], and NaN, which fails every comparison and once
+    // slipped past the range check into the footprint arithmetic.
+    for (const double scale : {2.0, std::nan("")}) {
+        SCOPED_TRACE(scale);
+        SweepRequest req = gridRequest(WireOp::Submit);
+        req.scale = scale;
+        const SweepResponse resp = roundTrip(ts, req);
+        EXPECT_FALSE(resp.ok);
+        EXPECT_FALSE(resp.error.empty());
+        EXPECT_EQ(counterValue(resp, "simulations"), 0u);
+    }
+
+    // The refusals left the server answering valid requests.
+    const SweepRequest valid = gridRequest(WireOp::Submit);
+    const SweepResponse ok = roundTrip(ts, valid);
+    ASSERT_TRUE(ok.ok) << ok.error;
+    ASSERT_EQ(ok.cells.size(), valid.cells.size());
+    for (const CellReply &cell : ok.cells)
+        EXPECT_EQ(cell.status, CellStatus::Computed);
 }
 
 TEST(ServeServer, MalformedLinePoisonsOnlyThatRequest)

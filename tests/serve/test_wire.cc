@@ -119,8 +119,6 @@ sampleRequest()
     req.accesses = 30'000;
     req.seed = 7;
     req.scale = 0.02;
-    req.shards = 2;
-    req.warmup = 4'096;
     CellRequest a;
     a.workload = "canneal";
     a.scenario = ScenarioKind::MedContig;
@@ -143,8 +141,6 @@ TEST(ServeWire, RequestRoundTrips)
     EXPECT_EQ(out.op, WireOp::Submit);
     EXPECT_EQ(out.accesses, req.accesses);
     EXPECT_EQ(out.seed, req.seed);
-    EXPECT_EQ(out.shards, req.shards);
-    EXPECT_EQ(out.warmup, req.warmup);
     ASSERT_TRUE(out.scale.has_value());
     EXPECT_EQ(std::bit_cast<std::uint64_t>(*out.scale),
               std::bit_cast<std::uint64_t>(*req.scale));
@@ -167,8 +163,6 @@ TEST(ServeWire, RequestOmittedKnobsStayAbsent)
     EXPECT_FALSE(out.accesses.has_value());
     EXPECT_FALSE(out.seed.has_value());
     EXPECT_FALSE(out.scale.has_value());
-    EXPECT_FALSE(out.shards.has_value());
-    EXPECT_FALSE(out.warmup.has_value());
     EXPECT_TRUE(out.cells.empty());
 }
 

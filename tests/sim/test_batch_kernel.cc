@@ -5,8 +5,8 @@
  * The contract under test (mmu.hh runBatchKernel): translateBatch is
  * counter-identical to calling translate() on every element, for every
  * scheme, every trace source the grid can replay (synthetic pattern,
- * v1 ifstream, v1 mmap, v2 block codec), serial and sharded, with the
- * L0 same-page filter engaged. The per-access pipeline is always the
+ * v1 ifstream, v1 mmap, v2 block codec), with the L0 same-page filter
+ * engaged. The per-access pipeline is always the
  * reference; nothing here encodes expected absolute counts.
  *
  * Also covered: the L0 filter invalidation contract (flushAll /
@@ -44,7 +44,6 @@
 #include "os/region_partitioner.hh"
 #include "os/table_builder.hh"
 #include "sim/experiment.hh"
-#include "sim/sharded_runner.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_io.hh"
 #include "trace/workload.hh"
@@ -169,6 +168,27 @@ TEST(BatchEquivalence, SyntheticCellsMatchPerAccess)
     }
 }
 
+TEST(BatchEquivalence, Sphinx3CellsMatchPerAccess)
+{
+    // A second workload's locality mix through one scheme of each
+    // family (flat, range, anchor).
+    const SimOptions opts = quickOptions();
+    for (const Scheme scheme :
+         {Scheme::Base, Scheme::Rmm, Scheme::Anchor}) {
+        const std::string what = schemeName(scheme);
+        SCOPED_TRACE(what);
+        const CellFixture cell(opts, "sphinx3", ScenarioKind::MedContig,
+                               scheme);
+        const SimResult batch = runCellIn(
+            TranslateMode::Batch, opts, cell, ScenarioKind::MedContig, scheme);
+        const SimResult ref =
+            runCellIn(TranslateMode::PerAccess, opts, cell,
+                      ScenarioKind::MedContig, scheme);
+        expectResultsEqual(batch, ref, what);
+        EXPECT_EQ(batch.stats.accesses, opts.accesses) << what;
+    }
+}
+
 // --- serial grid equivalence: on-disk containers ------------------------
 
 class BatchTraceTest : public ::testing::Test
@@ -289,69 +309,6 @@ TEST_F(BatchTraceTest, IfstreamSourceMatchesPerAccess)
         expectResultsEqual(batch, ref, schemeName(c.scheme));
         EXPECT_EQ(batch.stats.accesses, 6'000u);
     }
-}
-
-// --- sharded equivalence ------------------------------------------------
-
-TEST(BatchEquivalence, ShardedCellsMatchPerAccess)
-{
-    // K in {1, 2, 4}: the warmup replay and the measured slice both go
-    // through the batch kernel; every shard and the merge must equal
-    // the per-access run of the same plan.
-    for (const unsigned k : {1u, 2u, 4u}) {
-        for (const Scheme scheme :
-             {Scheme::Base, Scheme::Rmm, Scheme::Anchor}) {
-            const std::string what = "K=" + std::to_string(k) + "/" +
-                                     schemeName(scheme);
-            SCOPED_TRACE(what);
-            SimOptions opts = quickOptions();
-            opts.shards = k;
-            opts.shard_warmup = 2'048;
-            const CellFixture cell(opts, "sphinx3",
-                                   ScenarioKind::MedContig, scheme);
-
-            opts.translate_mode = TranslateMode::Batch;
-            const ShardedResult batch =
-                runShardedCell(opts, cell.spec, ScenarioKind::MedContig,
-                               cell.map, cell.table, scheme,
-                               cell.distance);
-            opts.translate_mode = TranslateMode::PerAccess;
-            const ShardedResult ref =
-                runShardedCell(opts, cell.spec, ScenarioKind::MedContig,
-                               cell.map, cell.table, scheme,
-                               cell.distance);
-
-            ASSERT_EQ(batch.shards.size(), ref.shards.size());
-            for (std::size_t i = 0; i < batch.shards.size(); ++i)
-                expectResultsEqual(batch.shards[i], ref.shards[i],
-                                   what + "/shard " +
-                                       std::to_string(i));
-            expectResultsEqual(batch.merged, ref.merged, what);
-        }
-    }
-}
-
-TEST_F(BatchTraceTest, ShardedV2CellMatchesPerAccess)
-{
-    SimOptions opts = quickOptions();
-    opts.shards = 2;
-    opts.shard_warmup = 500;
-    const CellFixture cell(opts, "trace:" + v2_, ScenarioKind::MedContig,
-                           Scheme::Anchor);
-
-    opts.translate_mode = TranslateMode::Batch;
-    const ShardedResult batch =
-        runShardedCell(opts, cell.spec, ScenarioKind::MedContig, cell.map,
-                       cell.table, Scheme::Anchor, cell.distance);
-    opts.translate_mode = TranslateMode::PerAccess;
-    const ShardedResult ref =
-        runShardedCell(opts, cell.spec, ScenarioKind::MedContig, cell.map,
-                       cell.table, Scheme::Anchor, cell.distance);
-    ASSERT_EQ(batch.shards.size(), 2u);
-    for (std::size_t i = 0; i < 2; ++i)
-        expectResultsEqual(batch.shards[i], ref.shards[i],
-                           "shard " + std::to_string(i));
-    expectResultsEqual(batch.merged, ref.merged, "merged");
 }
 
 // --- randomized differential against the per-access reference -----------

@@ -144,16 +144,13 @@ TEST(Experiment, OptionsFromEnvReadsCachePairs)
     EXPECT_FALSE(SimOptions::fromEnv().cache_pairs_from_env);
 }
 
-TEST(Experiment, OptionsFromEnvReadsShardKnobs)
+TEST(ExperimentDeath, OptionsFromEnvRejectsNanScale)
 {
-    EXPECT_EQ(SimOptions::fromEnv().shards, 1u); // serial by default
-    ::setenv("ANCHORTLB_SHARDS", "4", 1);
-    ::setenv("ANCHORTLB_SHARD_WARMUP", "4096", 1);
-    const SimOptions opts = SimOptions::fromEnv();
-    EXPECT_EQ(opts.shards, 4u);
-    EXPECT_EQ(opts.shard_warmup, 4'096u);
-    ::unsetenv("ANCHORTLB_SHARDS");
-    ::unsetenv("ANCHORTLB_SHARD_WARMUP");
+    // NaN fails every comparison, so a range check written as
+    // "reject if scale <= 0 or scale > 1" lets it through.
+    ::setenv("ANCHORTLB_SCALE", "nan", 1);
+    EXPECT_DEATH(SimOptions::fromEnv(), "ANCHORTLB_SCALE must be in");
+    ::unsetenv("ANCHORTLB_SCALE");
 }
 
 TEST(Experiment, SizeCacheForPairsGrowsToRunShape)
@@ -288,12 +285,6 @@ TEST(Experiment, CellKeyCoversEveryResultShapingInput)
     opts = base;
     opts.footprint_scale = 0.03;
     EXPECT_NE(cellKeyFor(opts, spec), key);
-    opts = base;
-    opts.shards = 2;
-    EXPECT_NE(cellKeyFor(opts, spec), key);
-    opts = base;
-    opts.shard_warmup += 1;
-    EXPECT_NE(cellKeyFor(opts, spec), key);
 
     // Hardware parameters too (spot checks across MmuConfig).
     opts = base;
@@ -331,6 +322,18 @@ TEST(Experiment, CellKeyExcludesExecutionModeKnobs)
     opts = base;
     opts.translate_mode = TranslateMode::PerAccess;
     EXPECT_EQ(cellKeyFor(opts, spec), key);
+}
+
+TEST(Experiment, CellKeyFormatIsPinned)
+{
+    // The literal format-2 key of one fixed cell under default options.
+    // Any change to cellKeyFor's field sequence changes it; such a
+    // change must also bump the format version, so that stores written
+    // by older builds miss and recompute instead of serving a record
+    // under a key whose meaning moved.
+    const CellSpec spec{"canneal", ScenarioKind::MedContig, Scheme::Base,
+                        {}};
+    EXPECT_EQ(cellKeyFor(SimOptions{}, spec).raw(), 0x88d017ca2870357dULL);
 }
 
 TEST(Experiment, SyntheticWorkloadsHaveNoTraceContentHash)

@@ -13,8 +13,8 @@
  * processes; even seeds additionally run remap churn (which exercises
  * the shootdown path under retention) and weighted round-robin quanta.
  * Counter conservation is asserted on both sides: the per-process stat
- * blocks must sum to the aggregate exactly, field by field — the same
- * algebra SimResult::merge relies on (MmuStats::operator+=).
+ * blocks must sum to the aggregate exactly, field by field
+ * (MmuStats::operator+=).
  */
 
 #include <gtest/gtest.h>

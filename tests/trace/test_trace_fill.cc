@@ -161,75 +161,5 @@ TEST(TraceFill, BaseClassDefaultFillDelegatesToNext)
                      drainChunked(batched, {9, 32}));
 }
 
-// --- skip(): the sharded runner's seek primitive ------------------------
-
-TEST(TraceSkip, SkipNEqualsDrainingNAccesses)
-{
-    // skip(n) must leave the source exactly where n next() calls would
-    // — including the generator's RNG state, which produceOne advances
-    // data-dependently — for every catalog workload.
-    for (const WorkloadSpec &spec : workloadCatalog()) {
-        SCOPED_TRACE(spec.name);
-        PatternTrace reference(spec, kBase, kAccesses, kSeed);
-        PatternTrace skipped(spec, kBase, kAccesses, kSeed);
-
-        const std::uint64_t n = kAccesses / 3;
-        MemAccess a;
-        for (std::uint64_t i = 0; i < n; ++i)
-            ASSERT_TRUE(reference.next(a));
-        skipped.skip(n);
-        expectSameStream(drainOneAtATime(reference),
-                         drainOneAtATime(skipped));
-    }
-}
-
-TEST(TraceSkip, SplitSkipsComposeLikeOneSkip)
-{
-    const WorkloadSpec &spec = findWorkload("canneal");
-    PatternTrace once(spec, kBase, kAccesses, kSeed);
-    PatternTrace twice(spec, kBase, kAccesses, kSeed);
-    once.skip(1'000);
-    twice.skip(317);
-    twice.skip(683);
-    expectSameStream(drainOneAtATime(once), drainOneAtATime(twice));
-}
-
-TEST(TraceSkip, SkipZeroIsANoOp)
-{
-    const WorkloadSpec &spec = findWorkload("gups");
-    PatternTrace reference(spec, kBase, 500, kSeed);
-    PatternTrace skipped(spec, kBase, 500, kSeed);
-    skipped.skip(0);
-    expectSameStream(drainOneAtATime(reference),
-                     drainOneAtATime(skipped));
-}
-
-TEST(TraceSkip, SkipPastEndExhaustsTheSource)
-{
-    const WorkloadSpec &spec = findWorkload("mcf");
-    PatternTrace trace(spec, kBase, 100, kSeed);
-    trace.skip(1'000'000);
-    MemAccess a;
-    EXPECT_FALSE(trace.next(a));
-    std::vector<MemAccess> buffer(8);
-    EXPECT_EQ(trace.fill(buffer.data(), buffer.size()), 0u);
-}
-
-TEST(TraceSkip, BaseClassDefaultSkipDrainsViaFill)
-{
-    CountingTrace reference(100);
-    CountingTrace skipped(100);
-    MemAccess a;
-    for (int i = 0; i < 60; ++i)
-        ASSERT_TRUE(reference.next(a));
-    skipped.skip(60);
-    expectSameStream(drainOneAtATime(reference),
-                     drainOneAtATime(skipped));
-
-    CountingTrace short_trace(10);
-    short_trace.skip(500); // must terminate despite fill() returning 0
-    EXPECT_FALSE(short_trace.next(a));
-}
-
 } // namespace
 } // namespace atlb

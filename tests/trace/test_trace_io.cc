@@ -169,42 +169,6 @@ TEST_F(TraceIoTest, OverflowingHeaderCountIsFatalAtOpen)
     EXPECT_THROW(TraceFileSource src(path_), std::runtime_error);
 }
 
-TEST_F(TraceIoTest, SkipSeeksToTheSamePositionAsDraining)
-{
-    const std::uint64_t n = 1'000;
-    {
-        TraceWriter w(path_);
-        for (std::uint64_t i = 0; i < n; ++i)
-            w.append({VirtAddr{i << 12}, false});
-    }
-
-    // skip is an O(1) seek over the fixed-width records; it must land
-    // exactly where draining lands, compose across calls, and clamp at
-    // the end of the file.
-    TraceFileSource drained(path_);
-    TraceFileSource skipped(path_);
-    MemAccess a, b;
-    for (int i = 0; i < 400; ++i)
-        ASSERT_TRUE(drained.next(a));
-    skipped.skip(123);
-    skipped.skip(277);
-    for (std::uint64_t i = 400; i < n; ++i) {
-        ASSERT_TRUE(drained.next(a));
-        ASSERT_TRUE(skipped.next(b));
-        ASSERT_EQ(a.vaddr, b.vaddr) << "record " << i;
-        ASSERT_EQ(a.write, b.write) << "record " << i;
-    }
-    EXPECT_FALSE(drained.next(a));
-    EXPECT_FALSE(skipped.next(b));
-
-    TraceFileSource past_end(path_);
-    past_end.skip(n + 500);
-    EXPECT_FALSE(past_end.next(a));
-    past_end.reset();
-    EXPECT_TRUE(past_end.next(a));
-    EXPECT_EQ(a.vaddr, VirtAddr{0});
-}
-
 TEST_F(TraceIoTest, LargeRoundTripPreservesOrder)
 {
     const std::uint64_t n = 50000;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "trace/profiler.hh"
@@ -53,6 +54,15 @@ const ModelBand bands[] = {
     // uniform random: almost nothing within any reach
     {"gups", 0.00, 0.05, 0.00, 0.15, 0.00, 0.40},
 };
+
+/** Print a band as its workload name. gtest's default dumps the struct's
+ *  raw bytes, whose `name` pointer changes with every load address, so
+ *  each build would list the tests under different names. */
+void
+PrintTo(const ModelBand &band, std::ostream *os)
+{
+    *os << band.name;
+}
 
 class WorkloadModelBand : public ::testing::TestWithParam<ModelBand>
 {

@@ -49,7 +49,6 @@
 #include "serve/server.hh"
 #include "sim/experiment.hh"
 #include "sim/multiprocess.hh"
-#include "sim/sharded_runner.hh"
 #include "stats/histogram.hh"
 #include "stats/table.hh"
 #include "trace/trace_io.hh"
@@ -152,10 +151,8 @@ optionsFrom(const Args &args)
     opts.accesses = args.getU64("accesses", opts.accesses);
     opts.seed = args.getU64("seed", opts.seed);
     opts.footprint_scale = args.getDouble("scale", opts.footprint_scale);
-    opts.shards = static_cast<unsigned>(args.getU64("shards", opts.shards));
-    if (opts.shards < 1)
-        ATLB_FATAL("--shards must be >= 1");
-    opts.shard_warmup = args.getU64("warmup", opts.shard_warmup);
+    if (!validFootprintScale(opts.footprint_scale))
+        ATLB_FATAL("--scale must be in (0, 1]");
     return opts;
 }
 
@@ -431,81 +428,6 @@ cmdProfile(const Args &args)
     row("reuses within L2 reach (1K pages)",
         std::to_string(p.hitFractionAtReach(1024)));
     emit(table, csv);
-    return 0;
-}
-
-int
-cmdShardCheck(const Args &args)
-{
-    const std::string workload = args.get("workload", "canneal");
-    const ScenarioKind scenario =
-        scenarioFromName(args.get("scenario", "medium"));
-    const Scheme scheme = schemeFromName(args.get("scheme", "anchor"));
-    SimOptions opts = optionsFrom(args);
-
-    const WorkloadSpec spec = scaledWorkloadSpec(opts, workload);
-    const MemoryMap map =
-        buildScenario(scenario, scenarioParamsFor(opts, spec));
-    std::uint64_t distance = 0;
-    PageTable table;
-    switch (scheme) {
-      case Scheme::Base:
-      case Scheme::Cluster:
-        table = buildPageTable(map, false);
-        break;
-      case Scheme::Thp:
-      case Scheme::Cluster2MB:
-      case Scheme::Rmm:
-        table = buildPageTable(map, true);
-        break;
-      case Scheme::Anchor:
-      case Scheme::AnchorIdeal:
-        distance = args.has("distance")
-                       ? args.getU64("distance", 8)
-                       : selectAnchorDistance(map.contiguityHistogram())
-                             .distance;
-        table = buildAnchorPageTable(map, AnchorDist::fromPages(distance));
-        break;
-    }
-
-    Table out("shard accuracy: " + workload + " / " +
-                  scenarioName(scenario) + " / " + schemeName(scheme),
-              {"shards", "walks", "walk delta", "miss-rate delta",
-               "relative err", "within eps"});
-    const std::vector<unsigned> shard_counts =
-        args.has("shards")
-            ? std::vector<unsigned>{static_cast<unsigned>(
-                  args.getU64("shards", 2))}
-            : std::vector<unsigned>{2, 4, 8};
-    SimOptions serial_opts = opts;
-    serial_opts.shards = 1;
-    const SimResult serial = runSchemeCell(serial_opts, spec, scenario,
-                                           map, table, scheme, distance);
-    out.beginRow();
-    out.cell(std::string("1 (serial)"));
-    out.cell(serial.misses());
-    out.cell(std::uint64_t{0});
-    out.cell(0.0, 6);
-    out.cell(0.0, 6);
-    out.cell(std::string("yes"));
-    for (const unsigned k : shard_counts) {
-        SimOptions sharded_opts = opts;
-        sharded_opts.shards = k;
-        ShardAccuracy acc;
-        acc.serial = serial;
-        acc.sharded = runShardedCell(sharded_opts, spec, scenario, map,
-                                     table, scheme, distance)
-                          .merged;
-        acc.shard_count = k;
-        out.beginRow();
-        out.cell(std::to_string(k));
-        out.cell(acc.sharded.misses());
-        out.cell(acc.missDelta());
-        out.cell(acc.missRateDelta(), 6);
-        out.cell(acc.relativeMissError(), 6);
-        out.cell(std::string(acc.withinEpsilon() ? "yes" : "NO"));
-    }
-    emit(out, args.has("csv"));
     return 0;
 }
 
@@ -796,14 +718,14 @@ cmdTraceReplay(const Args &args)
 {
     if (args.positional().size() < 2)
         ATLB_FATAL("usage: anchortlb trace replay FILE [--scenario=NAME] "
-                   "[--scheme=NAME] [--distance=N] [--shards=K]");
+                   "[--scheme=NAME] [--distance=N]");
     const std::string workload = "trace:" + args.positional()[1];
     const ScenarioKind scenario =
         scenarioFromName(args.get("scenario", "medium"));
 
     // Route through ExperimentContext so a replayed capture exercises
-    // the exact grid path (mapping, page tables, sharding) a
-    // trace-driven experiment cell uses.
+    // the exact grid path (mapping, page tables) a trace-driven
+    // experiment cell uses.
     ExperimentContext ctx(optionsFrom(args));
     const SimResult base = ctx.run(workload, scenario, Scheme::Base);
 
@@ -1089,10 +1011,6 @@ cmdSubmit(const Args &args, WireOp op)
         request.seed = args.getU64("seed", 0);
     if (args.has("scale"))
         request.scale = args.getDouble("scale", 1.0);
-    if (args.has("shards"))
-        request.shards = args.getU64("shards", 1);
-    if (args.has("warmup"))
-        request.warmup = args.getU64("warmup", 0);
 
     std::vector<Scheme> schemes;
     if (args.has("schemes")) {
@@ -1237,9 +1155,7 @@ commands:
                        footprint/contiguity stats, --json the profile
   trace replay FILE    replay a binary trace through the experiment
                        grid (same path as trace-driven cells)
-      [--scenario=NAME] [--scheme=NAME] [--distance=N] [--shards=K]
-  shard-check          sharded-vs-serial accuracy report for one cell
-      --workload=NAME --scenario=NAME --scheme=NAME [--shards=K]
+      [--scenario=NAME] [--scheme=NAME] [--distance=N]
   multiprocess         weighted round-robin multi-process run; compares
                        schemes under a context-switch policy
       --workloads=A,B[,C...] [--scenario=NAME] [--scheme=NAME]
@@ -1271,9 +1187,6 @@ common options:
   --accesses=N         trace length (default 2000000 or $ANCHORTLB_ACCESSES)
   --seed=N             RNG seed (default 42)
   --scale=F            footprint scale in (0,1]
-  --shards=K           within-cell shards (default 1 = exact serial,
-                       or $ANCHORTLB_SHARDS; K>1 is approximate)
-  --warmup=N           per-shard warmup accesses (default 32768)
   --csv                CSV output instead of ASCII tables
 
 scheme names: base thp cluster cluster-2mb rmm anchor ideal
@@ -1305,8 +1218,6 @@ main(int argc, char **argv)
         return cmdProfile(args);
     if (cmd == "trace")
         return cmdTrace(args);
-    if (cmd == "shard-check")
-        return cmdShardCheck(args);
     if (cmd == "multiprocess")
         return cmdMultiProcess(args);
     if (cmd == "export-map")
