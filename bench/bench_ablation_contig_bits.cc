@@ -35,8 +35,9 @@ main()
               ScenarioKind::MaxContig}) {
             const std::uint64_t base =
                 ctx.run("canneal", k, Scheme::Base).misses();
-            const std::uint64_t capped_distance = std::min(
-                ctx.dynamicDistance("canneal", k), opts.mmu.max_contiguity);
+            const std::uint64_t capped_distance =
+                std::min(ctx.pair("canneal", k)->dynamicDistance(),
+                         opts.mmu.max_contiguity);
             const SimResult r =
                 ctx.run("canneal", k, Scheme::Anchor, capped_distance);
             table.cellPercent(relativeMisses(r.misses(), base));

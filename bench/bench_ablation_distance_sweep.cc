@@ -36,7 +36,7 @@ main()
         base.push_back(
             ctx.run(w, ScenarioKind::MedContig, Scheme::Base).misses());
         dynamic_d.push_back(
-            ctx.dynamicDistance(w, ScenarioKind::MedContig));
+            ctx.pair(w, ScenarioKind::MedContig)->dynamicDistance());
     }
 
     for (const std::uint64_t d : candidateDistances()) {

@@ -9,6 +9,8 @@
  */
 
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench_util.hh"
 #include "os/distance_selector.hh"
@@ -25,29 +27,41 @@ main()
                 {"workload", "count d", "count miss%", "weighted d",
                  "weighted miss%", "oracle d", "oracle miss%"});
 
-    for (const char *workload :
-         {"canneal", "mcf", "milc", "omnetpp", "gups"}) {
-        const ScenarioKind k = ScenarioKind::MedContig;
+    // Per workload: Base, Anchor at each model's pick and the oracle,
+    // all run as one batch.
+    const ScenarioKind k = ScenarioKind::MedContig;
+    const std::vector<std::string> workloads = {"canneal", "mcf", "milc",
+                                                "omnetpp", "gups"};
+    std::vector<DistanceSelection> count_sel;
+    std::vector<DistanceSelection> weighted_sel;
+    std::vector<CellSpec> cells;
+    for (const std::string &workload : workloads) {
         const Histogram hist =
-            ctx.mapping(workload, k).contiguityHistogram();
-        const std::uint64_t base =
-            ctx.run(workload, k, Scheme::Base).misses();
+            ctx.pair(workload, k)->map().contiguityHistogram();
+        count_sel.push_back(
+            selectAnchorDistance(hist, DistanceCostModel::EntryCount));
+        weighted_sel.push_back(selectAnchorDistance(
+            hist, DistanceCostModel::CoverageWeighted));
+        cells.push_back({workload, k, Scheme::Base, {}});
+        cells.push_back(
+            {workload, k, Scheme::Anchor, count_sel.back().distance});
+        cells.push_back(
+            {workload, k, Scheme::Anchor, weighted_sel.back().distance});
+        cells.push_back({workload, k, Scheme::AnchorIdeal, {}});
+    }
+    const std::vector<SimResult> results = ctx.runCells(cells);
 
-        const auto count_sel =
-            selectAnchorDistance(hist, DistanceCostModel::EntryCount);
-        const auto weighted_sel = selectAnchorDistance(
-            hist, DistanceCostModel::CoverageWeighted);
-        const SimResult count_run =
-            ctx.run(workload, k, Scheme::Anchor, count_sel.distance);
-        const SimResult weighted_run =
-            ctx.run(workload, k, Scheme::Anchor, weighted_sel.distance);
-        const SimResult oracle = ctx.run(workload, k, Scheme::AnchorIdeal);
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const std::uint64_t base = results[4 * w].misses();
+        const SimResult &count_run = results[4 * w + 1];
+        const SimResult &weighted_run = results[4 * w + 2];
+        const SimResult &oracle = results[4 * w + 3];
 
         table.beginRow();
-        table.cell(std::string(workload));
-        table.cell(count_sel.distance);
+        table.cell(workloads[w]);
+        table.cell(count_sel[w].distance);
         table.cellPercent(relativeMisses(count_run.misses(), base));
-        table.cell(weighted_sel.distance);
+        table.cell(weighted_sel[w].distance);
         table.cellPercent(relativeMisses(weighted_run.misses(), base));
         table.cell(oracle.anchor_distance);
         table.cellPercent(relativeMisses(oracle.misses(), base));

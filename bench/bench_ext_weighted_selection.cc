@@ -14,6 +14,9 @@
  */
 
 #include <iostream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_util.hh"
 #include "os/access_sampler.hh"
@@ -33,20 +36,20 @@ main()
                 {"workload", "snapshot d", "snapshot", "sampled d",
                  "sampled", "oracle d", "oracle"});
 
-    for (const char *workload :
-         {"canneal", "mcf", "cactusADM", "soplex_pds", "omnetpp"}) {
-        const ScenarioKind k = ScenarioKind::MedContig;
-        const std::uint64_t base =
-            ctx.run(workload, k, Scheme::Base).misses();
-
-        // Snapshot selection (the paper's Algorithm 1).
-        const SimResult snap = ctx.run(workload, k, Scheme::Anchor);
-
+    // Per workload: Base, the snapshot pick (the paper's Algorithm 1),
+    // the sampled pick and the oracle, all run as one batch.
+    const ScenarioKind k = ScenarioKind::MedContig;
+    const std::vector<std::string> workloads = {
+        "canneal", "mcf", "cactusADM", "soplex_pds", "omnetpp"};
+    std::vector<std::uint64_t> sampled_distance;
+    std::vector<CellSpec> cells;
+    for (const std::string &workload : workloads) {
         // Profiling epoch: the OS samples the access stream (here:
         // every 8th access of a short prefix) and selects with the
         // capacity-aware model.
-        const MemoryMap &map = ctx.mapping(workload, k);
-        AccessSampler sampler(map);
+        const std::shared_ptr<const CellPairState> pair =
+            ctx.pair(workload, k);
+        AccessSampler sampler(pair->map());
         WorkloadSpec spec = findWorkload(workload);
         spec.footprint_bytes = static_cast<std::uint64_t>(
             static_cast<double>(spec.footprint_bytes) *
@@ -61,18 +64,30 @@ main()
             if ((n++ & 7) == 0)
                 sampler.sample(vpnOf(a.vaddr));
         }
-        const CapacitySelection sampled = selectAnchorDistanceCapacityAware(
-            sampler.chunkAccesses(), opts.mmu.l2_entries);
-        const SimResult weighted =
-            ctx.run(workload, k, Scheme::Anchor, sampled.distance);
+        sampled_distance.push_back(
+            selectAnchorDistanceCapacityAware(sampler.chunkAccesses(),
+                                              opts.mmu.l2_entries)
+                .distance);
 
-        const SimResult oracle = ctx.run(workload, k, Scheme::AnchorIdeal);
+        cells.push_back({workload, k, Scheme::Base, {}});
+        cells.push_back({workload, k, Scheme::Anchor, {}});
+        cells.push_back(
+            {workload, k, Scheme::Anchor, sampled_distance.back()});
+        cells.push_back({workload, k, Scheme::AnchorIdeal, {}});
+    }
+    const std::vector<SimResult> results = ctx.runCells(cells);
+
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const std::uint64_t base = results[4 * w].misses();
+        const SimResult &snap = results[4 * w + 1];
+        const SimResult &weighted = results[4 * w + 2];
+        const SimResult &oracle = results[4 * w + 3];
 
         table.beginRow();
-        table.cell(std::string(workload));
+        table.cell(workloads[w]);
         table.cell(snap.anchor_distance);
         table.cellPercent(relativeMisses(snap.misses(), base));
-        table.cell(sampled.distance);
+        table.cell(sampled_distance[w]);
         table.cellPercent(relativeMisses(weighted.misses(), base));
         table.cell(oracle.anchor_distance);
         table.cellPercent(relativeMisses(oracle.misses(), base));

@@ -4,12 +4,12 @@
  * scheduler under multiple clients.
  *
  * Phase 1 (store): runs one small grid (3 workloads x {Base, Dynamic}
- * x medium) twice through an ExperimentContext with a persistent
- * ResultStore attached: the cold pass simulates every cell and appends
- * it to the store, the warm pass reopens the store in a fresh context
- * and must answer every cell without simulating. Gates: warm results
- * byte-identical to cold, all warm cells answered from the store, warm
- * at least 5x faster than cold.
+ * x medium) twice as an ExperimentContext::runCells batch with a
+ * persistent ResultStore attached: the cold pass simulates every cell
+ * and appends it to the store, the warm pass reopens the store in a
+ * fresh context and must answer every cell without simulating. Gates:
+ * warm results byte-identical to cold, all warm cells answered from the
+ * store, warm at least 5x faster than cold.
  *
  * Phase 2 (scheduler): N clients submit disjoint grids to a live
  * SweepServer, first one-at-a-time (the serial-admission baseline the
@@ -80,14 +80,16 @@ secondsSince(std::chrono::steady_clock::time_point start)
 Pass
 runGrid(const SimOptions &opts, ResultStore &store)
 {
+    std::vector<CellSpec> cells;
+    for (const char *workload : kWorkloads) {
+        for (const Scheme scheme : kSchemes)
+            cells.push_back({workload, kScenario, scheme, {}});
+    }
     ExperimentContext ctx(opts);
     ctx.setResultCache(&store);
     Pass pass;
     const auto start = std::chrono::steady_clock::now();
-    for (const char *workload : kWorkloads) {
-        for (const Scheme scheme : kSchemes)
-            pass.results.push_back(ctx.run(workload, kScenario, scheme));
-    }
+    pass.results = ctx.runCells(cells);
     pass.seconds = secondsSince(start);
     pass.result_lookups = ctx.cacheCounters().result_lookups;
     pass.result_hits = ctx.cacheCounters().result_hits;

@@ -41,7 +41,8 @@ main()
         table.beginRow();
         table.cell(workload);
         for (const ScenarioKind k : allScenarios)
-            table.cell(humanPages(ctx.dynamicDistance(workload, k)));
+            table.cell(
+                humanPages(ctx.pair(workload, k)->dynamicDistance()));
     }
     table.printAscii(std::cout);
 
@@ -52,7 +53,7 @@ main()
     for (const auto &workload : paperWorkloadNames()) {
         DistanceController ctl;
         const Histogram hist =
-            ctx.mapping(workload, ScenarioKind::Demand)
+            ctx.pair(workload, ScenarioKind::Demand)->map()
                 .contiguityHistogram();
         for (int e = 0; e < 12; ++e)
             ctl.epoch(hist);

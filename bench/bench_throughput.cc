@@ -1,13 +1,13 @@
 /**
  * @file
- * Sweep-engine throughput bench: serial vs ANCHORTLB_THREADS workers.
+ * Cell-engine throughput bench: one worker vs ANCHORTLB_THREADS.
  *
- * Runs one scenario's full workload x scheme grid twice — once with one
- * thread (the exact serial path) and once with the configured worker
- * count — and reports wall-clock time and simulated accesses per second
- * for both, plus the speedup. A miss-count checksum cross-checks that
- * both runs produced identical results (the engine's determinism
- * guarantee). Results are written as machine-readable JSON to
+ * Runs one scenario's full workload x scheme grid twice through
+ * ExperimentContext::runCells — once with threads = 1 and once with the
+ * configured worker count — and reports wall-clock time and simulated
+ * accesses per second for both, plus the speedup. A miss-count checksum
+ * cross-checks that both runs produced identical results (the engine's
+ * determinism guarantee). Results are written as machine-readable JSON to
  * BENCH_throughput.json in the working directory (or argv[1]).
  *
  * Budget knobs: ANCHORTLB_ACCESSES (default 200k here, small enough for
@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "os/distance_selector.hh"
 #include "sim/parallel_runner.hh"
 #include "stats/json_writer.hh"
@@ -54,7 +54,7 @@ throughputJobs(ScenarioKind scenario)
     return jobs;
 }
 
-/** Simulations actually run: AnchorIdeal fans out over all distances. */
+/** Simulations actually run: AnchorIdeal sweeps every distance. */
 std::uint64_t
 simulatedAccesses(const std::vector<CellJob> &jobs, std::uint64_t per_cell)
 {
@@ -70,10 +70,12 @@ measure(SimOptions opts, unsigned threads,
         const std::vector<CellJob> &jobs)
 {
     opts.threads = threads;
-    ParallelRunner runner(opts);
 
+    // The context's lifetime is timed too: its workers, pair builds
+    // and teardown are part of what a grid costs.
     const auto start = std::chrono::steady_clock::now();
-    const std::vector<SimResult> results = runner.run(jobs);
+    const std::vector<SimResult> results =
+        ExperimentContext(opts).runCells(jobs);
     const auto stop = std::chrono::steady_clock::now();
 
     Measurement m;
@@ -141,7 +143,7 @@ main(int argc, char **argv)
     const std::string json_path =
         argc > 1 ? argv[1] : "BENCH_throughput.json";
 
-    printHeader("Sweep-engine throughput: serial vs " +
+    printHeader("Cell-engine throughput: 1 vs " +
                 std::to_string(threads) + " thread(s)");
     std::cout << "grid: " << paperWorkloadNames().size()
               << " workloads x " << comparedSchemes().size()

@@ -50,7 +50,7 @@ scenarioGrid(ExperimentContext &ctx, ScenarioKind scenario)
     for (const auto &workload : paperWorkloadNames())
         for (const Scheme s : comparedSchemes())
             jobs.push_back({workload, scenario, s, {}});
-    return runCells(ctx, jobs);
+    return ctx.runCells(jobs);
 }
 
 Table
@@ -112,11 +112,11 @@ meanRelativeMisses(ExperimentContext &ctx, ScenarioKind scenario)
 void
 printSweepSummary(const ExperimentContext &ctx)
 {
-    const auto &c = ctx.cacheCounters();
-    std::cerr << "### sweep summary: pair-cache capacity "
-              << ctx.cacheCapacity() << ", " << c.hits << "/" << c.lookups
-              << " hits (" << static_cast<int>(c.hitRate() * 100.0 + 0.5)
-              << "%)\n";
+    const CellScheduler::Stats s = ctx.scheduler().stats();
+    std::cerr << "### sweep summary: " << s.pair_builds
+              << " pair builds, " << s.pair_reuses
+              << " reuses (pair budget " << defaultPairBudget << ", "
+              << ctx.scheduler().threads() << " worker(s))\n";
 }
 
 void

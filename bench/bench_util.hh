@@ -27,9 +27,10 @@ SimOptions figureOptions();
 const std::vector<Scheme> &comparedSchemes();
 
 /**
- * All (workload x scheme) cells of one scenario, run through the sweep
- * engine (parallel when ctx.options().threads > 1). Results come back
- * workload-major in paperWorkloadNames() x comparedSchemes() order.
+ * All (workload x scheme) cells of one scenario, run as one
+ * ExperimentContext::runCells batch across the context's workers.
+ * Results come back workload-major in paperWorkloadNames() x
+ * comparedSchemes() order.
  */
 std::vector<SimResult> scenarioGrid(ExperimentContext &ctx,
                                     ScenarioKind scenario);
@@ -54,10 +55,11 @@ std::vector<double> meanRelativeMisses(ExperimentContext &ctx,
 void printHeader(const std::string &what);
 
 /**
- * Print the sweep summary — pair-cache capacity and hit rate — to
- * stderr. Stderr, deliberately: the tables on stdout must stay
- * byte-identical across thread counts (the parallel engine bypasses
- * the context cache), and the golden harness snapshots stdout only.
+ * Print the sweep summary — the scheduler's pair-state builds and
+ * reuses — to stderr. Stderr, deliberately: the tables on stdout must
+ * stay byte-identical across thread counts (which cells reuse a pair
+ * depends on the worker count), and the golden harness snapshots
+ * stdout only.
  */
 void printSweepSummary(const ExperimentContext &ctx);
 

@@ -45,7 +45,7 @@ main(int argc, char **argv)
                 relativeMisses(ctx.run(workload, scenario, s).misses(),
                                base));
         }
-        table.cell(ctx.dynamicDistance(workload, scenario));
+        table.cell(ctx.pair(workload, scenario)->dynamicDistance());
     }
     table.printAscii(std::cout);
 

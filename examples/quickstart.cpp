@@ -36,7 +36,8 @@ main(int argc, char **argv)
     std::cout << "workload: " << workload << "  scenario: " << scenario_name
               << "  accesses: " << options.accesses << "\n";
     std::cout << "dynamic anchor distance: "
-              << ctx.dynamicDistance(workload, scenario) << " pages\n\n";
+              << ctx.pair(workload, scenario)->dynamicDistance()
+              << " pages\n\n";
 
     const SimResult base = ctx.run(workload, scenario, Scheme::Base);
 

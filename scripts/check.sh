@@ -57,7 +57,7 @@ if command -v shellcheck > /dev/null 2>&1; then
     note "shellcheck"
     # -x -P SCRIPTDIR: follow the `# shellcheck source=` directives
     # (run_golden.sh and update_goldens.sh source golden_env.sh).
-    if ! git -C "$repo" ls-files 'scripts/*.sh' 'tests/golden/*.sh' |
+    if ! git -C "$repo" ls-files 'scripts/*.sh' 'tests/golden/*.sh' 'tests/cli/*.sh' |
         xargs -I{} shellcheck -x -P SCRIPTDIR "$repo/{}"; then
         failures+=("shellcheck")
     fi
@@ -138,7 +138,7 @@ tsan_leg() {
         test_serve bench_e2e anchortlb
     (cd "$repo/build-tsan" &&
         ctest --output-on-failure -j "$jobs" \
-            -R 'ThreadPool|ParallelRunner|Batch|MultiProcess|SwitchPolicy|AsidRetention|Serve|bench_e2e_smoke')
+            -R 'ParallelRunner|Batch|MultiProcess|SwitchPolicy|AsidRetention|Serve|ResultCache|bench_e2e_smoke')
 }
 
 if [[ $fast == 0 ]]; then

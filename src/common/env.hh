@@ -4,7 +4,7 @@
  *
  * Every tunable the binaries accept from the environment flows through
  * these helpers so parsing and validation live in one place (SimOptions
- * and the thread pool read their knobs here).
+ * reads its knobs here).
  */
 
 #ifndef ANCHORTLB_COMMON_ENV_HH
@@ -28,6 +28,16 @@ double envDouble(const std::string &name, double fallback);
 /** String value of @p name, or @p fallback when unset. */
 std::string envString(const std::string &name,
                       const std::string &fallback);
+
+/**
+ * Number of worker threads tools should use: the ANCHORTLB_THREADS
+ * environment variable when set (must be >= 1), else the hardware
+ * concurrency (minimum 1).
+ */
+unsigned configuredThreadCount();
+
+/** Hardware concurrency as reported by the OS (minimum 1). */
+unsigned hardwareThreadCount();
 
 } // namespace atlb
 

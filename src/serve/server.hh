@@ -15,9 +15,9 @@
  *   3. computed    — the remaining misses are claimed, sorted by
  *                    (workload, scenario) for pair-state locality,
  *                    and submitted cell-by-cell to the shared
- *                    CellScheduler (scheduler.hh); each cell is
- *                    appended to the store and published to its
- *                    Inflight waiters the moment it completes.
+ *                    CellScheduler (sim/parallel_runner.hh); each
+ *                    cell is appended to the store and published to
+ *                    its Inflight waiters the moment it completes.
  *
  * There is no per-request simulation barrier: all connections share
  * one fixed worker pool (sized by SimOptions::threads) that
@@ -44,9 +44,9 @@
 #include <vector>
 
 #include "serve/result_store.hh"
-#include "serve/scheduler.hh"
 #include "serve/wire.hh"
 #include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "stats/histogram.hh"
 
 namespace atlb
@@ -60,9 +60,9 @@ struct ServeOptions
     /** Base SimOptions; requests may override the sweep knobs. */
     SimOptions base;
     /** Admission bound: max cells queued across all requests. */
-    std::size_t max_queue_cells = 4096;
+    std::size_t max_queue_cells = defaultQueueCells;
     /** Scheduler-owned (workload, scenario) pair-state cache size. */
-    std::size_t max_pairs = 8;
+    std::size_t max_pairs = defaultPairBudget;
 };
 
 /** Request-handling counters, reported on every reply. */
@@ -147,7 +147,7 @@ class SweepServer
 
     ServeOptions options_;
     ResultStore store_;
-    /** Shared cross-request simulation pool (see scheduler.hh). */
+    /** Shared cross-request simulation pool (sim/parallel_runner.hh). */
     CellScheduler scheduler_;
     std::atomic<bool> stop_{false};
     const volatile std::sig_atomic_t *stop_flag_ = nullptr;

@@ -14,8 +14,8 @@
  * request was satisfied (hits vs simulations vs in-flight dedups).
  * SimResult crosses the wire with integer counters verbatim and the
  * one double (instructions) as its IEEE-754 bit pattern, so a result
- * read back from the service is byte-identical to the direct
- * ExperimentContext run — the property tests/serve pins.
+ * read back from the service is byte-identical to runCellJob on a
+ * freshly built CellPairState — the property tests/serve pins.
  *
  * The parser below is deliberately tiny (objects, arrays, strings,
  * numbers, bools, null — no external dependency) and non-fatal: a

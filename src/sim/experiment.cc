@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
-#include <limits>
 #include <vector>
 
 #include "common/env.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "ingest/trace_open.hh"
 #include "mmu/anchor_mmu.hh"
 #include "mmu/baseline_mmu.hh"
@@ -17,6 +15,7 @@
 #include "mmu/rmm_mmu.hh"
 #include "os/distance_selector.hh"
 #include "os/table_builder.hh"
+#include "sim/parallel_runner.hh"
 
 namespace atlb
 {
@@ -30,17 +29,12 @@ SimOptions::fromEnv()
         envDouble("ANCHORTLB_SCALE", opts.footprint_scale);
     opts.seed = envU64("ANCHORTLB_SEED", opts.seed);
     opts.threads = configuredThreadCount();
-    opts.cache_pairs_from_env = envPresent("ANCHORTLB_CACHE_PAIRS");
-    opts.cache_pairs = static_cast<std::size_t>(
-        envU64("ANCHORTLB_CACHE_PAIRS", opts.cache_pairs));
     if (envPresent("ANCHORTLB_PER_ACCESS"))
         opts.translate_mode = TranslateMode::PerAccess;
     if (opts.accesses == 0)
         ATLB_FATAL("ANCHORTLB_ACCESSES must be positive");
     if (!validFootprintScale(opts.footprint_scale))
         ATLB_FATAL("ANCHORTLB_SCALE must be in (0, 1]");
-    if (opts.cache_pairs == 0)
-        ATLB_FATAL("ANCHORTLB_CACHE_PAIRS must be >= 1");
     return opts;
 }
 
@@ -113,9 +107,9 @@ cellKeyFor(const SimOptions &options, const CellSpec &spec,
         .addU64(overridden ? *spec.distance_override : 0)
         .addU64(trace_content_hash);
 
-    // The SimOptions knobs that shape result bytes. threads,
-    // cache_pairs and translate_mode are deliberately absent: the test
-    // suite pins them to byte-identical results.
+    // The SimOptions knobs that shape result bytes. threads and
+    // translate_mode are deliberately absent: the test suite pins them
+    // to byte-identical results.
     h.addU64(options.accesses)
         .addU64(options.seed)
         .addDouble(options.footprint_scale);
@@ -293,182 +287,19 @@ CellPairState::thpTable() const
     return *thp_table_;
 }
 
-/** Cached expensive state for one (workload, scenario) pair. */
-struct ExperimentContext::PairState
-{
-    std::string workload;
-    ScenarioKind scenario;
-    WorkloadSpec spec;     //!< footprint already scaled
-    MemoryMap map;
-    std::uint64_t dynamic_distance = 0;
-
-    // Lazily built page-table variants.
-    std::optional<PageTable> plain_table; //!< all-4KB (Base, Cluster)
-    std::optional<PageTable> thp_table;   //!< with 2MB leaves
-    std::optional<PageTable> anchor_table;
-    std::uint64_t anchor_table_distance = 0;
-};
-
 ExperimentContext::ExperimentContext(SimOptions options)
-    : options_(options)
+    : options_(options),
+      scheduler_(std::make_unique<CellScheduler>(
+          options_.threads, defaultQueueCells, defaultPairBudget))
 {
-    if (options_.cache_pairs == 0)
-        options_.cache_pairs = 1;
 }
 
 ExperimentContext::~ExperimentContext() = default;
 
-void
-ExperimentContext::clearCache()
+std::shared_ptr<const CellPairState>
+ExperimentContext::pair(const std::string &workload, ScenarioKind scenario)
 {
-    cache_.clear();
-}
-
-void
-ExperimentContext::sizeCacheForPairs(std::size_t distinct_pairs)
-{
-    std::size_t desired = std::max<std::size_t>(
-        {std::size_t{1}, distinct_pairs, options_.cache_pairs});
-    if (options_.cache_pairs_from_env) {
-        // The user budgeted memory explicitly: never exceed it.
-        desired = std::max<std::size_t>(
-            1, std::min<std::size_t>(distinct_pairs,
-                                     options_.cache_pairs));
-    }
-    options_.cache_pairs = desired;
-    while (cache_.size() > options_.cache_pairs)
-        cache_.pop_front();
-}
-
-ExperimentContext::PairState &
-ExperimentContext::pairState(const std::string &workload,
-                             ScenarioKind scenario)
-{
-    ++counters_.lookups;
-    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-        if ((*it)->workload == workload && (*it)->scenario == scenario) {
-            ++counters_.hits;
-            // LRU: move the hit to the back (most recently used) so
-            // revisited pairs survive sweeps over other pairs.
-            if (std::next(it) != cache_.end()) {
-                auto entry = std::move(*it);
-                cache_.erase(it);
-                cache_.push_back(std::move(entry));
-            }
-            return *cache_.back();
-        }
-    }
-
-    auto state = std::make_unique<PairState>();
-    state->workload = workload;
-    state->scenario = scenario;
-    state->spec = scaledWorkloadSpec(options_, workload);
-    state->map = buildScenario(scenario,
-                               scenarioParamsFor(options_, state->spec));
-    state->dynamic_distance =
-        selectAnchorDistance(state->map.contiguityHistogram()).distance;
-
-    cache_.push_back(std::move(state));
-    // Page tables are tens of MB for big footprints: bound the number of
-    // pairs kept alive (ANCHORTLB_CACHE_PAIRS), evicting the LRU front.
-    while (cache_.size() > options_.cache_pairs)
-        cache_.pop_front();
-    return *cache_.back();
-}
-
-const MemoryMap &
-ExperimentContext::mapping(const std::string &workload,
-                           ScenarioKind scenario)
-{
-    return pairState(workload, scenario).map;
-}
-
-std::uint64_t
-ExperimentContext::dynamicDistance(const std::string &workload,
-                                   ScenarioKind scenario)
-{
-    return pairState(workload, scenario).dynamic_distance;
-}
-
-SimResult
-ExperimentContext::runScheme(PairState &state, Scheme scheme,
-                             std::uint64_t anchor_distance)
-{
-    const PageTable *table = nullptr;
-    switch (scheme) {
-      case Scheme::Base:
-      case Scheme::Cluster:
-        if (!state.plain_table)
-            state.plain_table = buildPageTable(state.map, false);
-        table = &*state.plain_table;
-        break;
-      case Scheme::Thp:
-      case Scheme::Cluster2MB:
-      case Scheme::Rmm:
-        if (!state.thp_table)
-            state.thp_table = buildPageTable(state.map, true);
-        table = &*state.thp_table;
-        break;
-      case Scheme::Anchor:
-      case Scheme::AnchorIdeal:
-        if (!state.anchor_table) {
-            state.anchor_table = buildPageTable(state.map, true);
-            state.anchor_table_distance = 0;
-        }
-        if (state.anchor_table_distance != anchor_distance) {
-            state.anchor_table->sweepAnchors(
-                state.map, AnchorDist::fromPages(anchor_distance));
-            state.anchor_table_distance = anchor_distance;
-        }
-        table = &*state.anchor_table;
-        break;
-    }
-    ATLB_ASSERT(table, "no page table built for scheme");
-    return runSchemeCell(options_, state.spec, state.scenario, state.map,
-                         *table, scheme, anchor_distance);
-}
-
-SimResult
-ExperimentContext::runIdealSweep(PairState &state)
-{
-    // Oracle: exhaustively sweep every candidate distance, keep the run
-    // with the fewest misses (paper's "static ideal"). Candidates are
-    // independent cells, so with threads > 1 they run across a pool —
-    // each job builds its own anchor-swept table from the shared
-    // read-only mapping, and the reduction below walks candidates in
-    // their canonical order so ties resolve exactly as the serial loop.
-    const std::vector<std::uint64_t> distances = candidateDistances();
-    ATLB_ASSERT(!distances.empty(), "no candidate anchor distances");
-    std::vector<SimResult> runs(distances.size());
-
-    const unsigned threads = std::min<unsigned>(
-        options_.threads, static_cast<unsigned>(distances.size()));
-    if (threads > 1) {
-        ThreadPool pool(threads);
-        for (std::size_t i = 0; i < distances.size(); ++i) {
-            pool.submit([this, &state, &distances, &runs, i] {
-                const PageTable table = buildAnchorPageTable(
-                    state.map, AnchorDist::fromPages(distances[i]));
-                runs[i] = runSchemeCell(options_, state.spec,
-                                        state.scenario, state.map, table,
-                                        Scheme::AnchorIdeal, distances[i]);
-            });
-        }
-        pool.wait();
-    } else {
-        for (std::size_t i = 0; i < distances.size(); ++i)
-            runs[i] = runScheme(state, Scheme::AnchorIdeal, distances[i]);
-    }
-
-    std::size_t best = 0;
-    std::uint64_t best_misses = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        if (runs[i].misses() < best_misses) {
-            best_misses = runs[i].misses();
-            best = i;
-        }
-    }
-    return runs[best];
+    return scheduler_->pair(options_, workload, scenario);
 }
 
 std::uint64_t
@@ -498,35 +329,58 @@ ExperimentContext::run(const std::string &workload, ScenarioKind scenario,
                        Scheme scheme,
                        std::optional<std::uint64_t> distance_override)
 {
+    return runCells({CellSpec{workload, scenario, scheme,
+                              distance_override}})
+        .front();
+}
+
+std::vector<SimResult>
+ExperimentContext::runCells(const std::vector<CellSpec> &cells)
+{
     // An attached result cache is consulted before any expensive state
     // is built: a hit skips mapping/page-table construction entirely.
-    CellKey key;
+    std::vector<SimResult> results(cells.size());
+    std::vector<CellKey> keys(cells.size());
+    std::vector<std::size_t> misses;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (result_cache_) {
+            const CellSpec &cell = cells[i];
+            keys[i] = cellKey(cell.workload, cell.scenario, cell.scheme,
+                              cell.distance_override);
+            ++counters_.result_lookups;
+            if (std::optional<SimResult> cached =
+                    result_cache_->lookup(keys[i])) {
+                ++counters_.result_hits;
+                results[i] = *std::move(cached);
+                continue;
+            }
+        }
+        misses.push_back(i);
+    }
+
+    // Longest jobs first: an AnchorIdeal cell is one simulation per
+    // candidate distance.
+    std::stable_partition(misses.begin(), misses.end(),
+                          [&cells](std::size_t i) {
+                              return cells[i].scheme ==
+                                     Scheme::AnchorIdeal;
+                          });
+    {
+        const auto ticket = scheduler_->open(
+            options_, [&results](std::size_t index, const SimResult &result,
+                                 std::uint64_t /*queue_wait_us*/) {
+                results[index] = result;
+            });
+        for (const std::size_t i : misses)
+            ticket->submit(i, cells[i]);
+        ticket->wait();
+    }
+
     if (result_cache_) {
-        key = cellKey(workload, scenario, scheme, distance_override);
-        ++counters_.result_lookups;
-        if (std::optional<SimResult> cached = result_cache_->lookup(key)) {
-            ++counters_.result_hits;
-            return *std::move(cached);
-        }
+        for (const std::size_t i : misses)
+            result_cache_->store(keys[i], results[i]);
     }
-
-    PairState &state = pairState(workload, scenario);
-
-    SimResult result;
-    if (scheme == Scheme::AnchorIdeal) {
-        result = runIdealSweep(state);
-    } else {
-        std::uint64_t distance = 0;
-        if (scheme == Scheme::Anchor) {
-            distance = distance_override ? *distance_override
-                                         : state.dynamic_distance;
-        }
-        result = runScheme(state, scheme, distance);
-    }
-
-    if (result_cache_)
-        result_cache_->store(key, result);
-    return result;
+    return results;
 }
 
 double

@@ -1,27 +1,25 @@
 /**
  * @file
- * Experiment context: builds and caches mappings, page tables and
- * workload traces, and runs (workload x scenario x scheme) cells.
+ * Experiment cells: the per-cell inputs (workload spec, scenario
+ * mapping, access stream, scheme MMU), the pair state cells share, the
+ * content address of a cell, and ExperimentContext, the synchronous
+ * facade that runs cells through the cell engine
+ * (sim/parallel_runner.hh).
  *
- * This is the top-level API the bench binaries and examples use; one
- * cell corresponds to one bar of a paper figure. Page tables for big
- * footprints are large, so the context keeps a small LRU cache of
- * per-(workload, scenario) state (capacity cache_pairs, revisited
- * pairs move to the back) — iterate workloads in the outer loop for
- * locality.
+ * This is the top-level API the bench binaries, the examples and the
+ * CLI use; one cell corresponds to one bar of a paper figure.
  */
 
 #ifndef ANCHORTLB_SIM_EXPERIMENT_HH
 #define ANCHORTLB_SIM_EXPERIMENT_HH
 
-#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "mmu/mmu_config.hh"
 #include "os/memory_map.hh"
@@ -49,24 +47,14 @@ struct SimOptions
      */
     double footprint_scale = 1.0;
     /**
-     * Worker threads for the sweep engine and the AnchorIdeal distance
-     * sweep. 1 (the default here) is the serial path; fromEnv() sets
-     * ANCHORTLB_THREADS, falling back to the hardware concurrency.
-     * Results are identical for every thread count — all randomness is
+     * Workers of the CellScheduler an ExperimentContext owns (and of
+     * the one `anchortlb serve` runs). 1 (the default here) runs one
+     * cell at a time; fromEnv() sets ANCHORTLB_THREADS, falling back to
+     * the hardware concurrency. A cell is one job on one worker, so
+     * results are identical for every thread count — all randomness is
      * derived from per-cell seeds.
      */
     unsigned threads = 1;
-    /**
-     * Capacity of ExperimentContext's per-(workload, scenario) state
-     * cache, in pairs (LRU eviction). Page tables dominate the cost:
-     * budget roughly tens of MB per cached pair at full footprints.
-     * Sweep drivers that know their run shape call
-     * ExperimentContext::sizeCacheForPairs() to fit this to the number
-     * of distinct pairs; an explicit ANCHORTLB_CACHE_PAIRS clamps it.
-     */
-    std::size_t cache_pairs = 2;
-    /** True when ANCHORTLB_CACHE_PAIRS was set explicitly (clamp). */
-    bool cache_pairs_from_env = false;
     /**
      * Replay-loop flavour. Batch (the default) drives each scheme's
      * devirtualized translateBatch kernel; PerAccess is the
@@ -134,8 +122,8 @@ constexpr VirtAddr traceBaseVa()
 
 /**
  * Seed of @p spec's access stream under @p options: every run of a cell
- * (serial, parallel sweep, or served) derives its trace from this one
- * value, which is what makes the execution paths comparable.
+ * (at any worker count, or served) derives its trace from this one
+ * value, which is what makes the runs comparable.
  */
 std::uint64_t traceSeedFor(const SimOptions &options,
                            const WorkloadSpec &spec);
@@ -154,9 +142,8 @@ std::unique_ptr<Mmu> buildSchemeMmu(const MmuConfig &config,
  * @p table and stream the workload's trace through it. @p table must
  * match the scheme's table flavour (plain 4KB for Base/Cluster, THP for
  * THP/Cluster-2MB/RMM, anchor-swept at @p anchor_distance for the
- * anchor schemes). This is the shared cell body of both the serial
- * ExperimentContext path and the parallel sweep engine, which is what
- * makes the two bit-identical.
+ * anchor schemes). runCellJob (sim/parallel_runner.hh) runs every
+ * simulation of every cell through it.
  */
 SimResult runSchemeCell(const SimOptions &options, const WorkloadSpec &spec,
                         ScenarioKind scenario, const MemoryMap &map,
@@ -177,9 +164,9 @@ SimResult runSchemeCell(const SimOptions &options, const WorkloadSpec &spec,
  * (via scaledWorkloadSpec / scenarioParamsFor); callers that cache pair
  * state across option sets key on those two fields plus the pair.
  *
- * This is the pair-state flavour the parallel sweep engine and the
- * serve-side cell scheduler share; ExperimentContext keeps its own
- * single-threaded incremental variant (PairState) for the serial path.
+ * This is the only pair state: the CellScheduler caches it for every
+ * cell, whether an ExperimentContext or `anchortlb serve` submitted it,
+ * and ExperimentContext::pair() hands it out for inspection.
  */
 class CellPairState
 {
@@ -236,7 +223,7 @@ class CellKey
     std::uint64_t digest_ = 0;
 };
 
-/** The coordinates of one cell, as ExperimentContext::run takes them. */
+/** The coordinates of one cell (a CellJob to the cell engine). */
 struct CellSpec
 {
     std::string workload;
@@ -261,8 +248,8 @@ std::uint64_t traceContentHash(const std::string &workload);
  * key format version (2), workload, scenario, scheme, the effective
  * distance override, the trace content hash for trace-driven
  * workloads, the accesses/seed/footprint_scale knobs, and every
- * MmuConfig field. Deliberately excluded: threads, cache_pairs and
- * translate_mode, which the test suite pins to byte-identical results.
+ * MmuConfig field. Deliberately excluded: threads and translate_mode,
+ * which the test suite pins to byte-identical results.
  * A stray distance_override on a non-Anchor scheme is canonicalized
  * away (run() ignores it there).
  */
@@ -286,7 +273,17 @@ class ResultCache
     virtual void store(CellKey key, const SimResult &result) = 0;
 };
 
-/** Runs experiment cells with caching of expensive per-pair state. */
+class CellScheduler;
+
+/**
+ * Runs experiment cells: a thin synchronous facade over one
+ * CellScheduler (sim/parallel_runner.hh) it owns, with options.threads
+ * workers and defaultPairBudget, the pair-state budget `anchortlb
+ * serve --pairs` defaults to. Every cell is one runCellJob on a worker
+ * and every pair state is the scheduler's, so a context, the server and
+ * the test reference (runCellJob on a fresh CellPairState) all produce
+ * the same bytes. One calling thread per context.
+ */
 class ExperimentContext
 {
   public:
@@ -307,10 +304,20 @@ class ExperimentContext
                   std::optional<std::uint64_t> distance_override = {});
 
     /**
+     * Run @p cells as one batch across the scheduler's workers and
+     * return their results in @p cells order. AnchorIdeal cells (one
+     * simulation per candidate distance each) are submitted first, so
+     * the longest jobs start earliest. An attached result cache is
+     * consulted for every cell before the batch is submitted and filled
+     * with the simulated ones afterwards.
+     */
+    std::vector<SimResult> runCells(const std::vector<CellSpec> &cells);
+
+    /**
      * Attach (or detach, with nullptr) an external result cache. Borrowed:
      * @p cache must outlive the context or the next setResultCache().
-     * While attached, run() answers from the cache when it holds the
-     * cell's key and stores every freshly computed result back.
+     * While attached, run() and runCells() answer from the cache when it
+     * holds a cell's key and store every freshly computed result back.
      */
     void setResultCache(ResultCache *cache) { result_cache_ = cache; }
 
@@ -323,69 +330,39 @@ class ExperimentContext
                     Scheme scheme,
                     std::optional<std::uint64_t> distance_override = {});
 
-    /** Distance Algorithm 1 selects for this workload/scenario pair. */
-    std::uint64_t dynamicDistance(const std::string &workload,
-                                  ScenarioKind scenario);
-
-    /** The (cached) mapping for a pair, for inspection. */
-    const MemoryMap &mapping(const std::string &workload,
-                             ScenarioKind scenario);
+    /**
+     * The pair state cells of (@p workload, @p scenario) run against:
+     * the mapping, its Algorithm 1 distance and the shared page tables.
+     * Taken from (or added to) the scheduler's pair cache.
+     */
+    std::shared_ptr<const CellPairState> pair(const std::string &workload,
+                                              ScenarioKind scenario);
 
     const SimOptions &options() const { return options_; }
 
-    /** Pair-cache effectiveness counters for the sweep summary. */
+    /** Attached-ResultCache effectiveness counters. */
     struct CacheCounters
     {
-        std::uint64_t lookups = 0;
-        std::uint64_t hits = 0;
-        /** Attached-ResultCache consultations by run(). */
+        /** Cells looked up in the attached ResultCache. */
         std::uint64_t result_lookups = 0;
         /** ... of which answered without simulating. */
         std::uint64_t result_hits = 0;
-
-        double hitRate() const
-        {
-            return lookups ? static_cast<double>(hits) /
-                                 static_cast<double>(lookups)
-                           : 0.0;
-        }
     };
 
     const CacheCounters &cacheCounters() const { return counters_; }
 
-    /** Current pair-cache capacity (after any run-shape sizing). */
-    std::size_t cacheCapacity() const { return options_.cache_pairs; }
-
-    /**
-     * Fit the pair cache to a sweep that touches @p distinct_pairs
-     * distinct (workload, scenario) pairs, so revisiting schemes of a
-     * pair always hits. An explicit ANCHORTLB_CACHE_PAIRS acts as an
-     * upper clamp (the user is budgeting memory); without it the
-     * capacity grows to the run shape and never shrinks below the
-     * built-in default.
-     */
-    void sizeCacheForPairs(std::size_t distinct_pairs);
-
-    /** Drop all cached state (frees page-table memory). */
-    void clearCache();
+    /** The scheduler every cell runs on (pair builds and reuses). */
+    const CellScheduler &scheduler() const { return *scheduler_; }
 
   private:
-    struct PairState;
-
     SimOptions options_;
-    /** LRU order: front = coldest, back = most recently used. */
-    std::deque<std::unique_ptr<PairState>> cache_;
+    std::unique_ptr<CellScheduler> scheduler_;
     CacheCounters counters_;
     ResultCache *result_cache_ = nullptr; //!< borrowed, may be null
     /** Per-workload trace content hashes (files hashed once). */
     std::unordered_map<std::string, std::uint64_t> trace_hashes_;
 
     std::uint64_t traceHashFor(const std::string &workload);
-    PairState &pairState(const std::string &workload,
-                         ScenarioKind scenario);
-    SimResult runScheme(PairState &state, Scheme scheme,
-                        std::uint64_t anchor_distance);
-    SimResult runIdealSweep(PairState &state);
 };
 
 /**

@@ -1,13 +1,11 @@
 #include "parallel_runner.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
-#include <mutex>
+#include <chrono>
 #include <utility>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "os/distance_selector.hh"
 #include "os/table_builder.hh"
 
@@ -17,183 +15,33 @@ namespace atlb
 namespace
 {
 
-/** Build-once slot for one pair, freed when its last leaf finishes. */
-struct PairSlot
+std::uint64_t
+elapsedSinceUs(std::chrono::steady_clock::time_point start)
 {
-    std::string workload;
-    ScenarioKind scenario = ScenarioKind::Demand;
-    std::once_flag once;
-    std::unique_ptr<CellPairState> shared;
-    std::atomic<std::size_t> pending{0};
-};
-
-constexpr std::size_t noIdealRank = ~static_cast<std::size_t>(0);
-
-/** One simulation: a cell, or one AnchorIdeal distance candidate. */
-struct Leaf
-{
-    std::size_t cell = 0; //!< index into the submitted job list
-    std::size_t pair = 0; //!< index into the slot list
-    Scheme scheme = Scheme::Base;
-    std::optional<std::uint64_t> distance_override{};
-    /** AnchorIdeal only: candidate index and its distance. */
-    std::size_t ideal_rank = noIdealRank;
-    std::uint64_t ideal_distance = 0;
-};
-
-SimResult
-runLeaf(const Leaf &leaf, const CellPairState &pair,
-        const SimOptions &options)
-{
-    if (leaf.ideal_rank != noIdealRank) {
-        // One AnchorIdeal distance candidate; the reduction after the
-        // pool drains picks the canonical first minimum across ranks.
-        const PageTable table = buildAnchorPageTable(
-            pair.map(), AnchorDist::fromPages(leaf.ideal_distance));
-        return runSchemeCell(options, pair.spec(), pair.scenario(),
-                             pair.map(), table, Scheme::AnchorIdeal,
-                             leaf.ideal_distance);
-    }
-    CellJob job;
-    job.workload = pair.workload();
-    job.scenario = pair.scenario();
-    job.scheme = leaf.scheme;
-    job.distance_override = leaf.distance_override;
-    return runCellJob(options, pair, job);
+    const auto delta = std::chrono::steady_clock::now() - start;
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(delta)
+            .count());
 }
 
-std::vector<SimResult>
-runParallel(const SimOptions &options, const std::vector<CellJob> &jobs,
-            unsigned threads)
+/**
+ * Pair-cache identity. CellPairState construction reads exactly
+ * options.seed and options.footprint_scale (see experiment.hh), so the
+ * key must cover those two knobs plus the pair itself — nothing else,
+ * or identical builds would be duplicated across tickets.
+ */
+std::string
+pairCacheKey(const SimOptions &options, const std::string &workload,
+             ScenarioKind scenario)
 {
-    // --- plan: one slot per distinct pair, one leaf per simulation ---
-    std::vector<std::unique_ptr<PairSlot>> slots;
-    std::vector<Leaf> leaves;
-    const std::vector<std::uint64_t> distances = candidateDistances();
-
-    const auto slotFor = [&slots](const CellJob &job) {
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (slots[i]->workload == job.workload &&
-                slots[i]->scenario == job.scenario)
-                return i;
-        }
-        auto slot = std::make_unique<PairSlot>();
-        slot->workload = job.workload;
-        slot->scenario = job.scenario;
-        slots.push_back(std::move(slot));
-        return slots.size() - 1;
-    };
-
-    for (std::size_t cell = 0; cell < jobs.size(); ++cell) {
-        const CellJob &job = jobs[cell];
-        const std::size_t pair = slotFor(job);
-        if (job.scheme == Scheme::AnchorIdeal) {
-            for (std::size_t r = 0; r < distances.size(); ++r) {
-                Leaf leaf;
-                leaf.cell = cell;
-                leaf.pair = pair;
-                leaf.scheme = job.scheme;
-                leaf.ideal_rank = r;
-                leaf.ideal_distance = distances[r];
-                leaves.push_back(leaf);
-            }
-        } else {
-            Leaf leaf;
-            leaf.cell = cell;
-            leaf.pair = pair;
-            leaf.scheme = job.scheme;
-            leaf.distance_override = job.distance_override;
-            leaves.push_back(leaf);
-        }
-    }
-
-    // Group leaves by pair so each pair's state has a short lifetime:
-    // workers drain the queue in order, so at most ~threads pairs are
-    // ever live at once.
-    std::stable_sort(leaves.begin(), leaves.end(),
-                     [](const Leaf &a, const Leaf &b) {
-                         return a.pair < b.pair;
-                     });
-    for (const Leaf &leaf : leaves)
-        slots[leaf.pair]->pending.fetch_add(1,
-                                            std::memory_order_relaxed);
-
-    // --- execute -----------------------------------------------------
-    std::vector<SimResult> out(jobs.size());
-    std::vector<std::vector<SimResult>> ideal_runs(jobs.size());
-    for (const Leaf &leaf : leaves) {
-        if (leaf.ideal_rank != noIdealRank &&
-            ideal_runs[leaf.cell].empty())
-            ideal_runs[leaf.cell].resize(distances.size());
-    }
-
-    if (leaves.empty())
-        return out;
-
-    ThreadPool pool(static_cast<unsigned>(
-        std::min<std::size_t>(threads, leaves.size())));
-    for (const Leaf &leaf : leaves) {
-        pool.submit([&options, &slots, &out, &ideal_runs, leaf] {
-            PairSlot &slot = *slots[leaf.pair];
-            std::call_once(slot.once, [&slot, &options] {
-                slot.shared = std::make_unique<CellPairState>(
-                    options, slot.workload, slot.scenario);
-            });
-            SimResult res = runLeaf(leaf, *slot.shared, options);
-            if (leaf.ideal_rank == noIdealRank)
-                out[leaf.cell] = std::move(res);
-            else
-                ideal_runs[leaf.cell][leaf.ideal_rank] = std::move(res);
-            // Last leaf out frees the pair's mapping and tables.
-            if (slot.pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
-                slot.shared.reset();
-        });
-    }
-    pool.wait();
-
-    // --- reduce AnchorIdeal cells in canonical candidate order so the
-    // --- tie-break (first minimum wins) matches the serial sweep ------
-    for (std::size_t cell = 0; cell < jobs.size(); ++cell) {
-        if (ideal_runs[cell].empty())
-            continue;
-        std::size_t best = 0;
-        for (std::size_t r = 1; r < ideal_runs[cell].size(); ++r) {
-            if (ideal_runs[cell][r].misses() <
-                ideal_runs[cell][best].misses())
-                best = r;
-        }
-        out[cell] = std::move(ideal_runs[cell][best]);
-    }
-    return out;
-}
-
-/** Distinct (workload, scenario) pairs a job list touches. */
-std::size_t
-distinctPairs(const std::vector<CellJob> &jobs)
-{
-    std::vector<std::pair<std::string, ScenarioKind>> seen;
-    for (const CellJob &job : jobs) {
-        const auto key = std::make_pair(job.workload, job.scenario);
-        if (std::find(seen.begin(), seen.end(), key) == seen.end())
-            seen.push_back(key);
-    }
-    return seen.size();
-}
-
-std::vector<SimResult>
-runSerial(ExperimentContext &ctx, const std::vector<CellJob> &jobs)
-{
-    // Fit the pair cache to this sweep's shape so workload-major and
-    // scenario-major iteration both keep every revisited pair warm
-    // (ANCHORTLB_CACHE_PAIRS still clamps when set).
-    ctx.sizeCacheForPairs(distinctPairs(jobs));
-    std::vector<SimResult> out;
-    out.reserve(jobs.size());
-    for (const CellJob &job : jobs) {
-        out.push_back(ctx.run(job.workload, job.scenario, job.scheme,
-                              job.distance_override));
-    }
-    return out;
+    Fnv1a h;
+    h.addU64(options.seed).addDouble(options.footprint_scale);
+    std::string key = std::to_string(h.digest());
+    key += '|';
+    key += workload;
+    key += '|';
+    key += scenarioName(scenario);
+    return key;
 }
 
 } // namespace
@@ -223,16 +71,18 @@ runCellJob(const SimOptions &options, const CellPairState &pair,
                              pair.map(), table, job.scheme, distance);
       }
       case Scheme::AnchorIdeal: {
-        // Exhaustive distance sweep inside one job; the first minimum
-        // in canonical candidate order wins, matching both the serial
-        // sweep and the parallel engine's reduction.
+        // Exhaustive sweep over every candidate distance; the first
+        // minimum in canonical candidate order wins. sweepAnchors
+        // rewrites every anchor entry, so one private THP table re-swept
+        // in place per candidate equals a fresh anchor table for each
+        // distance, at a fraction of the build cost.
         const std::vector<std::uint64_t> distances = candidateDistances();
         ATLB_ASSERT(!distances.empty(), "no candidate anchor distances");
+        PageTable table = buildPageTable(pair.map(), true);
         SimResult best;
         bool have_best = false;
         for (const std::uint64_t distance : distances) {
-            const PageTable table = buildAnchorPageTable(
-                pair.map(), AnchorDist::fromPages(distance));
+            table.sweepAnchors(pair.map(), AnchorDist::fromPages(distance));
             SimResult res = runSchemeCell(options, pair.spec(),
                                           pair.scenario(), pair.map(),
                                           table, job.scheme, distance);
@@ -247,29 +97,276 @@ runCellJob(const SimOptions &options, const CellPairState &pair,
     ATLB_FATAL("unhandled scheme in cell job");
 }
 
-ParallelRunner::ParallelRunner(SimOptions options)
-    : options_(options)
+/** One admitted cell, waiting for a worker. */
+struct CellScheduler::QueuedJob
 {
-    if (options_.threads == 0)
-        options_.threads = 1;
-}
+    std::size_t index = 0;
+    CellJob job;
+    std::chrono::steady_clock::time_point enqueued;
+};
 
-std::vector<SimResult>
-ParallelRunner::run(const std::vector<CellJob> &jobs)
+/** Shared ticket state (scheduler mutex guards every field). */
+struct CellScheduler::Ticket::State
 {
-    if (options_.threads <= 1) {
-        ExperimentContext ctx(options_);
-        return runSerial(ctx, jobs);
+    SimOptions options; //!< threads forced to 1 by open()
+    Completion on_complete;
+    std::deque<QueuedJob> queue;
+    std::size_t outstanding = 0; //!< submitted, callback not yet run
+    bool in_ring = false;
+};
+
+/**
+ * One cached CellPairState. The scheduler mutex guards pins/last_use;
+ * the build itself runs outside it under the once_flag so concurrent
+ * users of one pair share a single construction without blocking
+ * unrelated workers.
+ */
+struct CellScheduler::PairEntry
+{
+    SimOptions build_options;
+    std::string workload;
+    ScenarioKind scenario = ScenarioKind::Demand;
+    std::once_flag once;
+    std::shared_ptr<const CellPairState> state;
+    std::size_t pins = 0;
+    std::uint64_t last_use = 0;
+
+    /** The pair state, built by the first caller. */
+    std::shared_ptr<const CellPairState> built()
+    {
+        std::call_once(once, [this] {
+            state = std::make_shared<const CellPairState>(
+                build_options, workload, scenario);
+        });
+        return state;
     }
-    return runParallel(options_, jobs, options_.threads);
+};
+
+CellScheduler::CellScheduler(unsigned threads,
+                             std::size_t max_queue_cells,
+                             std::size_t max_pairs)
+    : max_queue_cells_(std::max<std::size_t>(1, max_queue_cells)),
+      max_pairs_(std::max<std::size_t>(1, max_pairs))
+{
+    if (threads == 0)
+        threads = 1;
+    workers_.reserve(threads);
+    for (unsigned i = 0; i < threads; ++i)
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
-std::vector<SimResult>
-runCells(ExperimentContext &ctx, const std::vector<CellJob> &jobs)
+CellScheduler::~CellScheduler()
 {
-    if (ctx.options().threads <= 1)
-        return runSerial(ctx, jobs);
-    return runParallel(ctx.options(), jobs, ctx.options().threads);
+    {
+        const std::lock_guard<std::mutex> lock(m_);
+        stop_ = true;
+    }
+    // Workers drain every queued job before exiting (see workerLoop),
+    // so in-flight tickets still complete.
+    work_cv_.notify_all();
+    for (std::thread &t : workers_)
+        t.join();
+}
+
+std::unique_ptr<CellScheduler::Ticket>
+CellScheduler::open(const SimOptions &options, Completion on_complete)
+{
+    auto state = std::make_shared<Ticket::State>();
+    state->options = options;
+    // The parallelism budget is the scheduler's worker pool; a job must
+    // never fan out its own threads. threads is excluded from the cell
+    // key, so forcing it cannot change any result.
+    state->options.threads = 1;
+    state->on_complete = std::move(on_complete);
+    {
+        const std::lock_guard<std::mutex> lock(m_);
+        ++stats_.tickets_open;
+    }
+    return std::unique_ptr<Ticket>(new Ticket(*this, std::move(state)));
+}
+
+void
+CellScheduler::submitJob(const std::shared_ptr<Ticket::State> &ticket,
+                         std::size_t index, const CellJob &job)
+{
+    std::unique_lock<std::mutex> lock(m_);
+    if (stats_.depth >= max_queue_cells_) {
+        // Backpressure: admit incrementally as workers free up slots.
+        ++stats_.admission_stalls;
+        space_cv_.wait(lock, [this] {
+            return stats_.depth < max_queue_cells_;
+        });
+    }
+    QueuedJob queued;
+    queued.index = index;
+    queued.job = job;
+    queued.enqueued = std::chrono::steady_clock::now();
+    ticket->queue.push_back(std::move(queued));
+    ++ticket->outstanding;
+    if (!ticket->in_ring) {
+        ticket->in_ring = true;
+        ring_.push_back(ticket);
+    }
+    ++stats_.enqueued;
+    ++stats_.depth;
+    stats_.depth_peak = std::max(stats_.depth_peak, stats_.depth);
+    work_cv_.notify_one();
+}
+
+void
+CellScheduler::waitTicket(Ticket::State &ticket)
+{
+    std::unique_lock<std::mutex> lock(m_);
+    done_cv_.wait(lock,
+                  [&ticket] { return ticket.outstanding == 0; });
+}
+
+void
+CellScheduler::closeTicket(Ticket::State &ticket)
+{
+    const std::lock_guard<std::mutex> lock(m_);
+    ATLB_ASSERT(ticket.outstanding == 0 && ticket.queue.empty(),
+                "ticket closed with jobs outstanding");
+    --stats_.tickets_open;
+}
+
+std::shared_ptr<CellScheduler::PairEntry>
+CellScheduler::acquirePair(const SimOptions &options,
+                           const std::string &workload,
+                           ScenarioKind scenario)
+{
+    const std::string key = pairCacheKey(options, workload, scenario);
+    const std::lock_guard<std::mutex> lock(m_);
+    auto it = pairs_.find(key);
+    if (it == pairs_.end()) {
+        auto entry = std::make_shared<PairEntry>();
+        entry->build_options = options;
+        entry->workload = workload;
+        entry->scenario = scenario;
+        it = pairs_.emplace(key, std::move(entry)).first;
+        ++stats_.pair_builds;
+    } else {
+        ++stats_.pair_reuses;
+    }
+    ++it->second->pins;
+    it->second->last_use = ++lru_tick_;
+    return it->second;
+}
+
+void
+CellScheduler::releasePair(const std::shared_ptr<PairEntry> &entry)
+{
+    const std::lock_guard<std::mutex> lock(m_);
+    ATLB_ASSERT(entry->pins > 0, "pair released more often than pinned");
+    --entry->pins;
+    // Evict coldest unpinned entries beyond the budget. Pinned entries
+    // are never evicted, so the cache may transiently overshoot when
+    // more than max_pairs_ distinct pairs are executing at once.
+    while (pairs_.size() > max_pairs_) {
+        auto victim = pairs_.end();
+        for (auto it = pairs_.begin(); it != pairs_.end(); ++it) {
+            if (it->second->pins != 0)
+                continue;
+            if (victim == pairs_.end() ||
+                it->second->last_use < victim->second->last_use)
+                victim = it;
+        }
+        if (victim == pairs_.end())
+            break;
+        pairs_.erase(victim);
+    }
+}
+
+std::shared_ptr<const CellPairState>
+CellScheduler::pair(const SimOptions &options, const std::string &workload,
+                    ScenarioKind scenario)
+{
+    const std::shared_ptr<PairEntry> entry =
+        acquirePair(options, workload, scenario);
+    std::shared_ptr<const CellPairState> state = entry->built();
+    releasePair(entry);
+    return state;
+}
+
+void
+CellScheduler::workerLoop()
+{
+    std::unique_lock<std::mutex> lock(m_);
+    while (true) {
+        work_cv_.wait(lock,
+                      [this] { return stop_ || !ring_.empty(); });
+        if (ring_.empty()) {
+            if (stop_)
+                return;
+            continue;
+        }
+
+        // Round-robin fairness: take one job from the front ticket,
+        // then rotate it behind every other ticket that has work.
+        std::shared_ptr<Ticket::State> ticket = ring_.front();
+        ring_.pop_front();
+        QueuedJob queued = std::move(ticket->queue.front());
+        ticket->queue.pop_front();
+        if (ticket->queue.empty())
+            ticket->in_ring = false;
+        else
+            ring_.push_back(ticket);
+        --stats_.depth;
+        ++stats_.running;
+        space_cv_.notify_one();
+        lock.unlock();
+
+        const std::uint64_t wait_us = elapsedSinceUs(queued.enqueued);
+        const std::shared_ptr<PairEntry> pair = acquirePair(
+            ticket->options, queued.job.workload, queued.job.scenario);
+        const SimResult result =
+            runCellJob(ticket->options, *pair->built(), queued.job);
+        releasePair(pair);
+        // Publish before the ticket can observe completion: wait()
+        // returns only after outstanding hits zero below, so callbacks
+        // may write submitter-owned slots race-free.
+        ticket->on_complete(queued.index, result, wait_us);
+
+        lock.lock();
+        ++stats_.completed;
+        --stats_.running;
+        --ticket->outstanding;
+        if (ticket->outstanding == 0)
+            done_cv_.notify_all();
+    }
+}
+
+CellScheduler::Stats
+CellScheduler::stats() const
+{
+    const std::lock_guard<std::mutex> lock(m_);
+    Stats out = stats_;
+    out.pairs_cached = pairs_.size();
+    return out;
+}
+
+CellScheduler::Ticket::Ticket(CellScheduler &scheduler,
+                              std::shared_ptr<State> state)
+    : scheduler_(scheduler), state_(std::move(state))
+{
+}
+
+CellScheduler::Ticket::~Ticket()
+{
+    scheduler_.waitTicket(*state_);
+    scheduler_.closeTicket(*state_);
+}
+
+void
+CellScheduler::Ticket::submit(std::size_t index, const CellJob &job)
+{
+    scheduler_.submitJob(state_, index, job);
+}
+
+void
+CellScheduler::Ticket::wait()
+{
+    scheduler_.waitTicket(*state_);
 }
 
 } // namespace atlb

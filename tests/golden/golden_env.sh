@@ -14,4 +14,3 @@ export ANCHORTLB_ACCESSES=20000
 export ANCHORTLB_SCALE=0.02
 export ANCHORTLB_SEED=42
 export ANCHORTLB_THREADS=2
-unset ANCHORTLB_CACHE_PAIRS

@@ -101,11 +101,11 @@ TEST_F(PaperShapes, AnchorBestOrTiedAtMediumContiguity)
 TEST_F(PaperShapes, AnchorDistanceGrowsWithContiguity)
 {
     const std::uint64_t low =
-        ctx().dynamicDistance("canneal", ScenarioKind::LowContig);
+        ctx().pair("canneal", ScenarioKind::LowContig)->dynamicDistance();
     const std::uint64_t med =
-        ctx().dynamicDistance("canneal", ScenarioKind::MedContig);
+        ctx().pair("canneal", ScenarioKind::MedContig)->dynamicDistance();
     const std::uint64_t max =
-        ctx().dynamicDistance("canneal", ScenarioKind::MaxContig);
+        ctx().pair("canneal", ScenarioKind::MaxContig)->dynamicDistance();
     EXPECT_LT(low, med);
     EXPECT_LT(med, max);
     EXPECT_EQ(low, 4u); // paper Table 6: every low-contig cell picks 4

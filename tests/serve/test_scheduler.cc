@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests for the shared cell scheduler: determinism (results
- * byte-identical to a direct ExperimentContext run no matter how
- * tickets interleave), round-robin fairness across tickets, bounded
- * admission with counted stalls, and the pinned pair-state LRU.
+ * Unit tests for the cell scheduler as `anchortlb serve` drives it:
+ * determinism (results byte-identical to the reference, runCellJob on
+ * a fresh pair, no matter how tickets interleave), round-robin fairness
+ * across tickets, bounded admission with counted stalls, and the
+ * pinned pair-state LRU.
  *
  * Suites are named Serve* so the TSan CI leg picks them up.
  */
@@ -11,16 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "serve/scheduler.hh"
-#include "sim/experiment.hh"
+#include "sim/cell_reference.hh"
 #include "sim/parallel_runner.hh"
 
 namespace atlb
@@ -36,28 +34,6 @@ quickOptions()
     opts.seed = 42;
     opts.footprint_scale = 0.02;
     return opts;
-}
-
-void
-expectSameResult(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.scenario, b.scenario);
-    EXPECT_EQ(a.scheme, b.scheme);
-    EXPECT_EQ(a.anchor_distance, b.anchor_distance);
-    EXPECT_EQ(a.stats.accesses, b.stats.accesses);
-    EXPECT_EQ(a.stats.l1_hits, b.stats.l1_hits);
-    EXPECT_EQ(a.stats.l2_regular_hits, b.stats.l2_regular_hits);
-    EXPECT_EQ(a.stats.coalesced_hits, b.stats.coalesced_hits);
-    EXPECT_EQ(a.stats.page_walks, b.stats.page_walks);
-    EXPECT_EQ(a.stats.translation_cycles, b.stats.translation_cycles);
-    EXPECT_EQ(a.stats.shootdowns, b.stats.shootdowns);
-    EXPECT_EQ(a.stats.shootdown_cycles, b.stats.shootdown_cycles);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.instructions),
-              std::bit_cast<std::uint64_t>(b.instructions));
-    EXPECT_EQ(a.l2_hit_cycles, b.l2_hit_cycles);
-    EXPECT_EQ(a.coalesced_cycles, b.coalesced_cycles);
-    EXPECT_EQ(a.walk_cycles, b.walk_cycles);
 }
 
 /** Submit @p jobs on one ticket, returning results by submit index. */
@@ -95,13 +71,8 @@ TEST(ServeScheduler, ResultsMatchDirectRunAcrossSchemes)
     const std::vector<SimResult> results =
         runThroughScheduler(scheduler, opts, jobs);
 
-    ExperimentContext ctx(opts);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const SimResult direct =
-            ctx.run(jobs[i].workload, jobs[i].scenario, jobs[i].scheme,
-                    jobs[i].distance_override);
-        expectSameResult(results[i], direct);
-    }
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        expectSameResult(results[i], freshCellResult(opts, jobs[i]));
 
     const CellScheduler::Stats stats = scheduler.stats();
     EXPECT_EQ(stats.enqueued, jobs.size());
@@ -142,17 +113,13 @@ TEST(ServeScheduler, ConcurrentTicketsStayDeterministic)
     ta.join();
     tb.join();
 
-    ExperimentContext ctx(opts);
     for (std::size_t i = 0; i < grid_a.size(); ++i) {
-        const SimResult direct = ctx.run(
-            grid_a[i].workload, grid_a[i].scenario, grid_a[i].scheme);
+        const SimResult direct = freshCellResult(opts, grid_a[i]);
         expectSameResult(results_a[i], direct);
         expectSameResult(results_b[i], direct); // identical overlap
     }
-    const CellJob &extra = grid_b.back();
     expectSameResult(results_b.back(),
-                     ctx.run(extra.workload, extra.scenario,
-                             extra.scheme));
+                     freshCellResult(opts, grid_b.back()));
 }
 
 TEST(ServeScheduler, RoundRobinLetsASmallTicketOvertakeALargeOne)
@@ -200,14 +167,18 @@ TEST(ServeScheduler, RoundRobinLetsASmallTicketOvertakeALargeOne)
     large->wait();
     EXPECT_EQ(completions.load(), large_cells + 1);
 
-    ExperimentContext ctx(opts);
-    expectSameResult(small_result, ctx.run("sphinx3",
-                                           ScenarioKind::MedContig,
-                                           Scheme::Base));
+    expectSameResult(small_result,
+                     freshCellResult(opts, CellJob{"sphinx3",
+                                                   ScenarioKind::MedContig,
+                                                   Scheme::Base,
+                                                   {}}));
     for (std::size_t i = 0; i < large_cells; ++i) {
-        expectSameResult(large_results[i],
-                         ctx.run("canneal", ScenarioKind::MedContig,
-                                 Scheme::Anchor, std::uint64_t{2} << i));
+        expectSameResult(
+            large_results[i],
+            freshCellResult(opts, CellJob{"canneal",
+                                          ScenarioKind::MedContig,
+                                          Scheme::Anchor,
+                                          std::uint64_t{2} << i}));
     }
 }
 
@@ -238,11 +209,13 @@ TEST(ServeScheduler, BoundedAdmissionStallsAndRecovers)
     EXPECT_LE(stats.depth_peak, 1u) << "the queue bound was exceeded";
     EXPECT_EQ(stats.depth, 0u);
 
-    ExperimentContext ctx(opts);
     for (std::size_t i = 0; i < cells; ++i) {
-        expectSameResult(results[i],
-                         ctx.run("canneal", ScenarioKind::MedContig,
-                                 Scheme::Anchor, std::uint64_t{2} << i));
+        expectSameResult(
+            results[i],
+            freshCellResult(opts, CellJob{"canneal",
+                                          ScenarioKind::MedContig,
+                                          Scheme::Anchor,
+                                          std::uint64_t{2} << i}));
     }
 }
 

@@ -2,10 +2,10 @@
  * @file
  * End-to-end tests for the sweep service: a real SweepServer on a unix
  * socket, driven through ServeClient (and one raw socket for malformed
- * lines). Pins the ISSUE acceptance properties: served results are
- * byte-identical to a direct ExperimentContext run, a repeated sweep
- * recomputes zero cells, and N identical concurrent submissions
- * simulate exactly once.
+ * lines). Pins the service's properties: served results are
+ * byte-identical to the reference (runCellJob on a fresh pair), a
+ * repeated sweep recomputes zero cells, and N identical concurrent
+ * submissions simulate exactly once.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -30,6 +29,7 @@
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "serve/wire.hh"
+#include "sim/cell_reference.hh"
 #include "sim/experiment.hh"
 
 namespace atlb
@@ -123,26 +123,13 @@ gridRequest(WireOp op)
     return req;
 }
 
-void
-expectSameResult(const SimResult &a, const SimResult &b)
+/** The reference result of one requested cell. */
+SimResult
+freshResult(const CellRequest &cell)
 {
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.scenario, b.scenario);
-    EXPECT_EQ(a.scheme, b.scheme);
-    EXPECT_EQ(a.anchor_distance, b.anchor_distance);
-    EXPECT_EQ(a.stats.accesses, b.stats.accesses);
-    EXPECT_EQ(a.stats.l1_hits, b.stats.l1_hits);
-    EXPECT_EQ(a.stats.l2_regular_hits, b.stats.l2_regular_hits);
-    EXPECT_EQ(a.stats.coalesced_hits, b.stats.coalesced_hits);
-    EXPECT_EQ(a.stats.page_walks, b.stats.page_walks);
-    EXPECT_EQ(a.stats.translation_cycles, b.stats.translation_cycles);
-    EXPECT_EQ(a.stats.shootdowns, b.stats.shootdowns);
-    EXPECT_EQ(a.stats.shootdown_cycles, b.stats.shootdown_cycles);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.instructions),
-              std::bit_cast<std::uint64_t>(b.instructions));
-    EXPECT_EQ(a.l2_hit_cycles, b.l2_hit_cycles);
-    EXPECT_EQ(a.coalesced_cycles, b.coalesced_cycles);
-    EXPECT_EQ(a.walk_cycles, b.walk_cycles);
+    return freshCellResult(quickOptions(),
+                           CellJob{cell.workload, cell.scenario,
+                                   cell.scheme, cell.distance});
 }
 
 TEST(ServeServer, RepeatSubmitHitsAndMatchesDirectRun)
@@ -169,16 +156,15 @@ TEST(ServeServer, RepeatSubmitHitsAndMatchesDirectRun)
     EXPECT_EQ(counterValue(second, "simulations"), 4u); // unchanged
     EXPECT_EQ(counterValue(second, "hits"), 4u);
 
-    // Served results are byte-identical to a direct local run.
-    ExperimentContext ctx(quickOptions());
+    // Served results are byte-identical to the reference.
     const SweepRequest grid = gridRequest(WireOp::Submit);
     for (std::size_t i = 0; i < grid.cells.size(); ++i) {
         const CellRequest &cell = grid.cells[i];
-        const SimResult direct =
-            ctx.run(cell.workload, cell.scenario, cell.scheme);
-        expectSameResult(first.cells[i].result, direct);
+        expectSameResult(first.cells[i].result, freshResult(cell));
         EXPECT_EQ(first.cells[i].key,
-                  ctx.cellKey(cell.workload, cell.scenario, cell.scheme)
+                  cellKeyFor(quickOptions(),
+                             CellSpec{cell.workload, cell.scenario,
+                                      cell.scheme, cell.distance})
                       .raw());
     }
 }
@@ -375,9 +361,8 @@ TEST(ServeServer, OverlappingGridsConserveCountersAndMatchDirectRun)
         t.join();
 
     // Bit-identity: every reply cell, regardless of whether it was
-    // computed, deduped, or served from the store, matches a direct
-    // local run of the same cell.
-    ExperimentContext ctx(quickOptions());
+    // computed, deduped, or served from the store, matches the
+    // reference run of the same cell.
     for (int i = 0; i < clients; ++i) {
         const SweepResponse &resp =
             responses[static_cast<std::size_t>(i)];
@@ -387,9 +372,7 @@ TEST(ServeServer, OverlappingGridsConserveCountersAndMatchDirectRun)
         for (std::size_t c = 0; c < req.cells.size(); ++c) {
             const CellRequest &cell = req.cells[c];
             EXPECT_NE(resp.cells[c].status, CellStatus::Error);
-            expectSameResult(resp.cells[c].result,
-                             ctx.run(cell.workload, cell.scenario,
-                                     cell.scheme, cell.distance));
+            expectSameResult(resp.cells[c].result, freshResult(cell));
         }
     }
 
@@ -479,14 +462,17 @@ TEST(ServeServer, SmallRequestIsNotStuckBehindALargeGrid)
         EXPECT_EQ(reply.status, CellStatus::Computed);
 
     // Interleaving must not bend any result: spot-check both requests
-    // against direct runs.
-    ExperimentContext ctx(quickOptions());
+    // against the reference.
     expectSameResult(small_resp.cells[0].result,
-                     ctx.run("canneal", ScenarioKind::HighContig,
-                             Scheme::Base));
+                     freshResult(CellRequest{"canneal",
+                                             ScenarioKind::HighContig,
+                                             Scheme::Base,
+                                             {}}));
     expectSameResult(large_resp.cells[0].result,
-                     ctx.run("canneal", ScenarioKind::MedContig,
-                             Scheme::Anchor, 2));
+                     freshResult(CellRequest{"canneal",
+                                             ScenarioKind::MedContig,
+                                             Scheme::Anchor,
+                                             2}));
 }
 
 TEST(ServeServer, ShutdownOpStopsTheServer)

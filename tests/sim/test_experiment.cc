@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the experiment context (cell runner + caching).
+ * Tests for the experiment context (the facade over the cell engine),
+ * its pair-state and result caching, and the cell key.
  */
 
 #include <gtest/gtest.h>
@@ -8,13 +9,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "sim/cell_reference.hh"
 #include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 
 namespace atlb
 {
@@ -50,7 +54,8 @@ TEST(Experiment, AnchorRunRecordsDistance)
         ctx.run("canneal", ScenarioKind::MedContig, Scheme::Anchor);
     EXPECT_GT(r.anchor_distance, 0u);
     EXPECT_EQ(r.anchor_distance,
-              ctx.dynamicDistance("canneal", ScenarioKind::MedContig));
+              ctx.pair("canneal", ScenarioKind::MedContig)
+                  ->dynamicDistance());
 }
 
 TEST(Experiment, DistanceOverrideHonoured)
@@ -76,21 +81,13 @@ TEST(Experiment, RunsAreReproducible)
 TEST(Experiment, CacheSurvivesSchemeSwitches)
 {
     ExperimentContext ctx(quickOptions());
-    const auto &m1 = ctx.mapping("milc", ScenarioKind::LowContig);
+    const std::shared_ptr<const CellPairState> p1 =
+        ctx.pair("milc", ScenarioKind::LowContig);
     ctx.run("milc", ScenarioKind::LowContig, Scheme::Base);
     ctx.run("milc", ScenarioKind::LowContig, Scheme::Thp);
-    const auto &m2 = ctx.mapping("milc", ScenarioKind::LowContig);
-    EXPECT_EQ(&m1, &m2) << "mapping must be cached across schemes";
-}
-
-TEST(Experiment, ClearCacheRebuilds)
-{
-    ExperimentContext ctx(quickOptions());
-    ctx.mapping("milc", ScenarioKind::LowContig);
-    ctx.clearCache();
-    // Must not crash and must rebuild deterministically.
-    const auto &m = ctx.mapping("milc", ScenarioKind::LowContig);
-    EXPECT_GT(m.mappedPages(), 0u);
+    EXPECT_EQ(ctx.pair("milc", ScenarioKind::LowContig), p1)
+        << "pair state must be cached across schemes";
+    EXPECT_EQ(ctx.scheduler().stats().pair_builds, 1u);
 }
 
 TEST(Experiment, IdealAnchorAtLeastAsGoodAsDynamic)
@@ -131,17 +128,6 @@ TEST(Experiment, OptionsFromEnvDefaults)
     EXPECT_GT(opts.footprint_scale, 0.0);
     EXPECT_LE(opts.footprint_scale, 1.0);
     EXPECT_GE(opts.threads, 1u);
-    EXPECT_GE(opts.cache_pairs, 1u);
-}
-
-TEST(Experiment, OptionsFromEnvReadsCachePairs)
-{
-    ::setenv("ANCHORTLB_CACHE_PAIRS", "7", 1);
-    const SimOptions opts = SimOptions::fromEnv();
-    EXPECT_EQ(opts.cache_pairs, 7u);
-    EXPECT_TRUE(opts.cache_pairs_from_env);
-    ::unsetenv("ANCHORTLB_CACHE_PAIRS");
-    EXPECT_FALSE(SimOptions::fromEnv().cache_pairs_from_env);
 }
 
 TEST(ExperimentDeath, OptionsFromEnvRejectsNanScale)
@@ -153,87 +139,62 @@ TEST(ExperimentDeath, OptionsFromEnvRejectsNanScale)
     ::unsetenv("ANCHORTLB_SCALE");
 }
 
-TEST(Experiment, SizeCacheForPairsGrowsToRunShape)
-{
-    SimOptions opts = quickOptions();
-    opts.cache_pairs = 2; // built-in default
-    ExperimentContext ctx(opts);
-    EXPECT_EQ(ctx.cacheCapacity(), 2u);
-
-    ctx.sizeCacheForPairs(6);
-    EXPECT_EQ(ctx.cacheCapacity(), 6u);
-
-    // Never shrinks below a larger current capacity or the default.
-    ctx.sizeCacheForPairs(3);
-    EXPECT_EQ(ctx.cacheCapacity(), 6u);
-    ctx.sizeCacheForPairs(0);
-    EXPECT_EQ(ctx.cacheCapacity(), 6u);
-}
-
-TEST(Experiment, SizeCacheForPairsRespectsEnvClamp)
-{
-    // An explicit ANCHORTLB_CACHE_PAIRS is a memory budget: run-shape
-    // sizing may shrink-to-fit below it but never exceed it.
-    SimOptions opts = quickOptions();
-    opts.cache_pairs = 3;
-    opts.cache_pairs_from_env = true;
-    ExperimentContext ctx(opts);
-
-    ctx.sizeCacheForPairs(10);
-    EXPECT_EQ(ctx.cacheCapacity(), 3u);
-    ctx.sizeCacheForPairs(2);
-    EXPECT_EQ(ctx.cacheCapacity(), 2u);
-    ctx.sizeCacheForPairs(0);
-    EXPECT_EQ(ctx.cacheCapacity(), 1u); // capacity floor is one pair
-}
-
 TEST(Experiment, CacheCountersTrackHitsAndMisses)
 {
     ExperimentContext ctx(quickOptions());
-    EXPECT_EQ(ctx.cacheCounters().lookups, 0u);
+    EXPECT_EQ(ctx.scheduler().stats().pair_builds, 0u);
 
     ctx.run("canneal", ScenarioKind::MedContig, Scheme::Base);
-    EXPECT_EQ(ctx.cacheCounters().lookups, 1u);
-    EXPECT_EQ(ctx.cacheCounters().hits, 0u);
+    CellScheduler::Stats stats = ctx.scheduler().stats();
+    EXPECT_EQ(stats.pair_builds, 1u);
+    EXPECT_EQ(stats.pair_reuses, 0u);
 
     ctx.run("canneal", ScenarioKind::MedContig, Scheme::Thp);
-    EXPECT_EQ(ctx.cacheCounters().lookups, 2u);
-    EXPECT_EQ(ctx.cacheCounters().hits, 1u);
-    EXPECT_DOUBLE_EQ(ctx.cacheCounters().hitRate(), 0.5);
+    stats = ctx.scheduler().stats();
+    EXPECT_EQ(stats.pair_builds, 1u);
+    EXPECT_EQ(stats.pair_reuses, 1u);
 
-    ctx.clearCache();
-    ctx.run("canneal", ScenarioKind::MedContig, Scheme::Base);
-    EXPECT_EQ(ctx.cacheCounters().lookups, 3u);
-    EXPECT_EQ(ctx.cacheCounters().hits, 1u); // cleared cache = miss
+    ctx.run("sphinx3", ScenarioKind::MedContig, Scheme::Base);
+    stats = ctx.scheduler().stats();
+    EXPECT_EQ(stats.pair_builds, 2u);
+    EXPECT_EQ(stats.pair_reuses, 1u);
+    EXPECT_EQ(stats.pairs_cached, 2u);
+    EXPECT_EQ(ctx.cacheCounters().result_lookups, 0u)
+        << "no result cache is attached";
+}
+
+/** defaultPairBudget + 2 distinct pairs, so a sweep over them evicts. */
+std::vector<std::pair<std::string, ScenarioKind>>
+moreDistinctPairsThanTheBudget()
+{
+    std::vector<std::pair<std::string, ScenarioKind>> pairs;
+    for (const char *workload :
+         {"canneal", "sphinx3", "omnetpp", "milc", "mcf"}) {
+        for (const ScenarioKind scenario :
+             {ScenarioKind::Demand, ScenarioKind::MedContig})
+            pairs.emplace_back(workload, scenario);
+    }
+    EXPECT_EQ(pairs.size(), defaultPairBudget + 2);
+    return pairs;
 }
 
 TEST(Experiment, CacheEvictionDoesNotChangeResults)
 {
-    // Thrash pattern: alternate pairs so a capacity-1 cache evicts and
-    // rebuilds every call. Rebuilt state must reproduce cached state.
-    SimOptions small = quickOptions();
-    small.cache_pairs = 1;
-    SimOptions big = quickOptions();
-    big.cache_pairs = 8;
-
-    ExperimentContext thrash(small);
-    ExperimentContext warm(big);
-
-    const std::vector<std::pair<std::string, ScenarioKind>> pairs = {
-        {"canneal", ScenarioKind::Demand},
-        {"canneal", ScenarioKind::MedContig},
-        {"sphinx3", ScenarioKind::Demand},
-        {"canneal", ScenarioKind::Demand}, // revisit after eviction
-    };
+    // Sweep more pairs than the budget, then revisit the first, which
+    // the LRU evicted: rebuilt state must reproduce the reference.
+    const SimOptions opts = quickOptions();
+    ExperimentContext ctx(opts);
+    auto pairs = moreDistinctPairsThanTheBudget();
+    pairs.push_back(pairs.front());
     for (const auto &[workload, scenario] : pairs) {
         for (const Scheme scheme : {Scheme::Base, Scheme::Anchor}) {
-            const SimResult a = thrash.run(workload, scenario, scheme);
-            const SimResult b = warm.run(workload, scenario, scheme);
-            EXPECT_EQ(a.stats.page_walks, b.stats.page_walks);
-            EXPECT_EQ(a.stats.l1_hits, b.stats.l1_hits);
-            EXPECT_EQ(a.anchor_distance, b.anchor_distance);
+            const CellJob job{workload, scenario, scheme, {}};
+            expectSameResult(ctx.run(workload, scenario, scheme),
+                             freshCellResult(opts, job));
         }
     }
+    EXPECT_EQ(ctx.scheduler().stats().pair_builds, pairs.size())
+        << "the revisited pair must have been evicted and rebuilt";
 }
 
 TEST(Experiment, CellKeyIsStableAndCanonical)
@@ -317,9 +278,6 @@ TEST(Experiment, CellKeyExcludesExecutionModeKnobs)
     opts.threads = 8;
     EXPECT_EQ(cellKeyFor(opts, spec), key);
     opts = base;
-    opts.cache_pairs = 16;
-    EXPECT_EQ(cellKeyFor(opts, spec), key);
-    opts = base;
     opts.translate_mode = TranslateMode::PerAccess;
     EXPECT_EQ(cellKeyFor(opts, spec), key);
 }
@@ -384,7 +342,7 @@ TEST(Experiment, ResultCacheAnswersRepeatRunsWithoutSimulating)
     const SimResult cached =
         warm.run("canneal", ScenarioKind::MedContig, Scheme::Base);
     EXPECT_EQ(warm.cacheCounters().result_hits, 1u);
-    EXPECT_EQ(warm.cacheCounters().lookups, 0u)
+    EXPECT_EQ(warm.scheduler().stats().pair_builds, 0u)
         << "a result-cache hit must not touch pair state";
     EXPECT_EQ(cached.stats.page_walks, first.stats.page_walks);
     EXPECT_EQ(cached.stats.translation_cycles,
@@ -410,21 +368,61 @@ TEST(Experiment, ContextCellKeyMatchesFreeFunction)
     EXPECT_EQ(via_ctx, via_free);
 }
 
+TEST(Experiment, ResultCacheAnswersParallelGrid)
+{
+    // A batch across four workers fills an attached cache, and a fresh
+    // context answers the same batch from it without building any pair.
+    SimOptions opts = quickOptions();
+    opts.threads = 4;
+    std::vector<CellSpec> grid;
+    for (const char *workload : {"canneal", "sphinx3"}) {
+        for (const Scheme scheme :
+             {Scheme::Base, Scheme::Thp, Scheme::Anchor})
+            grid.push_back({workload, ScenarioKind::MedContig, scheme, {}});
+    }
+    grid.push_back(
+        {"canneal", ScenarioKind::MedContig, Scheme::AnchorIdeal, {}});
+
+    MapResultCache cache;
+    ExperimentContext cold(opts);
+    cold.setResultCache(&cache);
+    const std::vector<SimResult> computed = cold.runCells(grid);
+    EXPECT_EQ(cache.size(), grid.size());
+    EXPECT_EQ(cold.cacheCounters().result_lookups, grid.size());
+    EXPECT_EQ(cold.cacheCounters().result_hits, 0u);
+
+    ExperimentContext warm(opts);
+    warm.setResultCache(&cache);
+    const std::vector<SimResult> answered = warm.runCells(grid);
+    EXPECT_EQ(warm.cacheCounters().result_hits, grid.size());
+    EXPECT_EQ(warm.scheduler().stats().pair_builds, 0u);
+    ASSERT_EQ(answered.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        expectSameResult(answered[i], computed[i]);
+        expectSameResult(computed[i], freshCellResult(opts, grid[i]));
+    }
+}
+
 TEST(Experiment, RevisitedPairSurvivesLruSweep)
 {
-    // With capacity 2, touching A, B, A, C must keep A alive (LRU
-    // evicts B); the revisit must still return consistent state.
-    SimOptions opts = quickOptions();
-    opts.cache_pairs = 2;
-    ExperimentContext ctx(opts);
+    // Fill the budget, revisit the first pair, then add one more: the
+    // LRU must evict the coldest pair, not the revisited one.
+    ExperimentContext ctx(quickOptions());
+    const auto pairs = moreDistinctPairsThanTheBudget();
+    const auto &[workload, scenario] = pairs.front();
+    const std::shared_ptr<const CellPairState> first =
+        ctx.pair(workload, scenario);
+    for (std::size_t i = 1; i < defaultPairBudget; ++i)
+        ctx.pair(pairs[i].first, pairs[i].second);
+    EXPECT_EQ(ctx.pair(workload, scenario), first);
+    ctx.pair(pairs[defaultPairBudget].first,
+             pairs[defaultPairBudget].second);
 
-    const std::uint64_t first =
-        ctx.dynamicDistance("canneal", ScenarioKind::MedContig);
-    ctx.dynamicDistance("sphinx3", ScenarioKind::MedContig);
-    ctx.dynamicDistance("canneal", ScenarioKind::MedContig);
-    ctx.dynamicDistance("omnetpp", ScenarioKind::MedContig);
-    EXPECT_EQ(ctx.dynamicDistance("canneal", ScenarioKind::MedContig),
-              first);
+    EXPECT_EQ(ctx.pair(workload, scenario), first)
+        << "the revisited pair was evicted";
+    const CellScheduler::Stats stats = ctx.scheduler().stats();
+    EXPECT_EQ(stats.pair_builds, defaultPairBudget + 1);
+    EXPECT_EQ(stats.pairs_cached, defaultPairBudget);
 }
 
 } // namespace

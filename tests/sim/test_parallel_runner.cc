@@ -1,17 +1,22 @@
 /**
  * @file
- * Determinism regression tests for the parallel sweep engine: for any
- * thread count, results must be identical — field for field — to the
- * serial ExperimentContext path. This is the guarantee that lets every
- * figure bench run parallel by default (ISSUE: THREADS=1 vs THREADS=8
- * byte-identical output).
+ * Determinism tests for the cell engine: a grid run as one
+ * ExperimentContext::runCells batch is identical — field for field — at
+ * one worker and at eight, cell by cell to single-cell runs and to the
+ * reference (runCellJob on a fresh pair); and runCellJob's in-place
+ * AnchorIdeal sweep matches fresh anchor tables. This is the guarantee
+ * that lets every figure bench run parallel by default.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "os/distance_selector.hh"
+#include "sim/cell_reference.hh"
 #include "sim/parallel_runner.hh"
 
 namespace atlb
@@ -47,63 +52,49 @@ regressionGrid()
     return jobs;
 }
 
-void
-expectIdentical(const SimResult &a, const SimResult &b)
+std::string
+cellName(const CellJob &job)
 {
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.scenario, b.scenario);
-    EXPECT_EQ(a.scheme, b.scheme);
-    EXPECT_EQ(a.anchor_distance, b.anchor_distance);
-    EXPECT_EQ(a.stats.accesses, b.stats.accesses);
-    EXPECT_EQ(a.stats.l1_hits, b.stats.l1_hits);
-    EXPECT_EQ(a.stats.l2_regular_hits, b.stats.l2_regular_hits);
-    EXPECT_EQ(a.stats.coalesced_hits, b.stats.coalesced_hits);
-    EXPECT_EQ(a.stats.page_walks, b.stats.page_walks);
-    EXPECT_EQ(a.stats.translation_cycles, b.stats.translation_cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.l2_hit_cycles, b.l2_hit_cycles);
-    EXPECT_EQ(a.coalesced_cycles, b.coalesced_cycles);
-    EXPECT_EQ(a.walk_cycles, b.walk_cycles);
+    return job.workload + "/" + scenarioName(job.scenario) + "/" +
+           schemeName(job.scheme);
 }
 
 TEST(ParallelRunner, EightThreadsMatchSerialOnFullGrid)
 {
     const std::vector<CellJob> jobs = regressionGrid();
 
-    ParallelRunner serial(quickOptions(1));
-    ParallelRunner parallel(quickOptions(8));
-    const std::vector<SimResult> a = serial.run(jobs);
-    const std::vector<SimResult> b = parallel.run(jobs);
+    ExperimentContext serial(quickOptions(1));
+    ExperimentContext parallel(quickOptions(8));
+    const std::vector<SimResult> a = serial.runCells(jobs);
+    const std::vector<SimResult> b = parallel.runCells(jobs);
 
     ASSERT_EQ(a.size(), jobs.size());
     ASSERT_EQ(b.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        SCOPED_TRACE(jobs[i].workload + "/" +
-                     scenarioName(jobs[i].scenario) + "/" +
-                     schemeName(jobs[i].scheme));
-        expectIdentical(a[i], b[i]);
+        SCOPED_TRACE(cellName(jobs[i]));
+        expectSameResult(a[i], b[i]);
     }
 }
 
 TEST(ParallelRunner, ParallelMatchesExperimentContextCellByCell)
 {
-    // The engine must reproduce the original serial API exactly, not
-    // just itself at threads=1.
+    // A batch across eight workers must reproduce single-cell runs and
+    // the reference, not just itself at one worker.
     const std::vector<CellJob> jobs = regressionGrid();
+    const SimOptions opts = quickOptions(8);
 
-    ExperimentContext ctx(quickOptions(1));
-    ParallelRunner parallel(quickOptions(8));
-    const std::vector<SimResult> results = parallel.run(jobs);
+    ExperimentContext parallel(opts);
+    ExperimentContext single(quickOptions(1));
+    const std::vector<SimResult> results = parallel.runCells(jobs);
 
     ASSERT_EQ(results.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        SCOPED_TRACE(jobs[i].workload + "/" +
-                     scenarioName(jobs[i].scenario) + "/" +
-                     schemeName(jobs[i].scheme));
-        const SimResult expect = ctx.run(
-            jobs[i].workload, jobs[i].scenario, jobs[i].scheme,
-            jobs[i].distance_override);
-        expectIdentical(expect, results[i]);
+        SCOPED_TRACE(cellName(jobs[i]));
+        const CellJob &job = jobs[i];
+        expectSameResult(single.run(job.workload, job.scenario, job.scheme,
+                                    job.distance_override),
+                         results[i]);
+        expectSameResult(freshCellResult(opts, job), results[i]);
     }
 }
 
@@ -112,54 +103,69 @@ TEST(ParallelRunner, DistanceOverrideHonoured)
     const CellJob job = {"canneal", ScenarioKind::MedContig,
                          Scheme::Anchor, 64};
 
-    ParallelRunner parallel(quickOptions(4));
-    const std::vector<SimResult> results = parallel.run({job});
+    ExperimentContext parallel(quickOptions(4));
+    const std::vector<SimResult> results = parallel.runCells({job});
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].anchor_distance, 64u);
-
-    ExperimentContext ctx(quickOptions(1));
-    expectIdentical(ctx.run(job.workload, job.scenario, job.scheme, 64),
-                    results[0]);
-}
-
-TEST(ParallelRunner, RunCellsRoutesThroughContextWhenSerial)
-{
-    const std::vector<CellJob> jobs = {
-        {"canneal", ScenarioKind::Demand, Scheme::Base, {}},
-        {"canneal", ScenarioKind::Demand, Scheme::Anchor, {}},
-    };
-
-    ExperimentContext serial_ctx(quickOptions(1));
-    const std::vector<SimResult> serial = runCells(serial_ctx, jobs);
-
-    ExperimentContext parallel_ctx(quickOptions(8));
-    const std::vector<SimResult> parallel = runCells(parallel_ctx, jobs);
-
-    ASSERT_EQ(serial.size(), jobs.size());
-    ASSERT_EQ(parallel.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        expectIdentical(serial[i], parallel[i]);
+    expectSameResult(freshCellResult(quickOptions(1), job), results[0]);
 }
 
 TEST(ParallelRunner, EmptyJobListYieldsEmptyResults)
 {
-    ParallelRunner parallel(quickOptions(8));
-    EXPECT_TRUE(parallel.run({}).empty());
+    ExperimentContext parallel(quickOptions(8));
+    EXPECT_TRUE(parallel.runCells({}).empty());
 }
 
 TEST(ParallelRunner, RepeatedParallelRunsAreStable)
 {
-    // Two runs of the same jobs through fresh pools must agree: no
-    // hidden shared state survives between runs.
+    // The second batch reuses the first one's pair state: sharing it
+    // must not change the result.
     const std::vector<CellJob> jobs = {
         {"sphinx3", ScenarioKind::HighContig, Scheme::AnchorIdeal, {}},
     };
-    ParallelRunner parallel(quickOptions(8));
-    const std::vector<SimResult> first = parallel.run(jobs);
-    const std::vector<SimResult> second = parallel.run(jobs);
+    ExperimentContext parallel(quickOptions(8));
+    const std::vector<SimResult> first = parallel.runCells(jobs);
+    const std::vector<SimResult> second = parallel.runCells(jobs);
     ASSERT_EQ(first.size(), 1u);
     ASSERT_EQ(second.size(), 1u);
-    expectIdentical(first[0], second[0]);
+    expectSameResult(first[0], second[0]);
+    EXPECT_EQ(parallel.scheduler().stats().pair_reuses, 1u);
+}
+
+TEST(ParallelRunner, AnchorIdealInPlaceSweepMatchesFreshTables)
+{
+    // AnchorIdeal re-sweeps one private THP table in place for each
+    // candidate; an Anchor job with that distance builds a fresh anchor
+    // table. The first minimum over the fresh runs must be the
+    // AnchorIdeal result in every field but the scheme label. Max
+    // contiguity exercises anchors held in 2MB leaves.
+    const SimOptions opts = quickOptions(1);
+    for (const char *workload : {"canneal", "gups", "sphinx3"}) {
+        for (const ScenarioKind scenario :
+             {ScenarioKind::Demand, ScenarioKind::MedContig,
+              ScenarioKind::MaxContig}) {
+            SCOPED_TRACE(std::string(workload) + "/" +
+                         scenarioName(scenario));
+            const CellPairState pair(opts, workload, scenario);
+            const SimResult ideal = runCellJob(
+                opts, pair,
+                CellJob{workload, scenario, Scheme::AnchorIdeal, {}});
+
+            SimResult best;
+            bool have_best = false;
+            for (const std::uint64_t distance : candidateDistances()) {
+                SimResult fresh = runCellJob(
+                    opts, pair,
+                    CellJob{workload, scenario, Scheme::Anchor, distance});
+                if (!have_best || fresh.misses() < best.misses()) {
+                    best = std::move(fresh);
+                    have_best = true;
+                }
+            }
+            best.scheme = ideal.scheme;
+            expectSameResult(ideal, best);
+        }
+    }
 }
 
 } // namespace

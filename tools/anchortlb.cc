@@ -35,13 +35,8 @@
 #include "ingest/trace_open.hh"
 #include "ingest/trace_v2.hh"
 #include "ingest/workload_profile.hh"
-#include "mmu/anchor_mmu.hh"
 #include "os/mapping_io.hh"
 #include "trace/profiler.hh"
-#include "mmu/baseline_mmu.hh"
-#include "mmu/cluster_mmu.hh"
-#include "mmu/colt_mmu.hh"
-#include "mmu/rmm_mmu.hh"
 #include "os/distance_selector.hh"
 #include "os/table_builder.hh"
 #include "serve/client.hh"
@@ -199,6 +194,31 @@ cmdList(const Args &args)
     return 0;
 }
 
+/**
+ * The --scheme cells (default: every scheme) of one pair, --distance
+ * applied to Anchor, run as one batch behind a leading Base cell:
+ * front() is the Base denominator, the rest follow the scheme order.
+ */
+std::vector<SimResult>
+runSchemeBatch(ExperimentContext &ctx, const Args &args,
+               const std::string &workload, ScenarioKind scenario)
+{
+    std::vector<Scheme> schemes;
+    if (args.has("scheme"))
+        schemes.push_back(schemeFromName(args.get("scheme", "")));
+    else
+        schemes.assign(std::begin(allSchemes), std::end(allSchemes));
+
+    std::vector<CellSpec> cells = {{workload, scenario, Scheme::Base, {}}};
+    for (const Scheme s : schemes) {
+        std::optional<std::uint64_t> dist;
+        if (args.has("distance") && s == Scheme::Anchor)
+            dist = args.getU64("distance", 0);
+        cells.push_back({workload, scenario, s, dist});
+    }
+    return ctx.runCells(cells);
+}
+
 int
 cmdRun(const Args &args)
 {
@@ -208,23 +228,15 @@ cmdRun(const Args &args)
     const bool csv = args.has("csv");
 
     ExperimentContext ctx(optionsFrom(args));
-    const SimResult base = ctx.run(workload, scenario, Scheme::Base);
-
-    std::vector<Scheme> schemes;
-    if (args.has("scheme")) {
-        schemes.push_back(schemeFromName(args.get("scheme", "")));
-    } else {
-        schemes.assign(std::begin(allSchemes), std::end(allSchemes));
-    }
+    const std::vector<SimResult> results =
+        runSchemeBatch(ctx, args, workload, scenario);
+    const SimResult &base = results.front();
 
     Table table(workload + " / " + scenarioName(scenario),
                 {"scheme", "walks", "relative%", "L1 hit%", "L2 reg hit%",
                  "coalesced%", "CPI", "anchor dist"});
-    for (const Scheme s : schemes) {
-        std::optional<std::uint64_t> dist;
-        if (args.has("distance") && s == Scheme::Anchor)
-            dist = args.getU64("distance", 0);
-        const SimResult r = ctx.run(workload, scenario, s, dist);
+    for (std::size_t i = 1; i < results.size(); ++i) {
+        const SimResult &r = results[i];
         table.beginRow();
         table.cell(r.scheme);
         table.cell(r.misses());
@@ -253,18 +265,23 @@ cmdSweepDistance(const Args &args)
         scenarioFromName(args.get("scenario", "medium"));
     const bool csv = args.has("csv");
 
+    // One batch: the Base denominator, then Anchor at every distance.
     ExperimentContext ctx(optionsFrom(args));
-    const std::uint64_t base =
-        ctx.run(workload, scenario, Scheme::Base).misses();
+    const std::vector<std::uint64_t> distances = candidateDistances();
+    std::vector<CellSpec> cells = {{workload, scenario, Scheme::Base, {}}};
+    for (const std::uint64_t d : distances)
+        cells.push_back({workload, scenario, Scheme::Anchor, d});
+    const std::vector<SimResult> results = ctx.runCells(cells);
+    const std::uint64_t base = results.front().misses();
     const std::uint64_t dynamic_d =
-        ctx.dynamicDistance(workload, scenario);
+        ctx.pair(workload, scenario)->dynamicDistance();
 
     Table table("anchor distance sweep: " + workload + " / " +
                     scenarioName(scenario),
                 {"distance", "walks", "relative%", "dynamic pick"});
-    for (const std::uint64_t d : candidateDistances()) {
-        const SimResult r =
-            ctx.run(workload, scenario, Scheme::Anchor, d);
+    for (std::size_t i = 0; i < distances.size(); ++i) {
+        const std::uint64_t d = distances[i];
+        const SimResult &r = results[i + 1];
         table.beginRow();
         table.cell(d);
         table.cell(r.misses());
@@ -309,59 +326,38 @@ cmdReplay(const Args &args)
     const Scheme scheme = schemeFromName(args.get("scheme", "anchor"));
     const SimOptions opts = optionsFrom(args);
 
-    WorkloadSpec spec = findWorkload(workload);
-    spec.footprint_bytes = static_cast<std::uint64_t>(
-        static_cast<double>(spec.footprint_bytes) * opts.footprint_scale);
-    ScenarioParams params;
-    params.footprint_pages = spec.footprintPages();
-    params.seed = opts.seed;
-    params.demand_run_pages = spec.demand_run_pages;
-    params.eager_run_pages = spec.eager_run_pages;
-    params.demand_churn = spec.demand_churn;
-    params.map_tail_run_pages = spec.map_tail_run_pages;
-    params.map_tail_fraction = spec.map_tail_fraction;
-    const MemoryMap map = buildScenario(scenario, params);
-
-    PageTable table;
-    std::unique_ptr<Mmu> mmu;
-    const MmuConfig &cfg = opts.mmu;
+    // The mapping and page tables every cell of this pair runs against;
+    // the anchor schemes use --distance or Algorithm 1's pick.
+    ExperimentContext ctx(opts);
+    const std::shared_ptr<const CellPairState> pair =
+        ctx.pair(workload, scenario);
+    std::uint64_t distance = 0;
+    std::optional<PageTable> anchored;
+    const PageTable *table = nullptr;
     switch (scheme) {
       case Scheme::Base:
-        table = buildPageTable(map, false);
-        mmu = std::make_unique<BaselineMmu>(cfg, table, "base");
+      case Scheme::Cluster:
+        table = &pair->plainTable();
         break;
       case Scheme::Thp:
-        table = buildPageTable(map, true);
-        mmu = std::make_unique<BaselineMmu>(cfg, table, "thp");
-        break;
-      case Scheme::Cluster:
-        table = buildPageTable(map, false);
-        mmu = std::make_unique<ClusterMmu>(cfg, table, false);
-        break;
       case Scheme::Cluster2MB:
-        table = buildPageTable(map, true);
-        mmu = std::make_unique<ClusterMmu>(cfg, table, true);
-        break;
       case Scheme::Rmm:
-        table = buildPageTable(map, true);
-        mmu = std::make_unique<RmmMmu>(cfg, table, map);
+        table = &pair->thpTable();
         break;
       case Scheme::Anchor:
-      case Scheme::AnchorIdeal: {
-        const std::uint64_t d =
-            args.has("distance")
-                ? args.getU64("distance", 8)
-                : selectAnchorDistance(map.contiguityHistogram())
-                      .distance;
-        const AnchorDist dist = AnchorDist::fromPages(d);
-        table = buildAnchorPageTable(map, dist);
-        mmu = std::make_unique<AnchorMmu>(cfg, table, dist);
+      case Scheme::AnchorIdeal:
+        distance = args.has("distance") ? args.getU64("distance", 8)
+                                        : pair->dynamicDistance();
+        table = &anchored.emplace(buildAnchorPageTable(
+            pair->map(), AnchorDist::fromPages(distance)));
         break;
-      }
     }
+    const std::unique_ptr<Mmu> mmu =
+        buildSchemeMmu(opts.mmu, *table, pair->map(), scheme, distance);
 
     TraceFileSource trace(path);
-    const SimResult r = runSimulation(*mmu, trace, spec.mem_per_instr);
+    const SimResult r =
+        runSimulation(*mmu, trace, pair->spec().mem_per_instr);
     Table out("replay of " + path, {"metric", "value"});
     out.beginRow();
     out.cell(std::string("accesses"));
@@ -439,20 +435,12 @@ cmdExportMap(const Args &args)
         scenarioFromName(args.get("scenario", "medium"));
     const std::string path = args.get(
         "out", workload + "." + scenarioName(scenario) + ".map");
-    const SimOptions opts = optionsFrom(args);
 
-    WorkloadSpec spec = findWorkload(workload);
-    spec.footprint_bytes = static_cast<std::uint64_t>(
-        static_cast<double>(spec.footprint_bytes) * opts.footprint_scale);
-    ScenarioParams params;
-    params.footprint_pages = spec.footprintPages();
-    params.seed = opts.seed;
-    params.demand_run_pages = spec.demand_run_pages;
-    params.eager_run_pages = spec.eager_run_pages;
-    params.demand_churn = spec.demand_churn;
-    params.map_tail_run_pages = spec.map_tail_run_pages;
-    params.map_tail_fraction = spec.map_tail_fraction;
-    const MemoryMap map = buildScenario(scenario, params);
+    // The mapping every cell of this pair simulates.
+    ExperimentContext ctx(optionsFrom(args));
+    const std::shared_ptr<const CellPairState> pair =
+        ctx.pair(workload, scenario);
+    const MemoryMap &map = pair->map();
     saveMapping(path, map);
     std::cout << "wrote " << map.chunks().size() << " chunks ("
               << map.mappedPages() << " pages) to " << path << "\n";
@@ -727,23 +715,16 @@ cmdTraceReplay(const Args &args)
     // the exact grid path (mapping, page tables) a trace-driven
     // experiment cell uses.
     ExperimentContext ctx(optionsFrom(args));
-    const SimResult base = ctx.run(workload, scenario, Scheme::Base);
-
-    std::vector<Scheme> schemes;
-    if (args.has("scheme"))
-        schemes.push_back(schemeFromName(args.get("scheme", "")));
-    else
-        schemes.assign(std::begin(allSchemes), std::end(allSchemes));
+    const std::vector<SimResult> results =
+        runSchemeBatch(ctx, args, workload, scenario);
+    const SimResult &base = results.front();
 
     Table table("trace replay " + baseName(args.positional()[1]) + " / " +
                     scenarioName(scenario),
                 {"scheme", "accesses", "walks", "relative%", "CPI",
                  "anchor dist"});
-    for (const Scheme s : schemes) {
-        std::optional<std::uint64_t> dist;
-        if (args.has("distance") && s == Scheme::Anchor)
-            dist = args.getU64("distance", 0);
-        const SimResult r = ctx.run(workload, scenario, s, dist);
+    for (std::size_t i = 1; i < results.size(); ++i) {
+        const SimResult &r = results[i];
         table.beginRow();
         table.cell(r.scheme);
         table.cell(r.stats.accesses);
