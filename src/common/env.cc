@@ -1,5 +1,6 @@
 #include "env.hh"
 
+#include <charconv>
 #include <cstdlib>
 #include <thread>
 
@@ -7,6 +8,39 @@
 
 namespace atlb
 {
+
+namespace
+{
+
+/** from_chars over all of @p text, or nullopt. */
+template <typename T, typename... Format>
+std::optional<T>
+parseWhole(std::string_view text, Format... format)
+{
+    if (text.empty())
+        return std::nullopt;
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] =
+        std::from_chars(text.data(), end, value, format...);
+    if (ec != std::errc{} || stop != end)
+        return std::nullopt;
+    return value;
+}
+
+} // namespace
+
+std::optional<std::uint64_t>
+parseU64(std::string_view text, int base)
+{
+    return parseWhole<std::uint64_t>(text, base);
+}
+
+std::optional<double>
+parseDouble(std::string_view text)
+{
+    return parseWhole<double>(text);
+}
 
 bool
 envPresent(const std::string &name)
@@ -18,14 +52,25 @@ std::uint64_t
 envU64(const std::string &name, std::uint64_t fallback)
 {
     const char *v = std::getenv(name.c_str());
-    return v ? std::strtoull(v, nullptr, 10) : fallback;
+    if (!v)
+        return fallback;
+    const std::optional<std::uint64_t> value = parseU64(v);
+    if (!value)
+        ATLB_FATAL("{} must be an unsigned decimal integer, got '{}'", name,
+                   v);
+    return *value;
 }
 
 double
 envDouble(const std::string &name, double fallback)
 {
     const char *v = std::getenv(name.c_str());
-    return v ? std::strtod(v, nullptr) : fallback;
+    if (!v)
+        return fallback;
+    const std::optional<double> value = parseDouble(v);
+    if (!value)
+        ATLB_FATAL("{} must be a number, got '{}'", name, v);
+    return *value;
 }
 
 std::string

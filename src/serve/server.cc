@@ -293,6 +293,7 @@ SweepServer::resolveCells(const SweepRequest &request,
         std::size_t index = 0;
         CellKey key;
         std::shared_ptr<Inflight> entry;
+        std::uint64_t trace_hash = 0; //!< in key; keys the scheduler pair
     };
     std::vector<PendingCell> owned;
     std::vector<PendingCell> joined;
@@ -347,10 +348,17 @@ SweepServer::resolveCells(const SweepRequest &request,
         if (inflight != inflight_.end()) {
             ++counters_.dedups;
             joined.push_back({i, key, inflight->second});
+        } else if (std::optional<SimResult> cached = store_.lookup(key)) {
+            // Published between the lookup above and this lock: a
+            // publisher stores before it drops its in-flight entry, so
+            // this second look is what makes each cell simulate once.
+            reply.status = CellStatus::Hit;
+            reply.result = *std::move(cached);
+            ++counters_.hits;
         } else {
             auto entry = std::make_shared<Inflight>();
             inflight_.emplace(key.raw(), entry);
-            owned.push_back({i, key, std::move(entry)});
+            owned.push_back({i, key, std::move(entry), trace_hash});
         }
     }
 
@@ -404,8 +412,10 @@ SweepServer::resolveCells(const SweepRequest &request,
             scheduler_.open(opts, publish);
         for (const std::size_t slot : order) {
             const CellRequest &cell = request.cells[owned[slot].index];
-            ticket->submit(slot, CellJob{cell.workload, cell.scenario,
-                                         cell.scheme, cell.distance});
+            ticket->submit(slot,
+                           CellJob{cell.workload, cell.scenario,
+                                   cell.scheme, cell.distance},
+                           owned[slot].trace_hash);
         }
         ticket->wait();
     }

@@ -41,6 +41,43 @@ SimOptions::fromEnv()
 namespace
 {
 
+/**
+ * A replay of accesses held in memory, which must outlive it: fill()
+ * is one block copy per chunk.
+ */
+class ReplayTrace : public TraceSource
+{
+  public:
+    ReplayTrace(const MemAccess *accesses, std::uint64_t length)
+        : accesses_(accesses), length_(length)
+    {
+    }
+
+    bool next(MemAccess &out) override
+    {
+        if (pos_ == length_)
+            return false;
+        out = accesses_[pos_++];
+        return true;
+    }
+
+    std::size_t fill(MemAccess *out, std::size_t max) override
+    {
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(max, length_ - pos_));
+        std::copy_n(accesses_ + pos_, n, out);
+        pos_ += n;
+        return n;
+    }
+
+    void reset() override { pos_ = 0; }
+
+  private:
+    const MemAccess *accesses_;
+    std::uint64_t length_;
+    std::uint64_t pos_ = 0;
+};
+
 /** Workload-name prefix selecting a trace-driven workload. */
 constexpr const char *traceWorkloadPrefix = "trace:";
 
@@ -242,14 +279,12 @@ SimResult
 runSchemeCell(const SimOptions &options, const WorkloadSpec &spec,
               ScenarioKind scenario, const MemoryMap &map,
               const PageTable &table, Scheme scheme,
-              std::uint64_t anchor_distance)
+              std::uint64_t anchor_distance, TraceSource &trace)
 {
-    const std::unique_ptr<TraceSource> trace =
-        makeCellTrace(options, spec, cellAccesses(options, spec));
     const std::unique_ptr<Mmu> mmu =
         buildSchemeMmu(options.mmu, table, map, scheme, anchor_distance);
 
-    SimResult res = runSimulation(*mmu, *trace, spec.mem_per_instr,
+    SimResult res = runSimulation(*mmu, trace, spec.mem_per_instr,
                                   options.translate_mode);
     res.workload = spec.name;
     res.scenario = scenarioName(scenario);
@@ -262,7 +297,7 @@ runSchemeCell(const SimOptions &options, const WorkloadSpec &spec,
 CellPairState::CellPairState(const SimOptions &options,
                              std::string workload, ScenarioKind scenario)
     : workload_(std::move(workload)), scenario_(scenario),
-      spec_(scaledWorkloadSpec(options, workload_)),
+      seed_(options.seed), spec_(scaledWorkloadSpec(options, workload_)),
       map_(buildScenario(scenario_, scenarioParamsFor(options, spec_)))
 {
     dynamic_distance_ =
@@ -285,6 +320,35 @@ CellPairState::thpTable() const
         thp_table_ = buildPageTable(map_, true);
     });
     return *thp_table_;
+}
+
+std::unique_ptr<TraceSource>
+CellPairState::cellTrace(const SimOptions &options) const
+{
+    ATLB_ASSERT(options.seed == seed_,
+                "cell stream requested under another seed than its pair");
+    const std::uint64_t n = cellAccesses(options, spec_);
+    if (n <= sharedStreamAccesses) {
+        std::call_once(stream_once_, [&] {
+            const std::unique_ptr<TraceSource> source =
+                makeCellTrace(options, spec_, n);
+            stream_.resize(n);
+            std::size_t got = 0;
+            while (got < n) {
+                const std::size_t step = source->fill(
+                    stream_.data() + got, static_cast<std::size_t>(n - got));
+                if (step == 0)
+                    break;
+                got += step;
+            }
+            // A trace file rewritten since the spec was read can come
+            // up short; keep what it held, so longer cells stream.
+            stream_.resize(got);
+        });
+        if (n <= stream_.size())
+            return std::make_unique<ReplayTrace>(stream_.data(), n);
+    }
+    return makeCellTrace(options, spec_, n);
 }
 
 ExperimentContext::ExperimentContext(SimOptions options)

@@ -138,31 +138,45 @@ std::unique_ptr<Mmu> buildSchemeMmu(const MmuConfig &config,
                                     std::uint64_t anchor_distance);
 
 /**
- * Run one fully specified cell: build @p scheme's MMU over the prebuilt
- * @p table and stream the workload's trace through it. @p table must
- * match the scheme's table flavour (plain 4KB for Base/Cluster, THP for
- * THP/Cluster-2MB/RMM, anchor-swept at @p anchor_distance for the
- * anchor schemes). runCellJob (sim/parallel_runner.hh) runs every
- * simulation of every cell through it.
+ * Run one fully specified simulation: build @p scheme's MMU over the
+ * prebuilt @p table and stream @p trace through it to exhaustion.
+ * @p table must match the scheme's table flavour (plain 4KB for
+ * Base/Cluster, THP for THP/Cluster-2MB/RMM, anchor-swept at
+ * @p anchor_distance for the anchor schemes), and @p trace must be the
+ * cell's stream: makeCellTrace(options, spec, cellAccesses(options,
+ * spec)) or a replay of the same accesses. runCellJob
+ * (sim/parallel_runner.hh) runs every simulation of every cell through
+ * it, over CellPairState::cellTrace.
  */
 SimResult runSchemeCell(const SimOptions &options, const WorkloadSpec &spec,
                         ScenarioKind scenario, const MemoryMap &map,
                         const PageTable &table, Scheme scheme,
-                        std::uint64_t anchor_distance);
+                        std::uint64_t anchor_distance, TraceSource &trace);
+
+/**
+ * Longest cell stream a CellPairState keeps in memory: 2^18 accesses,
+ * 4 MiB of MemAccess records per cached pair. Longer cells stream from
+ * makeCellTrace on every simulation, which bounds what the scheduler's
+ * pair budget can pin (a 1M-access cell would hold 16 MiB per pair).
+ */
+constexpr std::uint64_t sharedStreamAccesses = 1ULL << 18;
 
 /**
  * Immutable expensive state for one (workload, scenario) pair, safe to
  * share read-only across threads: the footprint-scaled spec, the
  * scenario mapping and its dynamically selected anchor distance are
  * built eagerly by the constructor; the plain/THP page-table flavours
- * are built lazily on first use (std::call_once, so concurrent readers
- * share one build). Anchor-swept tables are deliberately absent — the
- * sweep mutates the table, so anchor jobs build a private one from
- * map().
+ * and the access stream are built lazily on first use (std::call_once,
+ * so concurrent readers share one build). Anchor-swept tables are
+ * deliberately absent — the sweep mutates the table, so anchor jobs
+ * build a private one from map().
  *
  * Construction reads exactly options.seed and options.footprint_scale
- * (via scaledWorkloadSpec / scenarioParamsFor); callers that cache pair
- * state across option sets key on those two fields plus the pair.
+ * (via scaledWorkloadSpec / scenarioParamsFor), plus the trace file's
+ * bytes for a trace-driven workload; callers that cache pair state
+ * across option sets key on those two fields, the pair and the trace
+ * content hash. The stream depends on nothing else: options.accesses
+ * only picks how long a prefix of it a cell simulates.
  *
  * This is the only pair state: the CellScheduler caches it for every
  * cell, whether an ExperimentContext or `anchortlb serve` submitted it,
@@ -188,9 +202,23 @@ class CellPairState
     /** THP table (THP / Cluster-2MB / RMM); built on first call. */
     const PageTable &thpTable() const;
 
+    /**
+     * The stream of one simulation of this pair's cells under
+     * @p options (which must carry the seed the pair was built with):
+     * its first n = cellAccesses(options, spec()) accesses. The first
+     * call with n <= sharedStreamAccesses generates n accesses and
+     * keeps them; every call whose n fits in the kept stream gets a
+     * block-copy replay of its first n, and any other call a fresh
+     * makeCellTrace source. The two are the same accesses, because the
+     * first n of a PatternTrace or of a clamped trace file do not
+     * depend on the stream's length.
+     */
+    std::unique_ptr<TraceSource> cellTrace(const SimOptions &options) const;
+
   private:
     std::string workload_;
     ScenarioKind scenario_ = ScenarioKind::Demand;
+    std::uint64_t seed_ = 0;
     WorkloadSpec spec_;
     MemoryMap map_;
     std::uint64_t dynamic_distance_ = 0;
@@ -198,6 +226,8 @@ class CellPairState
     mutable std::optional<PageTable> plain_table_;
     mutable std::once_flag thp_once_;
     mutable std::optional<PageTable> thp_table_;
+    mutable std::once_flag stream_once_;
+    mutable std::vector<MemAccess> stream_;
 };
 
 /**
@@ -282,7 +312,10 @@ class CellScheduler;
  * serve --pairs` defaults to. Every cell is one runCellJob on a worker
  * and every pair state is the scheduler's, so a context, the server and
  * the test reference (runCellJob on a fresh CellPairState) all produce
- * the same bytes. One calling thread per context.
+ * the same bytes. One calling thread per context. A context takes a
+ * trace file to be fixed while it lives (it memoizes content hashes),
+ * so its pairs are keyed without one; `anchortlb serve`, which outlives
+ * rewrites, keys its pairs on each request's hashes.
  */
 class ExperimentContext
 {

@@ -26,22 +26,35 @@ elapsedSinceUs(std::chrono::steady_clock::time_point start)
 
 /**
  * Pair-cache identity. CellPairState construction reads exactly
- * options.seed and options.footprint_scale (see experiment.hh), so the
- * key must cover those two knobs plus the pair itself — nothing else,
- * or identical builds would be duplicated across tickets.
+ * options.seed, options.footprint_scale and, for a trace-driven
+ * workload, the trace file (see experiment.hh), so the key must cover
+ * those two knobs, the file's content hash and the pair itself —
+ * nothing else, or identical builds would be duplicated across tickets.
  */
 std::string
 pairCacheKey(const SimOptions &options, const std::string &workload,
-             ScenarioKind scenario)
+             ScenarioKind scenario, std::uint64_t trace_content_hash)
 {
     Fnv1a h;
-    h.addU64(options.seed).addDouble(options.footprint_scale);
+    h.addU64(options.seed)
+        .addDouble(options.footprint_scale)
+        .addU64(trace_content_hash);
     std::string key = std::to_string(h.digest());
     key += '|';
     key += workload;
     key += '|';
     key += scenarioName(scenario);
     return key;
+}
+
+/** One simulation of a cell of @p pair, over the pair's stream. */
+SimResult
+simulate(const SimOptions &options, const CellPairState &pair,
+         const PageTable &table, Scheme scheme, std::uint64_t distance)
+{
+    const std::unique_ptr<TraceSource> trace = pair.cellTrace(options);
+    return runSchemeCell(options, pair.spec(), pair.scenario(), pair.map(),
+                         table, scheme, distance, *trace);
 }
 
 } // namespace
@@ -53,22 +66,18 @@ runCellJob(const SimOptions &options, const CellPairState &pair,
     switch (job.scheme) {
       case Scheme::Base:
       case Scheme::Cluster:
-        return runSchemeCell(options, pair.spec(), pair.scenario(),
-                             pair.map(), pair.plainTable(), job.scheme,
-                             0);
+        return simulate(options, pair, pair.plainTable(), job.scheme, 0);
       case Scheme::Thp:
       case Scheme::Cluster2MB:
       case Scheme::Rmm:
-        return runSchemeCell(options, pair.spec(), pair.scenario(),
-                             pair.map(), pair.thpTable(), job.scheme, 0);
+        return simulate(options, pair, pair.thpTable(), job.scheme, 0);
       case Scheme::Anchor: {
         const std::uint64_t distance = job.distance_override
                                            ? *job.distance_override
                                            : pair.dynamicDistance();
         const PageTable table = buildAnchorPageTable(
             pair.map(), AnchorDist::fromPages(distance));
-        return runSchemeCell(options, pair.spec(), pair.scenario(),
-                             pair.map(), table, job.scheme, distance);
+        return simulate(options, pair, table, job.scheme, distance);
       }
       case Scheme::AnchorIdeal: {
         // Exhaustive sweep over every candidate distance; the first
@@ -83,9 +92,8 @@ runCellJob(const SimOptions &options, const CellPairState &pair,
         bool have_best = false;
         for (const std::uint64_t distance : distances) {
             table.sweepAnchors(pair.map(), AnchorDist::fromPages(distance));
-            SimResult res = runSchemeCell(options, pair.spec(),
-                                          pair.scenario(), pair.map(),
-                                          table, job.scheme, distance);
+            SimResult res =
+                simulate(options, pair, table, job.scheme, distance);
             if (!have_best || res.misses() < best.misses()) {
                 best = std::move(res);
                 have_best = true;
@@ -102,6 +110,7 @@ struct CellScheduler::QueuedJob
 {
     std::size_t index = 0;
     CellJob job;
+    std::uint64_t trace_content_hash = 0;
     std::chrono::steady_clock::time_point enqueued;
 };
 
@@ -187,7 +196,8 @@ CellScheduler::open(const SimOptions &options, Completion on_complete)
 
 void
 CellScheduler::submitJob(const std::shared_ptr<Ticket::State> &ticket,
-                         std::size_t index, const CellJob &job)
+                         std::size_t index, const CellJob &job,
+                         std::uint64_t trace_content_hash)
 {
     std::unique_lock<std::mutex> lock(m_);
     if (stats_.depth >= max_queue_cells_) {
@@ -200,6 +210,7 @@ CellScheduler::submitJob(const std::shared_ptr<Ticket::State> &ticket,
     QueuedJob queued;
     queued.index = index;
     queued.job = job;
+    queued.trace_content_hash = trace_content_hash;
     queued.enqueued = std::chrono::steady_clock::now();
     ticket->queue.push_back(std::move(queued));
     ++ticket->outstanding;
@@ -233,9 +244,11 @@ CellScheduler::closeTicket(Ticket::State &ticket)
 std::shared_ptr<CellScheduler::PairEntry>
 CellScheduler::acquirePair(const SimOptions &options,
                            const std::string &workload,
-                           ScenarioKind scenario)
+                           ScenarioKind scenario,
+                           std::uint64_t trace_content_hash)
 {
-    const std::string key = pairCacheKey(options, workload, scenario);
+    const std::string key =
+        pairCacheKey(options, workload, scenario, trace_content_hash);
     const std::lock_guard<std::mutex> lock(m_);
     auto it = pairs_.find(key);
     if (it == pairs_.end()) {
@@ -282,7 +295,7 @@ CellScheduler::pair(const SimOptions &options, const std::string &workload,
                     ScenarioKind scenario)
 {
     const std::shared_ptr<PairEntry> entry =
-        acquirePair(options, workload, scenario);
+        acquirePair(options, workload, scenario, 0);
     std::shared_ptr<const CellPairState> state = entry->built();
     releasePair(entry);
     return state;
@@ -317,8 +330,9 @@ CellScheduler::workerLoop()
         lock.unlock();
 
         const std::uint64_t wait_us = elapsedSinceUs(queued.enqueued);
-        const std::shared_ptr<PairEntry> pair = acquirePair(
-            ticket->options, queued.job.workload, queued.job.scenario);
+        const std::shared_ptr<PairEntry> pair =
+            acquirePair(ticket->options, queued.job.workload,
+                        queued.job.scenario, queued.trace_content_hash);
         const SimResult result =
             runCellJob(ticket->options, *pair->built(), queued.job);
         releasePair(pair);
@@ -358,9 +372,10 @@ CellScheduler::Ticket::~Ticket()
 }
 
 void
-CellScheduler::Ticket::submit(std::size_t index, const CellJob &job)
+CellScheduler::Ticket::submit(std::size_t index, const CellJob &job,
+                              std::uint64_t trace_content_hash)
 {
-    scheduler_.submitJob(state_, index, job);
+    scheduler_.submitJob(state_, index, job, trace_content_hash);
 }
 
 void

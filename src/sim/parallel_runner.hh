@@ -19,10 +19,11 @@
  *    admission stall), so an oversized grid admits incrementally
  *    instead of ballooning memory — and cannot deadlock, because
  *    workers only ever drain the queue.
- *  - Shared pair state: CellPairState (mapping + lazily built page
- *    tables) is owned by the scheduler in a pinned LRU cache keyed by
- *    the pair plus the SimOptions fields its construction reads (seed,
- *    footprint_scale). Jobs from different tickets reuse one build;
+ *  - Shared pair state: CellPairState (mapping, lazily built page
+ *    tables and access stream) is owned by the scheduler in a pinned
+ *    LRU cache keyed by the pair, the SimOptions fields its
+ *    construction reads (seed, footprint_scale) and the trace file's
+ *    content hash. Jobs from different tickets reuse one build;
  *    entries pinned by a running job are never evicted.
  *  - Latency decoupling: each job's completion callback fires the
  *    moment the cell finishes, carrying the measured queue wait, so
@@ -62,14 +63,16 @@ using CellJob = CellSpec;
 
 /**
  * Run one cell against shared @p pair state (which must be the pair
- * @p job names). This is the complete single-cell job body:
- * Base/Cluster use the pair's plain table, the THP-family schemes its
- * THP table, Anchor builds a private distance-swept table from the
- * shared mapping, and AnchorIdeal (the paper's static ideal) builds one
- * private THP table, re-sweeps its anchors in place for each distance
- * in candidateDistances() order and keeps the first minimum-miss run.
- * options.threads is not consulted. Safe for concurrent calls sharing
- * one @p pair.
+ * @p job names, built under @p options' seed). This is the complete
+ * single-cell job body: Base/Cluster use the pair's plain table, the
+ * THP-family schemes its THP table, Anchor builds a private
+ * distance-swept table from the shared mapping, and AnchorIdeal (the
+ * paper's static ideal) builds one private THP table, re-sweeps its
+ * anchors in place for each distance in candidateDistances() order and
+ * keeps the first minimum-miss run. Every simulation, each of
+ * AnchorIdeal's included, replays the pair's stream
+ * (CellPairState::cellTrace). options.threads is not consulted. Safe
+ * for concurrent calls sharing one @p pair.
  */
 SimResult runCellJob(const SimOptions &options, const CellPairState &pair,
                      const CellJob &job);
@@ -78,7 +81,7 @@ SimResult runCellJob(const SimOptions &options, const CellPairState &pair,
  * Unpinned CellPairState entries a scheduler retains by default: the
  * ExperimentContext budget and the default of `anchortlb serve --pairs`.
  * Page tables dominate the cost, roughly tens of MB per pair at paper
- * footprints.
+ * footprints, plus at most 4 MiB of kept stream (sharedStreamAccesses).
  */
 constexpr std::size_t defaultPairBudget = 8;
 
@@ -133,10 +136,14 @@ class CellScheduler
 
         /**
          * Enqueue one cell; @p index is echoed to the completion
-         * callback. Blocks while the scheduler-wide queue is at
-         * capacity (backpressure).
+         * callback. @p trace_content_hash is traceContentHash of the
+         * job's workload, as its cell key folds it (0 for synthetic
+         * workloads): the pair cache keys on it, so a rewritten trace
+         * file gets a new pair. Blocks while the scheduler-wide queue
+         * is at capacity (backpressure).
          */
-        void submit(std::size_t index, const CellJob &job);
+        void submit(std::size_t index, const CellJob &job,
+                    std::uint64_t trace_content_hash = 0);
 
         /** Block until every submitted job's callback has run. */
         void wait();
@@ -175,7 +182,8 @@ class CellScheduler
 
     /**
      * The cached pair state for (@p workload, @p scenario) under
-     * @p options, built on the calling thread when absent and counted
+     * @p options, as a job submitted without a trace content hash
+     * finds it: built on the calling thread when absent and counted
      * as a pair build or reuse like a job's lookup. The returned state
      * stays valid after the cache evicts it.
      */
@@ -196,12 +204,14 @@ class CellScheduler
 
     void workerLoop();
     void submitJob(const std::shared_ptr<Ticket::State> &ticket,
-                   std::size_t index, const CellJob &job);
+                   std::size_t index, const CellJob &job,
+                   std::uint64_t trace_content_hash);
     void waitTicket(Ticket::State &ticket);
     void closeTicket(Ticket::State &ticket);
     std::shared_ptr<PairEntry> acquirePair(const SimOptions &options,
                                            const std::string &workload,
-                                           ScenarioKind scenario);
+                                           ScenarioKind scenario,
+                                           std::uint64_t trace_content_hash);
     void releasePair(const std::shared_ptr<PairEntry> &entry);
 
     std::size_t max_queue_cells_;

@@ -3,20 +3,23 @@
  * End-to-end fidelity of the ingestion pipeline: a text capture
  * imported to v1 and to v2 must drive every scheme to counter-identical
  * results, and a trace-driven cell must replay exactly the requested
- * prefix of its capture.
+ * prefix of its capture, which ClampedTraceSource cuts.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
 #include "ingest/text_importer.hh"
+#include "ingest/trace_open.hh"
 #include "ingest/trace_v2.hh"
 #include "os/distance_selector.hh"
 #include "os/table_builder.hh"
@@ -156,12 +159,16 @@ TEST_F(TraceE2eTest, AllSchemesCounterIdenticalAcrossContainers)
         {Scheme::Anchor, &anchored},
     };
     for (const auto &cell : cells) {
+        const std::unique_ptr<TraceSource> trace1 =
+            makeCellTrace(opts, spec1, cellAccesses(opts, spec1));
+        const std::unique_ptr<TraceSource> trace2 =
+            makeCellTrace(opts, spec2, cellAccesses(opts, spec2));
         const SimResult r1 = runSchemeCell(opts, spec1, ScenarioKind::MedContig,
                                            map, *cell.table, cell.scheme,
-                                           distance);
+                                           distance, *trace1);
         const SimResult r2 = runSchemeCell(opts, spec2, ScenarioKind::MedContig,
                                            map, *cell.table, cell.scheme,
-                                           distance);
+                                           distance, *trace2);
         expectSameCounters(r1, r2, schemeName(cell.scheme));
         EXPECT_EQ(r1.stats.accesses, 6'000u) << schemeName(cell.scheme);
     }
@@ -181,9 +188,73 @@ TEST_F(TraceE2eTest, AccessClampAndPrefixReplay)
     const MemoryMap map = buildScenario(
         ScenarioKind::MedContig, scenarioParamsFor(opts, spec));
     const PageTable thp = buildPageTable(map, true);
-    const SimResult r = runSchemeCell(
-        opts, spec, ScenarioKind::MedContig, map, thp, Scheme::Thp, 0);
+    const std::unique_ptr<TraceSource> trace =
+        makeCellTrace(opts, spec, cellAccesses(opts, spec));
+    const SimResult r = runSchemeCell(opts, spec, ScenarioKind::MedContig,
+                                      map, thp, Scheme::Thp, 0, *trace);
     EXPECT_EQ(r.stats.accesses, 1'000u);
+}
+
+/** Drain @p trace alternating three next() calls with one fill(). */
+std::vector<MemAccess>
+drainMixed(TraceSource &trace)
+{
+    std::vector<MemAccess> out;
+    MemAccess buffer[100];
+    for (;;) {
+        bool progressed = false;
+        for (int i = 0; i < 3 && trace.next(buffer[0]); ++i) {
+            out.push_back(buffer[0]);
+            progressed = true;
+        }
+        const std::size_t n = trace.fill(buffer, 100);
+        out.insert(out.end(), buffer, buffer + n);
+        if (!progressed && n == 0)
+            return out;
+    }
+}
+
+TEST(ClampedTraceSource, ClampsBelowAndAboveItsInnerLength)
+{
+    // The grid replays a capture's first `limit` accesses: a limit
+    // below the inner length cuts the stream there, one at or above it
+    // passes the whole stream, and reset() replays the same clamp,
+    // also from mid-stream.
+    constexpr std::uint64_t inner = 1'000;
+    const WorkloadSpec &spec = findWorkload("mcf");
+    const auto source = [&] {
+        return std::make_unique<PatternTrace>(spec, traceBaseVa(), inner,
+                                              7);
+    };
+    const std::vector<MemAccess> full = drainMixed(*source());
+    ASSERT_EQ(full.size(), inner);
+
+    for (const std::uint64_t limit :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{500},
+          inner - 1, inner, inner + 1, 5 * inner}) {
+        SCOPED_TRACE("limit " + std::to_string(limit));
+        ClampedTraceSource clamped(source(), limit);
+        EXPECT_EQ(clamped.length(), limit);
+        const std::size_t expect =
+            static_cast<std::size_t>(std::min(limit, inner));
+
+        MemAccess a;
+        MemAccess buffer[16];
+        if (clamped.next(a))
+            clamped.fill(buffer, 16);
+        clamped.reset();
+        for (int pass = 0; pass < 2; ++pass) {
+            const std::vector<MemAccess> got = drainMixed(clamped);
+            ASSERT_EQ(got.size(), expect);
+            for (std::size_t i = 0; i < expect; ++i) {
+                ASSERT_EQ(got[i].vaddr, full[i].vaddr) << "access " << i;
+                ASSERT_EQ(got[i].write, full[i].write) << "access " << i;
+            }
+            EXPECT_FALSE(clamped.next(a));
+            EXPECT_EQ(clamped.fill(buffer, 16), 0u);
+            clamped.reset();
+        }
+    }
 }
 
 TEST_F(TraceE2eTest, UnrebasedTraceIsRejected)

@@ -282,8 +282,10 @@ TEST(SeedSweep, SixteenSeedsFiveSchemesConserveCounters)
             const std::uint64_t dist =
                 scheme == Scheme::Anchor ? distance : 0;
 
+            const std::unique_ptr<TraceSource> trace = makeCellTrace(
+                options, spec, cellAccesses(options, spec));
             const SimResult r = runSchemeCell(options, spec, scenario, map,
-                                              table, scheme, dist);
+                                              table, scheme, dist, *trace);
             const MmuStats &s = r.stats;
             ASSERT_EQ(s.accesses, options.accesses);
             EXPECT_EQ(s.l1_hits + s.l2_regular_hits + s.coalesced_hits +

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -405,9 +406,12 @@ TEST(ServeServer, SmallRequestIsNotStuckBehindALargeGrid)
 
     // A large grid: 24 distinct Anchor cells. With the server's single
     // scheduler worker (base threads = 1) this runs long enough for a
-    // small request to arrive mid-flight.
+    // small request to arrive mid-flight. Each cell simulates 200k
+    // accesses because its pair generates the stream only once, so a
+    // cell's cost is its anchor table and its kernel time alone.
     SweepRequest large;
     large.op = WireOp::Submit;
+    large.accesses = 200'000;
     for (const char *workload : {"canneal", "sphinx3"}) {
         for (std::uint64_t d = 2; d <= (1u << 12); d <<= 1) {
             CellRequest cell;
@@ -468,11 +472,43 @@ TEST(ServeServer, SmallRequestIsNotStuckBehindALargeGrid)
                                              ScenarioKind::HighContig,
                                              Scheme::Base,
                                              {}}));
+    SimOptions large_options = quickOptions();
+    large_options.accesses = *large.accesses;
     expectSameResult(large_resp.cells[0].result,
-                     freshResult(CellRequest{"canneal",
+                     freshCellResult(large_options,
+                                     CellJob{"canneal",
                                              ScenarioKind::MedContig,
-                                             Scheme::Anchor,
-                                             2}));
+                                             Scheme::Anchor, 2}));
+}
+
+TEST(ServeServer, ReplacedTraceFileIsNotServedFromItsOldPair)
+{
+    // The scheduler's pair cache once keyed trace:<path> by name alone:
+    // after the file was rewritten, the new cell key missed the store
+    // but ran against the old file's pair, whose mapping does not
+    // cover the new stream (the server died on an unmapped vpn).
+    TestServer ts("replaced_trace");
+    const std::string path = testing::TempDir() + "atlb_replaced_" +
+                             std::to_string(::getpid()) + ".atlbtrc1";
+    SweepRequest req;
+    req.op = WireOp::Submit;
+    req.cells = {CellRequest{"trace:" + path, ScenarioKind::MedContig,
+                             Scheme::Base, {}}};
+
+    writeWorkloadTrace(path, quickOptions(), "mcf", 20'000);
+    const SweepResponse first = roundTrip(ts, req);
+    ASSERT_TRUE(first.ok) << first.error;
+    ASSERT_EQ(first.cells.size(), 1u);
+    EXPECT_EQ(first.cells[0].status, CellStatus::Computed);
+
+    writeWorkloadTrace(path, quickOptions(), "gups", 30'000);
+    const SweepResponse second = roundTrip(ts, req);
+    ASSERT_TRUE(second.ok) << second.error;
+    ASSERT_EQ(second.cells.size(), 1u);
+    EXPECT_EQ(second.cells[0].status, CellStatus::Computed);
+    EXPECT_NE(second.cells[0].key, first.cells[0].key);
+    expectSameResult(second.cells[0].result, freshResult(req.cells[0]));
+    std::remove(path.c_str());
 }
 
 TEST(ServeServer, ShutdownOpStopsTheServer)

@@ -140,8 +140,10 @@ runCellIn(TranslateMode mode, const SimOptions &base,
 {
     SimOptions opts = base;
     opts.translate_mode = mode;
+    const std::unique_ptr<TraceSource> trace =
+        makeCellTrace(opts, cell.spec, cellAccesses(opts, cell.spec));
     return runSchemeCell(opts, cell.spec, scenario, cell.map, cell.table,
-                         scheme, cell.distance);
+                         scheme, cell.distance, *trace);
 }
 
 // --- serial grid equivalence: synthetic source --------------------------

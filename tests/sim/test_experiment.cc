@@ -139,6 +139,29 @@ TEST(ExperimentDeath, OptionsFromEnvRejectsNanScale)
     ::unsetenv("ANCHORTLB_SCALE");
 }
 
+TEST(ExperimentDeath, OptionsFromEnvRejectsMalformedNumbers)
+{
+    // Each value once parsed to a prefix: "20k" simulated 20 accesses,
+    // "-1" wrapped to 2^64 - 1 and "0.5x" read as 0.5.
+    const struct
+    {
+        const char *name;
+        const char *value;
+    } cases[] = {
+        {"ANCHORTLB_ACCESSES", "20k"}, {"ANCHORTLB_ACCESSES", "-1"},
+        {"ANCHORTLB_ACCESSES", " 5"},  {"ANCHORTLB_SEED", "0x2a"},
+        {"ANCHORTLB_SCALE", "0.5x"},   {"ANCHORTLB_SCALE", ""},
+        {"ANCHORTLB_THREADS", "4 "},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(std::string(c.name) + "='" + c.value + "'");
+        ::setenv(c.name, c.value, 1);
+        EXPECT_DEATH(SimOptions::fromEnv(),
+                     std::string(c.name) + " must be an? [a-z ]+, got '");
+        ::unsetenv(c.name);
+    }
+}
+
 TEST(Experiment, CacheCountersTrackHitsAndMisses)
 {
     ExperimentContext ctx(quickOptions());

@@ -3,14 +3,20 @@
  * Determinism tests for the cell engine: a grid run as one
  * ExperimentContext::runCells batch is identical — field for field — at
  * one worker and at eight, cell by cell to single-cell runs and to the
- * reference (runCellJob on a fresh pair); and runCellJob's in-place
- * AnchorIdeal sweep matches fresh anchor tables. This is the guarantee
- * that lets every figure bench run parallel by default.
+ * reference (runCellJob on a fresh pair); runCellJob's in-place
+ * AnchorIdeal sweep matches fresh anchor tables; and a pair's shared
+ * stream, replayed at any cell length or first used by four workers at
+ * once, matches cells streamed from their own source. This is the
+ * guarantee that lets every figure bench run parallel by default.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -165,6 +171,76 @@ TEST(ParallelRunner, AnchorIdealInPlaceSweepMatchesFreshTables)
             best.scheme = ideal.scheme;
             expectSameResult(ideal, best);
         }
+    }
+}
+
+TEST(ParallelRunner, SharedStreamMatchesStreamedCellsAtEveryLength)
+{
+    // One pair serves cells at n (the first keeps n accesses), n/2 (a
+    // replayed prefix) and 2n (longer than the kept stream, so
+    // streamed; for the 12k-access trace also clamped), every scheme
+    // at each length. Each must equal the cell streamed from its own
+    // source.
+    const std::string trace_path = testing::TempDir() + "atlb_shared_" +
+                                   std::to_string(::getpid()) +
+                                   ".atlbtrc1";
+    writeWorkloadTrace(trace_path, quickOptions(1), "mcf", 12'000);
+    constexpr std::uint64_t n = 8'000;
+    const std::vector<std::string> workloads = {"canneal",
+                                                "trace:" + trace_path};
+    for (const std::string &workload : workloads) {
+        const CellPairState pair(quickOptions(1), workload,
+                                 ScenarioKind::MedContig);
+        for (const std::uint64_t accesses : {n, n / 2, 2 * n}) {
+            SimOptions opts = quickOptions(1);
+            opts.accesses = accesses;
+            for (const Scheme scheme : allSchemes) {
+                const CellJob job{workload, ScenarioKind::MedContig,
+                                  scheme, {}};
+                SCOPED_TRACE(cellName(job) + " @ " +
+                             std::to_string(accesses));
+                expectSameResult(runCellJob(opts, pair, job),
+                                 streamedCellResult(opts, job));
+            }
+        }
+    }
+    std::remove(trace_path.c_str());
+
+    // Above the cap no stream is kept at all.
+    SimOptions long_cell = quickOptions(1);
+    long_cell.accesses = sharedStreamAccesses + 1'000;
+    const CellJob job{"gups", ScenarioKind::Demand, Scheme::Base, {}};
+    const SimResult result = freshCellResult(long_cell, job);
+    EXPECT_EQ(result.stats.accesses, long_cell.accesses);
+    expectSameResult(result, streamedCellResult(long_cell, job));
+}
+
+TEST(ParallelRunner, ConcurrentFirstUseOfTheSharedStream)
+{
+    // Four workers take the first four schemes of one cold pair at
+    // once: one builds the stream, the others wait on it, and every
+    // cell must still equal the streamed reference.
+    const SimOptions opts = quickOptions(4);
+    std::vector<CellJob> jobs;
+    for (const Scheme scheme : allSchemes)
+        jobs.push_back({"omnetpp", ScenarioKind::HighContig, scheme, {}});
+
+    CellScheduler scheduler(4, 64, 4);
+    std::vector<SimResult> results(jobs.size());
+    {
+        const auto ticket = scheduler.open(
+            opts, [&results](std::size_t index, const SimResult &result,
+                             std::uint64_t /*queue_wait_us*/) {
+                results[index] = result;
+            });
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            ticket->submit(i, jobs[i]);
+        ticket->wait();
+    }
+    EXPECT_EQ(scheduler.stats().pair_builds, 1u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(cellName(jobs[i]));
+        expectSameResult(results[i], streamedCellResult(opts, jobs[i]));
     }
 }
 

@@ -73,6 +73,24 @@ TEST(TraceFill, MatchesNextForEveryCatalogWorkload)
     }
 }
 
+TEST(TraceFill, ShorterStreamIsAPrefixOfALongerOne)
+{
+    // A cell's stream length only stops the generator, so a pair may
+    // replay the first N accesses of a longer stream it keeps.
+    for (const WorkloadSpec &spec : workloadCatalog()) {
+        SCOPED_TRACE(spec.name);
+        PatternTrace longer(spec, kBase, kAccesses, kSeed);
+        const std::vector<MemAccess> full = drainChunked(longer, {1024});
+        for (const std::uint64_t n :
+             {std::uint64_t{1}, std::uint64_t{777}, kAccesses - 1}) {
+            PatternTrace shorter(spec, kBase, n, kSeed);
+            expectSameStream(
+                std::vector<MemAccess>(full.begin(), full.begin() + n),
+                drainChunked(shorter, {64}));
+        }
+    }
+}
+
 TEST(TraceFill, ChunkLargerThanStreamReturnsPartialFill)
 {
     const WorkloadSpec &spec = findWorkload("canneal");

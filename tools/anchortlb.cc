@@ -23,6 +23,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "ingest/text_importer.hh"
 #include "ingest/trace_open.hh"
@@ -86,18 +88,25 @@ class Args
     getU64(const std::string &key, std::uint64_t fallback) const
     {
         const auto it = named_.find(key);
-        return it == named_.end()
-                   ? fallback
-                   : std::strtoull(it->second.c_str(), nullptr, 10);
+        if (it == named_.end())
+            return fallback;
+        const std::optional<std::uint64_t> value = parseU64(it->second);
+        if (!value)
+            ATLB_FATAL("--{} must be an unsigned decimal integer, got '{}'",
+                       key, it->second);
+        return *value;
     }
 
     double
     getDouble(const std::string &key, double fallback) const
     {
         const auto it = named_.find(key);
-        return it == named_.end()
-                   ? fallback
-                   : std::strtod(it->second.c_str(), nullptr);
+        if (it == named_.end())
+            return fallback;
+        const std::optional<double> value = parseDouble(it->second);
+        if (!value)
+            ATLB_FATAL("--{} must be a number, got '{}'", key, it->second);
+        return *value;
     }
 
     bool has(const std::string &key) const { return named_.count(key); }
@@ -497,7 +506,14 @@ addrArg(const Args &args, const std::string &key, std::uint64_t fallback)
     const std::string raw = args.get(key, "");
     if (raw.empty())
         return fallback;
-    return std::strtoull(raw.c_str(), nullptr, 0);
+    const bool hex = raw.rfind("0x", 0) == 0 || raw.rfind("0X", 0) == 0;
+    const std::optional<std::uint64_t> value =
+        hex ? parseU64(std::string_view(raw).substr(2), 16) : parseU64(raw);
+    if (!value)
+        ATLB_FATAL("--{} must be a decimal or 0x-prefixed hex address, "
+                   "got '{}'",
+                   key, raw);
+    return *value;
 }
 
 int
@@ -770,11 +786,18 @@ cmdMultiProcess(const Args &args)
     else if (policy != "flush")
         ATLB_FATAL("unknown switch policy '{}' (try: flush asid)", policy);
     if (args.has("weights")) {
-        std::stringstream ws(args.get("weights", ""));
-        for (std::string w; std::getline(ws, w, ',');)
-            if (!w.empty())
-                opts.weights.push_back(
-                    static_cast<unsigned>(std::stoull(w)));
+        const std::string list = args.get("weights", "");
+        std::stringstream ws(list);
+        for (std::string w; std::getline(ws, w, ',');) {
+            if (w.empty())
+                continue;
+            const std::optional<std::uint64_t> weight = parseU64(w);
+            if (!weight || *weight > std::numeric_limits<unsigned>::max())
+                ATLB_FATAL("--weights must be a comma-separated list of "
+                           "unsigned integers, got '{}'",
+                           list);
+            opts.weights.push_back(static_cast<unsigned>(*weight));
+        }
     }
 
     std::vector<Scheme> schemes;
