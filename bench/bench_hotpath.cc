@@ -5,8 +5,8 @@
  * Measures the translation inner loop in isolation: the access stream
  * is materialised once (untimed), then driven through a fresh MMU per
  * measurement twice — once via the per-access translate() reference
- * loop, once via the scheme's devirtualized translateBatch kernel in
- * 1024-access batches. Every concrete scheme class is covered,
+ * loop, once via Mmu::translateBatch (the batch kernel the SIMD level
+ * selects) in 1024-access batches. Every concrete scheme class is covered,
  * including the two outside the experiment grid (COLT, multi-region
  * anchor). The two modes must land on byte-identical MmuStats (fatal
  * check, same contract the golden harness pins); the interesting

@@ -20,6 +20,7 @@ AnchorMmu::AnchorMmu(const MmuConfig &config, const PageTable &table,
     ATLB_ASSERT(distance.valid() &&
                     distance.pages() <= config.max_contiguity,
                 "bad anchor distance {}", distance);
+    registerTlb(l2_);
 }
 
 void
@@ -139,21 +140,6 @@ AnchorMmu::translateL2(Vpn vpn)
 }
 
 void
-AnchorMmu::translateBatch(const MemAccess *accesses, std::size_t n,
-                          BatchStats &batch)
-{
-    runBatchKernel(accesses, n, batch,
-                   [this](Vpn vpn) { return AnchorMmu::translateL2(vpn); });
-}
-
-void
-AnchorMmu::flushAll()
-{
-    Mmu::flushAll();
-    l2_.flush();
-}
-
-void
 AnchorMmu::invalidatePage(Vpn vpn)
 {
     Mmu::invalidatePage(vpn);
@@ -176,20 +162,6 @@ AnchorMmu::invalidatePage(Vpn vpn, Asid target)
     l2_.invalidate(EntryKind::Page4K, pageKey(vpn), target);
     l2_.invalidate(EntryKind::Page2M, hugeKey(vpn), target);
     l2_.invalidate(EntryKind::Anchor, anchorKey(anchorOf(vpn)), target);
-}
-
-void
-AnchorMmu::invalidateAsid(Asid target)
-{
-    Mmu::invalidateAsid(target);
-    l2_.invalidateAsid(target);
-}
-
-void
-AnchorMmu::applyAsid(Asid asid)
-{
-    Mmu::applyAsid(asid);
-    l2_.setAsid(asid);
 }
 
 } // namespace atlb

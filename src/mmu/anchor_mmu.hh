@@ -59,12 +59,6 @@ class AnchorMmu : public Mmu
     AnchorMmu(const MmuConfig &config, const PageTable &table,
               AnchorDist distance, std::string name = "anchor");
 
-    void flushAll() override;
-
-    /** Devirtualized batch kernel (see Mmu::runBatchKernel). */
-    void translateBatch(const MemAccess *accesses, std::size_t n,
-                        BatchStats &batch) override;
-
     /**
      * Invalidates the page's own entries *and* the anchor entry of its
      * block: the anchor's cached contiguity may claim the remapped
@@ -78,8 +72,6 @@ class AnchorMmu : public Mmu
      * space falls back to invalidateAsid (see Mmu::invalidatePage).
      */
     void invalidatePage(Vpn vpn, Asid target) override;
-
-    void invalidateAsid(Asid target) override;
 
     /** Loads the new process's table and anchor-distance register. */
     void switchProcess(const ProcessContext &ctx) override;
@@ -108,9 +100,6 @@ class AnchorMmu : public Mmu
 
     /** Adds the unified-L2 sets (4K, 2M, anchor) probed on a miss. */
     void prefetchTranslate(Vpn vpn) const override;
-
-    /** Retags the unified L2. */
-    void applyAsid(Asid asid) override;
 
   private:
     SetAssocTlb l2_;

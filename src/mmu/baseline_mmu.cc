@@ -11,6 +11,8 @@ BaselineMmu::BaselineMmu(const MmuConfig &config, const PageTable &table,
       l2_1g_(config.l2_1g_entries, config.l2_1g_ways, name + ".l2-1g",
              SetProbe::SimdDispatch)
 {
+    registerTlb(l2_);
+    registerTlb(l2_1g_);
 }
 
 void
@@ -68,24 +70,6 @@ BaselineMmu::fillL2(Vpn vpn, const TranslationResult &res)
 }
 
 void
-BaselineMmu::translateBatch(const MemAccess *accesses, std::size_t n,
-                            BatchStats &batch)
-{
-    // The qualified call binds BaselineMmu's L2 pipeline statically —
-    // the whole batch runs without virtual dispatch.
-    runBatchKernel(accesses, n, batch,
-                   [this](Vpn vpn) { return BaselineMmu::translateL2(vpn); });
-}
-
-void
-BaselineMmu::flushAll()
-{
-    Mmu::flushAll();
-    l2_.flush();
-    l2_1g_.flush();
-}
-
-void
 BaselineMmu::invalidatePage(Vpn vpn)
 {
     Mmu::invalidatePage(vpn);
@@ -103,22 +87,6 @@ BaselineMmu::invalidatePage(Vpn vpn, Asid target)
     l2_.invalidate(EntryKind::Page4K, pageKey(vpn), target);
     l2_.invalidate(EntryKind::Page2M, hugeKey(vpn), target);
     l2_1g_.invalidate(EntryKind::Page1G, giantKey(vpn), target);
-}
-
-void
-BaselineMmu::invalidateAsid(Asid target)
-{
-    Mmu::invalidateAsid(target);
-    l2_.invalidateAsid(target);
-    l2_1g_.invalidateAsid(target);
-}
-
-void
-BaselineMmu::applyAsid(Asid asid)
-{
-    Mmu::applyAsid(asid);
-    l2_.setAsid(asid);
-    l2_1g_.setAsid(asid);
 }
 
 } // namespace atlb

@@ -24,14 +24,8 @@ class BaselineMmu : public Mmu
     BaselineMmu(const MmuConfig &config, const PageTable &table,
                 std::string name = "base");
 
-    void flushAll() override;
     void invalidatePage(Vpn vpn) override;
     void invalidatePage(Vpn vpn, Asid target) override;
-    void invalidateAsid(Asid target) override;
-
-    /** Devirtualized batch kernel (see Mmu::runBatchKernel). */
-    void translateBatch(const MemAccess *accesses, std::size_t n,
-                        BatchStats &batch) override;
 
     /** Per-page fills are host-safe: nested mode is supported. */
     bool supportsNested() const override { return true; }
@@ -44,9 +38,6 @@ class BaselineMmu : public Mmu
 
     /** Adds the unified-L2 sets this scheme probes on an L1 miss. */
     void prefetchTranslate(Vpn vpn) const override;
-
-    /** Retags the unified L2 and the 1GB side table. */
-    void applyAsid(Asid asid) override;
 
     /** Fill the L2 with the result of a walk (4KB/2MB/1GB entry). */
     void fillL2(Vpn vpn, const TranslationResult &res);

@@ -21,6 +21,8 @@ ClusterMmu::ClusterMmu(const MmuConfig &config, const PageTable &table,
 {
     ATLB_ASSERT(isPow2(config.cluster_span) && config.cluster_span <= 32,
                 "bad cluster span {}", config.cluster_span);
+    registerTlb(regular_);
+    registerTlb(cluster_);
 }
 
 std::uint32_t
@@ -125,22 +127,6 @@ ClusterMmu::translateL2(Vpn vpn)
 }
 
 void
-ClusterMmu::translateBatch(const MemAccess *accesses, std::size_t n,
-                           BatchStats &batch)
-{
-    runBatchKernel(accesses, n, batch,
-                   [this](Vpn vpn) { return ClusterMmu::translateL2(vpn); });
-}
-
-void
-ClusterMmu::flushAll()
-{
-    Mmu::flushAll();
-    regular_.flush();
-    cluster_.flush();
-}
-
-void
 ClusterMmu::invalidatePage(Vpn vpn)
 {
     Mmu::invalidatePage(vpn);
@@ -157,22 +143,6 @@ ClusterMmu::invalidatePage(Vpn vpn, Asid target)
     regular_.invalidate(EntryKind::Page2M, hugeKey(vpn), target);
     cluster_.invalidate(EntryKind::Cluster, groupKey(vpn, span_log2_),
                         target);
-}
-
-void
-ClusterMmu::invalidateAsid(Asid target)
-{
-    Mmu::invalidateAsid(target);
-    regular_.invalidateAsid(target);
-    cluster_.invalidateAsid(target);
-}
-
-void
-ClusterMmu::applyAsid(Asid asid)
-{
-    Mmu::applyAsid(asid);
-    regular_.setAsid(asid);
-    cluster_.setAsid(asid);
 }
 
 } // namespace atlb

@@ -35,19 +35,11 @@ class ClusterMmu : public Mmu
     ClusterMmu(const MmuConfig &config, const PageTable &table,
                bool use_2mb, std::string name = "");
 
-    void flushAll() override;
-
-    /** Devirtualized batch kernel (see Mmu::runBatchKernel). */
-    void translateBatch(const MemAccess *accesses, std::size_t n,
-                        BatchStats &batch) override;
-
     /** Also kills the cluster entry covering the page's group. */
     void invalidatePage(Vpn vpn) override;
 
     /** Cluster keys are register-free: cross-ASID shootdown is exact. */
     void invalidatePage(Vpn vpn, Asid target) override;
-
-    void invalidateAsid(Asid target) override;
 
     const SetAssocTlb &regularTlb() const { return regular_; }
     const SetAssocTlb &clusterTlb() const { return cluster_; }
@@ -57,9 +49,6 @@ class ClusterMmu : public Mmu
 
     /** Adds the regular and cluster L2 sets probed on a miss. */
     void prefetchTranslate(Vpn vpn) const override;
-
-    /** Retags both L2 partitions. */
-    void applyAsid(Asid asid) override;
 
   private:
     SetAssocTlb regular_;

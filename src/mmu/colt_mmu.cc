@@ -20,6 +20,9 @@ ColtMmu::ColtMmu(const MmuConfig &config, const PageTable &table,
 {
     ATLB_ASSERT(isPow2(config.colt_fa_max_pages),
                 "colt_fa_max_pages must be a power of two");
+    registerTlb(regular_);
+    registerTlb(coalesced_);
+    registerTlb(fa_);
 }
 
 RangeEntry
@@ -137,23 +140,6 @@ ColtMmu::translateL2(Vpn vpn)
 }
 
 void
-ColtMmu::translateBatch(const MemAccess *accesses, std::size_t n,
-                        BatchStats &batch)
-{
-    runBatchKernel(accesses, n, batch,
-                   [this](Vpn vpn) { return ColtMmu::translateL2(vpn); });
-}
-
-void
-ColtMmu::flushAll()
-{
-    Mmu::flushAll();
-    regular_.flush();
-    coalesced_.flush();
-    fa_.flush();
-}
-
-void
 ColtMmu::invalidatePage(Vpn vpn)
 {
     Mmu::invalidatePage(vpn);
@@ -171,24 +157,6 @@ ColtMmu::invalidatePage(Vpn vpn, Asid target)
     coalesced_.invalidate(EntryKind::Cluster,
                           TlbKey{vpn.raw() / config_.cluster_span}, target);
     fa_.invalidateContaining(vpn, target);
-}
-
-void
-ColtMmu::invalidateAsid(Asid target)
-{
-    Mmu::invalidateAsid(target);
-    regular_.invalidateAsid(target);
-    coalesced_.invalidateAsid(target);
-    fa_.invalidateAsid(target);
-}
-
-void
-ColtMmu::applyAsid(Asid asid)
-{
-    Mmu::applyAsid(asid);
-    regular_.setAsid(asid);
-    coalesced_.setAsid(asid);
-    fa_.setAsid(asid);
 }
 
 } // namespace atlb

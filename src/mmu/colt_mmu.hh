@@ -31,19 +31,11 @@ class ColtMmu : public Mmu
     ColtMmu(const MmuConfig &config, const PageTable &table,
             std::string name = "colt-fa");
 
-    void flushAll() override;
-
-    /** Devirtualized batch kernel (see Mmu::runBatchKernel). */
-    void translateBatch(const MemAccess *accesses, std::size_t n,
-                        BatchStats &batch) override;
-
     /** Kills the page's entries and any coalesced entry covering it. */
     void invalidatePage(Vpn vpn) override;
 
     /** CoLT keys are register-free: cross-ASID shootdown is exact. */
     void invalidatePage(Vpn vpn, Asid target) override;
-
-    void invalidateAsid(Asid target) override;
 
     const SetAssocTlb &regularTlb() const { return regular_; }
     const SetAssocTlb &coalescedTlb() const { return coalesced_; }
@@ -54,9 +46,6 @@ class ColtMmu : public Mmu
 
     /** Adds the regular and coalesced L2 sets probed on a miss. */
     void prefetchTranslate(Vpn vpn) const override;
-
-    /** Retags both SA partitions and the FA array. */
-    void applyAsid(Asid asid) override;
 
   private:
     SetAssocTlb regular_;

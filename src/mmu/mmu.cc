@@ -4,6 +4,7 @@
 #include "common/logging.hh"
 #include "common/simd.hh"
 #include "os/page_table.hh"
+#include "tlb/range_tlb.hh"
 
 namespace atlb
 {
@@ -18,6 +19,8 @@ Mmu::Mmu(const MmuConfig &config, const PageTable &table, std::string name)
                                            config_.pwc_pdpte_entries,
                                            config_.pwc_pde_entries);
     }
+    registerTlb(l1_4k_);
+    registerTlb(l1_2m_);
     // The SIMD level is captured here, once: benches/tests that flip
     // levels in-process (forceSimdLevel) construct fresh MMUs.
     switch (simdLevel()) {
@@ -25,12 +28,12 @@ Mmu::Mmu(const MmuConfig &config, const PageTable &table, std::string name)
         break;
 #if defined(__x86_64__)
       case SimdLevel::Avx2:
-        batch_vec_ = &Mmu::batchKernelAvx2;
+        batch_kernel_ = &Mmu::batchKernelAvx2;
         break;
 #endif
 #if defined(__aarch64__)
       case SimdLevel::Neon:
-        batch_vec_ = &Mmu::batchKernelNeon;
+        batch_kernel_ = &Mmu::batchKernelNeon;
         break;
 #endif
       default:
@@ -53,22 +56,14 @@ Mmu::prefetchTranslate(Vpn vpn) const
 
 Mmu::~Mmu() = default;
 
-TranslationResult
-Mmu::translateImpl(Vpn vpn)
+template <class Op>
+void
+Mmu::forEachTlb(Op op)
 {
-    // L1 lookups (parallel with cache access: zero added latency).
-    if (const TlbEntry *e = l1_4k_.lookup(EntryKind::Page4K,
-                                          pageKey(vpn))) {
-        ++stats_.l1_hits;
-        return {e->ppn, 0, HitLevel::L1, PageSize::Base4K};
-    }
-    if (const TlbEntry *e =
-            l1_2m_.lookup(EntryKind::Page2M, hugeKey(vpn))) {
-        ++stats_.l1_hits;
-        return {e->ppn + hugeOffset(vpn), 0, HitLevel::L1,
-                PageSize::Huge2M};
-    }
-    return translateMiss(vpn);
+    for (SetAssocTlb *tlb : tlbs_)
+        op(*tlb);
+    for (RangeTlb *tlb : range_tlbs_)
+        op(*tlb);
 }
 
 TranslationResult
@@ -103,15 +98,55 @@ void
 Mmu::translateBatch(const MemAccess *accesses, std::size_t n,
                     BatchStats &batch)
 {
-    // Reference implementation (and the checked-build path, so the
-    // verifyTranslation oracle sees every access): per-access
-    // translate(), BatchStats recovered from the MmuStats delta.
-    const std::uint64_t accesses_before = stats_.accesses;
+#ifdef ANCHORTLB_CHECKED
+    // Per-access translate(), so the verifyTranslation oracle sees
+    // every access; BatchStats recovered from the MmuStats delta.
     const std::uint64_t hits_before = stats_.l1_hits;
     for (std::size_t i = 0; i < n; ++i)
         translate(accesses[i].vaddr);
-    batch.accesses += stats_.accesses - accesses_before;
+    batch.accesses += n;
     batch.l1_hits += stats_.l1_hits - hits_before;
+#else
+    (this->*batch_kernel_)(accesses, n, batch);
+#endif
+}
+
+void
+Mmu::runBatchKernel(const MemAccess *accesses, std::size_t n,
+                    BatchStats &batch)
+{
+    std::uint64_t n_hits = 0;
+    std::uint64_t n_filtered = 0;
+    Vpn last_vpn = invalidVpn;
+    bool have_last = l0FilterLoad(last_vpn);
+    for (std::size_t i = 0; i < n; ++i) {
+        const Vpn vpn = vpnOf(accesses[i].vaddr);
+        if (have_last && vpn == last_vpn) {
+            // Same page as the previous translation: guaranteed L1
+            // hit, and re-probing the MRU entry is an LRU no-op.
+            ++n_hits;
+            ++n_filtered;
+            continue;
+        }
+        last_vpn = vpn;
+        have_last = true;
+        if (l1_4k_.lookup(EntryKind::Page4K, pageKey(vpn)) != nullptr) {
+            ++n_hits;
+            continue;
+        }
+        if (l1_2m_.lookup(EntryKind::Page2M, hugeKey(vpn)) != nullptr) {
+            ++n_hits;
+            continue;
+        }
+        noteMiss(vpn, translateL2(vpn));
+    }
+    stats_.accesses += n;
+    stats_.l1_hits += n_hits;
+    batch.accesses += n;
+    batch.l1_hits += n_hits;
+    batch.l0_filtered += n_filtered;
+    if (n > 0 && have_last)
+        l0FilterStore(last_vpn);
 }
 
 void
@@ -207,8 +242,7 @@ Mmu::flushAll()
     // The mutation counters would catch this too, but drop the filter
     // eagerly so correctness never rests on the snapshot comparison.
     l0FilterClear();
-    l1_4k_.flush();
-    l1_2m_.flush();
+    forEachTlb([](auto &tlb) { tlb.flush(); });
     if (pwc_)
         pwc_->flush();
 }
@@ -228,14 +262,10 @@ Mmu::switchProcess(const ProcessContext &ctx)
     // The hot entry the L0 filter cached belongs to the old address
     // space (the TLB mutation bump would catch it too; eager is safer).
     l0FilterClear();
-    applyAsid(ctx.asid);
-}
-
-void
-Mmu::applyAsid(Asid asid)
-{
-    l1_4k_.setAsid(asid);
-    l1_2m_.setAsid(asid);
+    forEachTlb([&ctx](auto &tlb) { tlb.setAsid(ctx.asid); });
+    // PTE lines are per address space and the page-walk cache carries
+    // no tag: a flush is the conservative model (and what invpcid-less
+    // hardware does).
     if (pwc_)
         pwc_->flush();
 }
@@ -260,8 +290,7 @@ void
 Mmu::invalidateAsid(Asid target)
 {
     l0FilterClear();
-    l1_4k_.invalidateAsid(target);
-    l1_2m_.invalidateAsid(target);
+    forEachTlb([target](auto &tlb) { tlb.invalidateAsid(target); });
     if (pwc_)
         pwc_->flush();
 }

@@ -27,6 +27,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/simd.hh"
 #include "common/types.hh"
@@ -40,6 +41,7 @@ namespace atlb
 
 class MemoryMap;
 class PageTable;
+class RangeTlb;
 struct RegionPartition;
 
 /**
@@ -206,57 +208,69 @@ class Mmu
      * site: the inlined SetAssocTlb lookups and the stats update are
      * the entire fast path, and only L1 misses fall into the virtual
      * scheme pipeline (translateMiss -> translateL2). Checked builds
-     * instead route every access through the out-of-line oracle path.
+     * additionally re-walk the page table for every result
+     * (verifyTranslation).
      */
     TranslationResult translate(VirtAddr va)
     {
         ++stats_.accesses;
         const Vpn vpn = vpnOf(va);
+        TranslationResult res;
+        if (const TlbEntry *e4k = l1_4k_.lookup(EntryKind::Page4K,
+                                                pageKey(vpn))) {
+            ++stats_.l1_hits;
+            res = {e4k->ppn, 0, HitLevel::L1, PageSize::Base4K};
+        } else if (const TlbEntry *e2m = l1_2m_.lookup(EntryKind::Page2M,
+                                                       hugeKey(vpn))) {
+            ++stats_.l1_hits;
+            res = {e2m->ppn + hugeOffset(vpn), 0, HitLevel::L1,
+                   PageSize::Huge2M};
+        } else {
+            res = translateMiss(vpn);
+        }
 #ifdef ANCHORTLB_CHECKED
-        const TranslationResult res = translateImpl(vpn);
         verifyTranslation(vpn, res);
-        return res;
-#else
-        if (const TlbEntry *e = l1_4k_.lookup(EntryKind::Page4K,
-                                              pageKey(vpn))) {
-            ++stats_.l1_hits;
-            return {e->ppn, 0, HitLevel::L1, PageSize::Base4K};
-        }
-        if (const TlbEntry *e =
-                l1_2m_.lookup(EntryKind::Page2M, hugeKey(vpn))) {
-            ++stats_.l1_hits;
-            return {e->ppn + hugeOffset(vpn), 0, HitLevel::L1,
-                    PageSize::Huge2M};
-        }
-        return translateMiss(vpn);
 #endif
+        return res;
     }
 
     /**
      * Translate @p n accesses in stream order, accumulating into the
      * MMU's stats and into @p batch. Counter-identical to calling
-     * translate() on every element — the batch path exists purely to
-     * make the replay loop fast: concrete schemes override it with a
-     * devirtualized kernel (runBatchKernel) so the virtual dispatch
-     * cost is paid once per batch instead of once per miss, the
-     * accesses/l1_hits counters live in registers for the whole batch,
-     * and consecutive accesses to the same page short-circuit through
-     * the L0 filter. This default loops translate(); it is the
-     * reference the equivalence suite (tests/sim/test_batch_kernel.cc)
-     * and bench_hotpath compare the kernels against.
+     * translate() on every element; the batch path exists purely to
+     * make the replay loop fast. The one batch entry point for every
+     * scheme:
+     *
+     *  - checked builds loop translate(), so verifyTranslation's
+     *    oracle sees every element;
+     *  - otherwise the kernel chosen at construction runs: the
+     *    vectorised runBatchKernelVecT at a SIMD level, the scalar
+     *    runBatchKernel at the scalar level.
+     *
+     * Both kernels keep the accesses/l1_hits counters in registers for
+     * the whole batch, short-circuit consecutive accesses to the same
+     * page through the L0 filter, and call the scheme's translateL2
+     * virtually once per L1 miss. The equivalence suite
+     * (tests/sim/test_batch_kernel.cc) and bench_hotpath compare them
+     * against the translate() loop.
      */
-    virtual void translateBatch(const MemAccess *accesses, std::size_t n,
-                                BatchStats &batch);
+    void translateBatch(const MemAccess *accesses, std::size_t n,
+                        BatchStats &batch);
 
-    /** Invalidate all TLB state (context switch / shootdown). */
-    virtual void flushAll();
+    /**
+     * Invalidate all TLB state (context switch / shootdown): the L1s,
+     * every registered scheme structure and the page-walk cache.
+     */
+    void flushAll();
 
     /**
      * Context switch: load @p ctx's page table and scheme-specific
      * state, then either flush the TLBs (SwitchPolicy::Flush, as the
-     * x86 Linux kernel does, paper Section 3.3) or retag them with
-     * @p ctx.asid (SwitchPolicy::Asid), leaving other address spaces'
-     * entries resident. @p ctx.table must be non-null.
+     * x86 Linux kernel does, paper Section 3.3) or retag the L1s and
+     * every registered scheme structure with @p ctx.asid
+     * (SwitchPolicy::Asid), leaving other address spaces' entries
+     * resident. @p ctx.table must be non-null. Schemes override to load
+     * their per-process registers, then call the base.
      */
     virtual void switchProcess(const ProcessContext &ctx);
 
@@ -295,10 +309,11 @@ class Mmu
 
     /**
      * Drop every translation tagged with @p target (address-space
-     * teardown, or the conservative arm of a cross-ASID shootdown).
-     * Entries of other ASIDs stay resident.
+     * teardown, or the conservative arm of a cross-ASID shootdown)
+     * from the L1s and every registered scheme structure. Entries of
+     * other ASIDs stay resident.
      */
-    virtual void invalidateAsid(Asid target);
+    void invalidateAsid(Asid target);
 
     /**
      * Account one TLB shootdown round against this MMU: @p responders
@@ -362,15 +377,69 @@ class Mmu
     TranslationResult walkPageTable(Vpn vpn, Cycles lookup_cycles);
 
     /**
-     * Devirtualized batch loop shared by every scheme's translateBatch
-     * override. @p l2 is a callable that runs the *statically
-     * qualified* scheme pipeline (each override passes
-     * `[this](Vpn v) { return SchemeName::translateL2(v); }`, which
-     * the compiler resolves non-virtually), so the only virtual call
-     * per batch is translateBatch itself.
-     *
-     * Counter-identity with the per-access translate() loop
-     * (DESIGN.md "Batch kernel byte-identity"):
+     * Warm the translate path for @p vpn, issued by the vector batch
+     * kernel kBatchPrefetchDistance probes before the lookup. The base
+     * prefetches the page-table leaf line (PageTable::prefetchWalk);
+     * schemes extend it with the L2 sets their translateL2 probes
+     * first. Must stay semantics-free — prefetch hints only, no
+     * architectural reads, no stats.
+     */
+    virtual void prefetchTranslate(Vpn vpn) const;
+
+    /**
+     * Register one of the scheme's TLB structures, once, from its
+     * constructor. flushAll, invalidateAsid and an ASID-policy
+     * switchProcess then flush, purge and retag it along with the L1s,
+     * so a scheme names each structure here and nowhere else outside
+     * its own pipeline. The structure must be a member of the MMU,
+     * so it outlives every walk.
+     */
+    void registerTlb(SetAssocTlb &tlb) { tlbs_.push_back(&tlb); }
+    /** Same, for a fully-associative range TLB (CoLT, RMM). */
+    void registerTlb(RangeTlb &tlb) { range_tlbs_.push_back(&tlb); }
+
+    const MmuConfig config_;
+    /** Current process's page table (swapped by switchProcess). */
+    const PageTable *table_;
+    /** Nested mode: host (GPA -> HPA) dimension; null when native. */
+    const PageTable *host_table_ = nullptr;
+    const MemoryMap *host_map_ = nullptr;
+
+  private:
+    std::string name_;
+    SetAssocTlb l1_4k_;
+    SetAssocTlb l1_2m_;
+    /**
+     * Every set-associative structure flushAll, invalidateAsid and
+     * the ASID retag walk: the two L1s, then the scheme's L2s in
+     * registration order.
+     */
+    std::vector<SetAssocTlb *> tlbs_;
+    /** The scheme's range TLBs, walked the same way. */
+    std::vector<RangeTlb *> range_tlbs_;
+    SwitchPolicy policy_ = SwitchPolicy::Flush;
+    Asid asid_{};
+    /** Optional page-walk cache (config_.pwc_enabled). */
+    std::unique_ptr<WalkCache> pwc_;
+    MmuStats stats_;
+    /** Member-function pointer type of the batch kernels. */
+    using BatchKernelFn = void (Mmu::*)(const MemAccess *, std::size_t,
+                                        BatchStats &);
+    /**
+     * Batch kernel for the construction-time SIMD level: a per-ISA
+     * instantiation of runBatchKernelVecT, or runBatchKernel at the
+     * scalar level. The only dispatch indirection of the batch path,
+     * paid once per batch.
+     */
+    BatchKernelFn batch_kernel_ = &Mmu::runBatchKernel;
+
+    /** Apply @p op to every registered structure (defined in mmu.cc). */
+    template <class Op>
+    void forEachTlb(Op op);
+
+    /**
+     * Scalar batch loop, the kernel at the scalar SIMD level.
+     * Counter-identical to the translate() loop (DESIGN.md §7.2):
      *
      *  - The L0 same-page filter only short-circuits an access whose
      *    VPN equals the immediately preceding one in the same kernel
@@ -388,75 +457,25 @@ class Mmu
      *    have been neither probed nor mutated since the snapshot
      *    (SetAssocTlb::mutations() contract); flushAll and
      *    invalidatePage additionally drop it eagerly.
+     *  - An L1 miss runs the same translateL2 -> noteMiss sequence as
+     *    translateMiss.
      *  - accesses/l1_hits accumulate in locals and flush to stats_
      *    once per batch; sums are associative, so totals match.
-     *
-     * Checked builds bypass all of this: the loop calls translate()
-     * per access so verifyTranslation's oracle re-walk sees every
-     * element (ISSUE 5 satellite fix).
      */
-    template <class L2Fn>
-    void
-    runBatchKernel(const MemAccess *accesses, std::size_t n,
-                   BatchStats &batch, L2Fn &&l2)
-    {
-#ifdef ANCHORTLB_CHECKED
-        (void)l2; // oracle path verifies every access individually
-        Mmu::translateBatch(accesses, n, batch);
-#else
-        if (batch_vec_ != nullptr) {
-            (this->*batch_vec_)(accesses, n, batch);
-            return;
-        }
-        std::uint64_t n_hits = 0;
-        std::uint64_t n_filtered = 0;
-        Vpn last_vpn = invalidVpn;
-        bool have_last = l0FilterLoad(last_vpn);
-        for (std::size_t i = 0; i < n; ++i) {
-            const Vpn vpn = vpnOf(accesses[i].vaddr);
-            if (have_last && vpn == last_vpn) {
-                // Same page as the previous translation: guaranteed L1
-                // hit, and re-probing the MRU entry is an LRU no-op.
-                ++n_hits;
-                ++n_filtered;
-                continue;
-            }
-            last_vpn = vpn;
-            have_last = true;
-            if (l1_4k_.lookup(EntryKind::Page4K, pageKey(vpn)) !=
-                nullptr) {
-                ++n_hits;
-                continue;
-            }
-            if (l1_2m_.lookup(EntryKind::Page2M, hugeKey(vpn)) !=
-                nullptr) {
-                ++n_hits;
-                continue;
-            }
-            noteMiss(vpn, l2(vpn));
-        }
-        stats_.accesses += n;
-        stats_.l1_hits += n_hits;
-        batch.accesses += n;
-        batch.l1_hits += n_hits;
-        batch.l0_filtered += n_filtered;
-        if (n > 0 && have_last)
-            l0FilterStore(last_vpn);
-#endif
-    }
+    void runBatchKernel(const MemAccess *accesses, std::size_t n,
+                        BatchStats &batch);
 
     /**
-     * Vectorised batch loop, taken when the construction-time SIMD
-     * level has a batch kernel (batch_vec_). The template is defined
-     * in mmu/batch_kernel.hh and *instantiated only in the per-ISA
-     * TUs* (mmu/batch_kernel_avx2.cc, compiled with -mavx2;
+     * Vectorised batch loop, the kernel at a SIMD level. The template
+     * is defined in mmu/batch_kernel.hh and *instantiated only in the
+     * per-ISA TUs* (mmu/batch_kernel_avx2.cc, compiled with -mavx2;
      * mmu/batch_kernel_neon.cc on aarch64), where the Isa policy's
      * probe and pre-pass bodies inline into the loop. Dispatch is paid
      * once per batch — a per-lookup kernel pointer was measured to
      * cost more than the 4-way scan it replaced (DESIGN.md §7.3).
      *
-     * Counter-identical to the scalar kernel above — same MmuStats,
-     * BatchStats and TlbStats, same victim choices:
+     * Counter-identical to runBatchKernel — same MmuStats, BatchStats
+     * and TlbStats, same victim choices:
      *
      *  - The pre-pass computes, for a whole chunk, every access's VPN
      *    and a same-page bitset eq (bit i set iff vpn[i] == vpn[i-1],
@@ -468,10 +487,8 @@ class Mmu
      *    probing only the zero bits — in ascending order, the stream
      *    order — issues the identical lookup()/noteMiss() sequence. No
      *    probe order changes, so no LRU or victim decision can.
-     *  - The scheme pipeline runs through the translateL2 virtual:
-     *    one virtual call per L1 miss, noise against the miss path it
-     *    starts, and the same function the scalar kernel's
-     *    devirtualized lambda resolves to.
+     *  - The scheme pipeline runs through the same translateL2 virtual
+     *    call per L1 miss as the scalar loop.
      *  - The software prefetch (prefetchTranslate, issued
      *    kBatchPrefetchDistance *probes* ahead from the chunk's probe
      *    list) is semantics-free: prefetching reads nothing
@@ -492,60 +509,12 @@ class Mmu
                          BatchStats &batch);
 #endif
 
-    /**
-     * Warm the translate path for @p vpn, issued by the vector batch
-     * kernel kBatchPrefetchDistance probes before the lookup. The base
-     * prefetches both L1 sets and the page-table leaf line
-     * (PageTable::prefetchWalk); schemes extend it with the L2 sets
-     * their translateL2 probes first. Must stay semantics-free —
-     * prefetch hints only, no architectural reads, no stats.
-     */
-    virtual void prefetchTranslate(Vpn vpn) const;
-
-    /**
-     * Retag TLB structures with @p asid on an ASID-policy switch. The
-     * base retags both L1s and flushes the page-walk cache (PTE lines
-     * are per-address-space and the PWC carries no tag — a flush is
-     * the conservative model; it is also what invpcid-less hardware
-     * does). Schemes override to retag their L2/coalesced structures
-     * and must call the base.
-     */
-    virtual void applyAsid(Asid asid);
-
-    const MmuConfig config_;
-    /** Current process's page table (swapped by switchProcess). */
-    const PageTable *table_;
-    /** Nested mode: host (GPA -> HPA) dimension; null when native. */
-    const PageTable *host_table_ = nullptr;
-    const MemoryMap *host_map_ = nullptr;
-
-  private:
-    std::string name_;
-    SetAssocTlb l1_4k_;
-    SetAssocTlb l1_2m_;
-    SwitchPolicy policy_ = SwitchPolicy::Flush;
-    Asid asid_{};
-    /** Optional page-walk cache (config_.pwc_enabled). */
-    std::unique_ptr<WalkCache> pwc_;
-    MmuStats stats_;
-    /** Member-function pointer type of the per-ISA batch kernels. */
-    using BatchVecFn = void (Mmu::*)(const MemAccess *, std::size_t,
-                                     BatchStats &);
-    /**
-     * Batch kernel for the construction-time SIMD level; null selects
-     * the scalar batch loop (the reference path). The only dispatch
-     * indirection on the vector path, paid once per batch.
-     */
-    BatchVecFn batch_vec_ = nullptr;
-
-    /** Full pipeline including the L1 probes (checked-build path). */
-    TranslationResult translateImpl(Vpn vpn);
     /** Post-L1-miss pipeline: scheme L2, stats buckets, L1 fill. */
     TranslationResult translateMiss(Vpn vpn);
     /**
      * Account one L1 miss: bump the per-level bucket, charge the
-     * cycles, fill L1. Shared by translateMiss and runBatchKernel so
-     * the two paths cannot drift.
+     * cycles, fill L1. Shared by translateMiss and both batch kernels
+     * so the paths cannot drift.
      */
     void noteMiss(Vpn vpn, const TranslationResult &res);
     void fillL1(Vpn vpn, const TranslationResult &res);

@@ -25,6 +25,7 @@ RegionAnchorMmu::RegionAnchorMmu(const MmuConfig &config,
                     "bad region distance {}", r.distance);
         ATLB_ASSERT(r.begin < r.end, "empty region");
     }
+    registerTlb(l2_);
 }
 
 const AnchorRegion *
@@ -123,22 +124,6 @@ RegionAnchorMmu::switchProcess(const ProcessContext &ctx)
 }
 
 void
-RegionAnchorMmu::translateBatch(const MemAccess *accesses, std::size_t n,
-                                BatchStats &batch)
-{
-    runBatchKernel(accesses, n, batch, [this](Vpn vpn) {
-        return RegionAnchorMmu::translateL2(vpn);
-    });
-}
-
-void
-RegionAnchorMmu::flushAll()
-{
-    Mmu::flushAll();
-    l2_.flush();
-}
-
-void
 RegionAnchorMmu::invalidatePage(Vpn vpn)
 {
     Mmu::invalidatePage(vpn);
@@ -169,20 +154,6 @@ RegionAnchorMmu::invalidatePage(Vpn vpn, Asid target)
         distance = region->distance;
     const Vpn avpn = distance.anchorOf(vpn);
     l2_.invalidate(EntryKind::Anchor, anchorKey(avpn, distance), target);
-}
-
-void
-RegionAnchorMmu::invalidateAsid(Asid target)
-{
-    Mmu::invalidateAsid(target);
-    l2_.invalidateAsid(target);
-}
-
-void
-RegionAnchorMmu::applyAsid(Asid asid)
-{
-    Mmu::applyAsid(asid);
-    l2_.setAsid(asid);
 }
 
 } // namespace atlb

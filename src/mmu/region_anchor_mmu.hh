@@ -56,12 +56,6 @@ class RegionAnchorMmu : public Mmu
                     RegionPartition partition,
                     std::string name = "region-anchor");
 
-    void flushAll() override;
-
-    /** Devirtualized batch kernel (see Mmu::runBatchKernel). */
-    void translateBatch(const MemAccess *accesses, std::size_t n,
-                        BatchStats &batch) override;
-
     /** Kills the page's entries and its region's covering anchor. */
     void invalidatePage(Vpn vpn) override;
 
@@ -71,8 +65,6 @@ class RegionAnchorMmu : public Mmu
      * target falls back to invalidateAsid (see Mmu::invalidatePage).
      */
     void invalidatePage(Vpn vpn, Asid target) override;
-
-    void invalidateAsid(Asid target) override;
 
     /** Loads the new process's table and region table. */
     void switchProcess(const ProcessContext &ctx) override;
@@ -89,9 +81,6 @@ class RegionAnchorMmu : public Mmu
      * region lookup (a map walk) — too expensive for a prefetch hint.
      */
     void prefetchTranslate(Vpn vpn) const override;
-
-    /** Retags the unified L2. */
-    void applyAsid(Asid asid) override;
 
   private:
     SetAssocTlb l2_;

@@ -11,6 +11,7 @@ RmmMmu::RmmMmu(const MmuConfig &config, const PageTable &table,
     : BaselineMmu(config, table, std::move(name)),
       range_table_(&range_table), range_tlb_(config.range_entries)
 {
+    registerTlb(range_tlb_);
 }
 
 void
@@ -49,21 +50,6 @@ RmmMmu::translateL2(Vpn vpn)
 }
 
 void
-RmmMmu::translateBatch(const MemAccess *accesses, std::size_t n,
-                       BatchStats &batch)
-{
-    runBatchKernel(accesses, n, batch,
-                   [this](Vpn vpn) { return RmmMmu::translateL2(vpn); });
-}
-
-void
-RmmMmu::flushAll()
-{
-    BaselineMmu::flushAll();
-    range_tlb_.flush();
-}
-
-void
 RmmMmu::invalidatePage(Vpn vpn)
 {
     BaselineMmu::invalidatePage(vpn);
@@ -75,20 +61,6 @@ RmmMmu::invalidatePage(Vpn vpn, Asid target)
 {
     BaselineMmu::invalidatePage(vpn, target);
     range_tlb_.invalidateContaining(vpn, target);
-}
-
-void
-RmmMmu::invalidateAsid(Asid target)
-{
-    BaselineMmu::invalidateAsid(target);
-    range_tlb_.invalidateAsid(target);
-}
-
-void
-RmmMmu::applyAsid(Asid asid)
-{
-    BaselineMmu::applyAsid(asid);
-    range_tlb_.setAsid(asid);
 }
 
 } // namespace atlb

@@ -33,22 +33,11 @@ class RmmMmu : public BaselineMmu
     RmmMmu(const MmuConfig &config, const PageTable &table,
            const MemoryMap &range_table, std::string name = "rmm");
 
-    void flushAll() override;
-
-    /**
-     * Re-devirtualized for RMM: BaselineMmu's kernel would statically
-     * bind the baseline L2 pipeline, not the range-TLB one.
-     */
-    void translateBatch(const MemAccess *accesses, std::size_t n,
-                        BatchStats &batch) override;
-
     /** Also kills any cached range covering the page. */
     void invalidatePage(Vpn vpn) override;
 
     /** Range slots carry their own ASID: cross-ASID shootdown is exact. */
     void invalidatePage(Vpn vpn, Asid target) override;
-
-    void invalidateAsid(Asid target) override;
 
     /** Loads the new process's table and range table. */
     void switchProcess(const ProcessContext &ctx) override;
@@ -57,9 +46,6 @@ class RmmMmu : public BaselineMmu
 
   protected:
     TranslationResult translateL2(Vpn vpn) override;
-
-    /** Retags the range TLB on top of the baseline structures. */
-    void applyAsid(Asid asid) override;
 
   private:
     const MemoryMap *range_table_;

@@ -29,8 +29,6 @@ SimOptions::fromEnv()
         envDouble("ANCHORTLB_SCALE", opts.footprint_scale);
     opts.seed = envU64("ANCHORTLB_SEED", opts.seed);
     opts.threads = configuredThreadCount();
-    if (envPresent("ANCHORTLB_PER_ACCESS"))
-        opts.translate_mode = TranslateMode::PerAccess;
     if (opts.accesses == 0)
         ATLB_FATAL("ANCHORTLB_ACCESSES must be positive");
     if (!validFootprintScale(opts.footprint_scale))

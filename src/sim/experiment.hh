@@ -56,11 +56,11 @@ struct SimOptions
      */
     unsigned threads = 1;
     /**
-     * Replay-loop flavour. Batch (the default) drives each scheme's
-     * devirtualized translateBatch kernel; PerAccess is the
-     * counter-identical reference loop, selectable with
-     * ANCHORTLB_PER_ACCESS for differential runs (the golden harness
-     * pins both spellings to the same bytes).
+     * Replay-loop flavour. Batch (the default) drives
+     * Mmu::translateBatch; PerAccess is the counter-identical
+     * translate() loop it is verified against. Set in code only (the
+     * batch-equivalence tests and bench/e2e's traced pass); no
+     * environment variable selects it.
      */
     TranslateMode translate_mode = TranslateMode::Batch;
     /** Hardware parameters (paper Table 3 defaults). */

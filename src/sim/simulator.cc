@@ -40,8 +40,8 @@ runSimulation(Mmu &mmu, TraceSource &trace, double mem_per_instr,
     // Pull accesses in chunks: one virtual fill() per batch instead of
     // one virtual next() per access keeps the generator's state hot and
     // lets the translate loop run branch-predictably. Batch mode then
-    // hands the whole buffer to the scheme's devirtualized kernel —
-    // one virtual translateBatch call per 1024 accesses.
+    // hands the whole buffer to the batch kernel — one translateBatch
+    // call per 1024 accesses.
     constexpr std::size_t batch = 1024;
     MemAccess buffer[batch];
     if (mode == TranslateMode::Batch) {

@@ -1,20 +1,22 @@
 /**
  * @file
- * Batch translate kernel equivalence suite (ISSUE 5 tentpole).
+ * Batch translate kernel equivalence suite.
  *
- * The contract under test (mmu.hh runBatchKernel): translateBatch is
- * counter-identical to calling translate() on every element, for every
- * scheme, every trace source the grid can replay (synthetic pattern,
- * v1 ifstream, v1 mmap, v2 block codec), with the L0 same-page filter
- * engaged. The per-access pipeline is always the
- * reference; nothing here encodes expected absolute counts.
+ * The contract under test (mmu.hh translateBatch): the batch entry
+ * point is counter-identical to calling translate() on every element,
+ * for every scheme, every trace source the grid can replay (synthetic
+ * pattern, v1 ifstream, v1 mmap, v2 block codec), with the L0
+ * same-page filter engaged, through whichever kernel the MMU chose at
+ * construction (the vector kernel, or the scalar loop under a forced
+ * scalar level). The per-access pipeline is always the reference;
+ * nothing here encodes expected absolute counts.
  *
  * Also covered: the L0 filter invalidation contract (flushAll /
  * invalidatePage / switchProcess / interleaved per-access probes must
  * drop the carried VPN rather than serve stale short-circuits), batch
  * accounting in BatchStats, and — in checked builds — that the batch
  * path routes through the verifying per-access pipeline so the oracle
- * still catches planted corruption (ISSUE 5 satellite fix).
+ * still catches planted corruption.
  */
 
 #include <gtest/gtest.h>
@@ -318,7 +320,7 @@ TEST_F(BatchTraceTest, IfstreamSourceMatchesPerAccess)
 /**
  * Every concrete scheme over the varied test map. Region-anchor and
  * COLT ride along here even though the grid bar doesn't name them —
- * their translateBatch overrides must honour the same contract.
+ * the shared batch kernels run their translateL2 pipelines too.
  */
 struct SchemePair
 {
@@ -359,6 +361,19 @@ struct DifferentialRig
     }
 };
 
+/**
+ * Random batch size: mostly 0..64 (empty and size-1 batches
+ * included), and one draw in four 0..1100, so batches span the vector
+ * kernel's 512-access chunks and carry the L0 filter across a chunk
+ * boundary at arbitrary offsets.
+ */
+std::size_t
+randomBatchSize(Rng &rng)
+{
+    const std::uint64_t bound = rng.nextBounded(4) == 0 ? 1101 : 65;
+    return static_cast<std::size_t>(rng.nextBounded(bound));
+}
+
 /** Random stream over the varied map: page-local runs plus jumps. */
 std::vector<MemAccess>
 randomMappedStream(std::size_t n, std::uint64_t seed)
@@ -385,7 +400,7 @@ TEST(BatchEquivalence, RandomizedDifferentialAllSchemes)
 {
     // Feed the same random stream to a batch-driven and a per-access
     // MMU of every scheme, comparing full stats at every (randomly
-    // sized) batch boundary — including empty and size-1 batches.
+    // sized, see randomBatchSize) batch boundary.
     for (const std::uint64_t seed : {7ull, 21ull, 63ull}) {
         DifferentialRig rig;
         const std::vector<MemAccess> stream =
@@ -396,10 +411,8 @@ TEST(BatchEquivalence, RandomizedDifferentialAllSchemes)
             BatchStats bs;
             std::size_t i = 0;
             while (i < stream.size()) {
-                const std::size_t n = static_cast<std::size_t>(
-                    chunks.nextBounded(65)); // 0..64
                 const std::size_t take =
-                    std::min(n, stream.size() - i);
+                    std::min(randomBatchSize(chunks), stream.size() - i);
                 p.batch->translateBatch(stream.data() + i, take, bs);
                 for (std::size_t j = 0; j < take; ++j)
                     p.ref->translate(stream[i + j].vaddr);
@@ -586,11 +599,12 @@ TEST(BatchSimdLevels, GridCellsMatchAcrossLevels)
 
 TEST(BatchSimdLevels, RandomizedDifferentialScalarVsSimd)
 {
-    // Same random chunked streams as the per-access differential, but
-    // the reference is now the scalar-dispatch *batch* kernel: both
-    // rigs take the batch path, only the kernel flavour differs. Any
-    // pre-pass mistake (eq bit off by one, prev-VPN carry, stats
-    // accounting) diverges the counters at some chunk boundary.
+    // Same random batch sizes as the per-access differential, but
+    // the reference is now the scalar-level batch kernel: both rigs
+    // take the batch path, only the kernel flavour differs. Any
+    // pre-pass mistake (eq bit off by one, prev-VPN carry across a
+    // 512-access chunk, stats accounting) diverges the counters at
+    // some batch boundary.
     if (detectedSimdLevel() == SimdLevel::Scalar)
         GTEST_SKIP() << "no vector level on this host";
     for (const std::uint64_t seed : {7ull, 21ull}) {
@@ -613,9 +627,8 @@ TEST(BatchSimdLevels, RandomizedDifferentialScalarVsSimd)
             BatchStats ref_bs;
             std::size_t i = 0;
             while (i < stream.size()) {
-                const std::size_t take = std::min(
-                    static_cast<std::size_t>(chunks.nextBounded(65)),
-                    stream.size() - i);
+                const std::size_t take =
+                    std::min(randomBatchSize(chunks), stream.size() - i);
                 vec.translateBatch(stream.data() + i, take, vec_bs);
                 ref.translateBatch(stream.data() + i, take, ref_bs);
                 i += take;
@@ -634,7 +647,7 @@ TEST(BatchSimdLevels, RandomizedDifferentialScalarVsSimd)
     }
 }
 
-// --- checked-build routing (satellite fix) ------------------------------
+// --- checked-build routing ---------------------------------------------
 
 #ifdef ANCHORTLB_CHECKED
 TEST(BatchCheckedBuild, OracleSeesEveryBatchAccess)

@@ -17,12 +17,11 @@
  *                  the macro compiles out in release builds, so any
  *                  mutation inside it changes behaviour across build
  *                  modes.
- *   kernel-stats   inside runBatchKernel bodies, stats may only be
- *                  flushed at the top level of the function body
- *                  (the register-resident counter pattern); per-access
- *                  stats mutation inside the loop defeats the kernel,
- *                  and the L2 lambdas passed to it must not touch
- *                  stats at all.
+ *   kernel-stats   inside the batch loop bodies (runBatchKernel,
+ *                  runBatchKernelVecT), stats may only be flushed at
+ *                  the top level of the function body (the
+ *                  register-resident counter pattern); per-access
+ *                  stats mutation inside the loop defeats the kernel.
  *
  * Escape hatch: a `// lint-allow: <rule>` comment on the offending
  * line (or the line above) suppresses that rule there. Every allow is
@@ -398,10 +397,10 @@ checkDcheckEffect(const std::string &path, const FileText &f,
 }
 
 /**
- * Rule kernel-stats: in the runBatchKernel definition, stats_ may be
- * touched only at the top level of the function body (the post-loop
- * flush of register-resident counters); in lambdas passed to
- * runBatchKernel call sites, stats_ may not be touched at all.
+ * Rule kernel-stats: in the batch loop definitions (runBatchKernel,
+ * the scalar loop, and runBatchKernelVecT, the vector loop), stats_
+ * may be touched only at the top level of the function body (the
+ * post-loop flush of register-resident counters).
  */
 void
 checkKernelStats(const std::string &path, const FileText &f,
@@ -409,42 +408,29 @@ checkKernelStats(const std::string &path, const FileText &f,
 {
     const auto &t = f.tokens;
     for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-        if (t[i].text != "runBatchKernel" || t[i + 1].text != "(")
+        if ((t[i].text != "runBatchKernel" &&
+             t[i].text != "runBatchKernelVecT") ||
+            t[i + 1].text != "(")
             continue;
-        const std::size_t close = matchDelim(t, i + 1);
-        if (close >= t.size())
+        // Only a definition counts: argument list, then the body.
+        const std::size_t body = matchDelim(t, i + 1) + 1;
+        if (body >= t.size() || t[body].text != "{")
             continue;
-        // Definition: argument list followed by the function body.
-        std::size_t after = close + 1;
-        if (after < t.size() && t[after].text == "{") {
-            const std::size_t body_end = matchDelim(t, after);
-            int depth = 0;
-            for (std::size_t j = after; j < body_end; ++j) {
-                if (t[j].text == "{")
-                    ++depth;
-                else if (t[j].text == "}")
-                    --depth;
-                else if (t[j].text == "stats_" && depth > 1) {
-                    if (allowed(f, "kernel-stats", t[j].line))
-                        continue;
-                    out.push_back(
-                        {path, t[j].line, "kernel-stats",
-                         "stats_ touched inside a nested block of "
-                         "runBatchKernel; accumulate in locals and "
-                         "flush once at the end of the body"});
-                }
-            }
-        } else {
-            // Call site: no stats_ anywhere in the argument lambdas.
-            for (std::size_t j = i + 2; j < close; ++j) {
-                if (t[j].text != "stats_")
-                    continue;
+        const std::size_t body_end = matchDelim(t, body);
+        int depth = 0;
+        for (std::size_t j = body; j < body_end; ++j) {
+            if (t[j].text == "{")
+                ++depth;
+            else if (t[j].text == "}")
+                --depth;
+            else if (t[j].text == "stats_" && depth > 1) {
                 if (allowed(f, "kernel-stats", t[j].line))
                     continue;
                 out.push_back({path, t[j].line, "kernel-stats",
-                               "stats_ touched in an L2 lambda passed "
-                               "to runBatchKernel; the kernel owns all "
-                               "stats accounting"});
+                               "stats_ touched inside a nested block of " +
+                                   t[i].text +
+                                   "; accumulate in locals and flush "
+                                   "once at the end of the body"});
             }
         }
     }
