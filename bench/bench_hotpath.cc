@@ -47,6 +47,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,12 +55,8 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/simd.hh"
-#include "mmu/anchor_mmu.hh"
-#include "mmu/baseline_mmu.hh"
-#include "mmu/cluster_mmu.hh"
 #include "mmu/colt_mmu.hh"
 #include "mmu/region_anchor_mmu.hh"
-#include "mmu/rmm_mmu.hh"
 #include "os/distance_selector.hh"
 #include "os/region_partitioner.hh"
 #include "os/scenario.hh"
@@ -160,28 +157,23 @@ struct CellState
         }
     }
 
+    /** A fresh MMU; a paper scheme by its CLI name, via its row. */
     std::unique_ptr<Mmu> makeMmu(const std::string &scheme,
                                  const MmuConfig &cfg) const
     {
-        if (scheme == "base")
-            return std::make_unique<BaselineMmu>(cfg, plain_table);
-        if (scheme == "thp")
-            return std::make_unique<BaselineMmu>(cfg, thp_table, "thp");
         if (scheme == "colt")
             return std::make_unique<ColtMmu>(cfg, plain_table);
-        if (scheme == "cluster")
-            return std::make_unique<ClusterMmu>(cfg, plain_table, false);
-        if (scheme == "cluster-2mb")
-            return std::make_unique<ClusterMmu>(cfg, thp_table, true);
-        if (scheme == "rmm")
-            return std::make_unique<RmmMmu>(cfg, thp_table, map);
-        if (scheme == "anchor")
-            return std::make_unique<AnchorMmu>(
-                cfg, anchor_table, AnchorDist::fromPages(anchor_distance));
         if (scheme == "region-anchor")
             return std::make_unique<RegionAnchorMmu>(cfg, region_table,
                                                      partition);
-        ATLB_FATAL("unknown hotpath scheme '{}'", scheme);
+        const std::optional<Scheme> s = findScheme(scheme, true);
+        if (!s)
+            ATLB_FATAL("unknown hotpath scheme '{}'", scheme);
+        const TableLayout layout = schemeRow(*s).layout;
+        const PageTable &table = layout == TableLayout::Plain ? plain_table
+                                 : layout == TableLayout::Thp ? thp_table
+                                                              : anchor_table;
+        return buildSchemeMmu(cfg, table, map, *s, anchor_distance);
     }
 };
 

@@ -54,14 +54,16 @@ throughputJobs(ScenarioKind scenario)
     return jobs;
 }
 
-/** Simulations actually run: AnchorIdeal sweeps every distance. */
+/** Simulations actually run: an AnchorSweep cell runs every distance. */
 std::uint64_t
 simulatedAccesses(const std::vector<CellJob> &jobs, std::uint64_t per_cell)
 {
     const std::uint64_t fanout = candidateDistances().size();
     std::uint64_t leaves = 0;
     for (const CellJob &job : jobs)
-        leaves += job.scheme == Scheme::AnchorIdeal ? fanout : 1;
+        leaves += schemeRow(job.scheme).layout == TableLayout::AnchorSweep
+                      ? fanout
+                      : 1;
     return leaves * per_cell;
 }
 

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 #
-# Full correctness gate: clang-format (check only), shellcheck,
-# clang-tidy, the anchortlb_lint domain-rule pass, a -Werror +
-# ANCHORTLB_CHECKED build with the whole test suite (including the
-# parallel-engine determinism tests), an unchecked build running the
-# goldens and batch suites through both batch kernels, the same full
-# suite again under AddressSanitizer and UndefinedBehaviorSanitizer,
-# and the concurrency suites plus the bench_e2e smoke under
-# ThreadSanitizer.
+# Full correctness gate: clang-format (check only), shellcheck, a
+# parse of every CI workflow file, clang-tidy, the anchortlb_lint
+# domain-rule pass, a -Werror + ANCHORTLB_CHECKED build with the whole
+# test suite (including the parallel-engine determinism tests), an
+# unchecked build running the goldens and batch suites through both
+# batch kernels, the same full suite again under AddressSanitizer and
+# UndefinedBehaviorSanitizer, and the concurrency suites plus the
+# bench_e2e smoke under ThreadSanitizer.
 #
 # This is the tier-1 entry point (see ROADMAP.md). The fast inner loop
 # remains:  cmake -B build -S . && cmake --build build -j && ctest
@@ -16,10 +16,10 @@
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # skip the sanitizer builds
 #
-# Tools that are not installed (clang-format, clang-tidy, shellcheck)
-# are reported and skipped, so the script is still a meaningful gate on
-# a gcc-only box; CI runs the full set. anchortlb_lint is built by the
-# project itself and always runs.
+# Tools that are not installed (clang-format, clang-tidy, shellcheck,
+# python3 with PyYAML) are reported and skipped, so the script is
+# still a meaningful gate on a gcc-only box; CI runs the full set.
+# anchortlb_lint is built by the project itself and always runs.
 
 set -euo pipefail
 
@@ -65,6 +65,20 @@ if command -v shellcheck > /dev/null 2>&1; then
     fi
 else
     note "shellcheck not installed; skipping shell script lint"
+fi
+
+# ---------------------------------------------------- workflow YAML --
+# Every CI workflow file must load as YAML: a workflow that does not
+# parse runs no job at all.
+if command -v python3 > /dev/null 2>&1 &&
+    python3 -c 'import yaml' > /dev/null 2>&1; then
+    note "workflow YAML parse"
+    for workflow in "$repo"/.github/workflows/*.yml; do
+        python3 -c 'import sys, yaml; yaml.safe_load(open(sys.argv[1]))' \
+            "$workflow" || failures+=("workflow YAML: ${workflow#"$repo"/}")
+    done
+else
+    note "python3 or PyYAML not installed; skipping workflow YAML check"
 fi
 
 # ------------------------------------------------------------- tidy --
@@ -133,7 +147,8 @@ unchecked_leg() {
         > /dev/null
     cmake --build "$repo/build-unchecked" -j "$jobs" \
         --target test_sim test_ingest bench_fig2_prior_schemes \
-        bench_fig9_all_mappings bench_ext_context_switch anchortlb
+        bench_fig9_all_mappings bench_ext_context_switch bench_ext_churn \
+        anchortlb
     (cd "$repo/build-unchecked" &&
         ctest --output-on-failure -j "$jobs" -R 'golden|Batch' &&
         ANCHORTLB_SIMD=scalar ctest --output-on-failure -j "$jobs" \

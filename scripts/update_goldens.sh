@@ -35,6 +35,7 @@ declare -A benches=(
     [bench_fig2.txt]="$build/bench/bench_fig2_prior_schemes"
     [bench_fig9.txt]="$build/bench/bench_fig9_all_mappings"
     [bench_context_switch.txt]="$build/bench/bench_ext_context_switch"
+    [bench_ext_churn.txt]="$build/bench/bench_ext_churn"
     [trace_info_mini.txt]="$build/tools/anchortlb trace info \
 $golden_dir/mini.atlbtrc2 --profile"
 )

@@ -368,10 +368,9 @@ getString(const JsonValue &obj, const char *name, std::string &out)
 }
 
 /**
- * SimResult member emission. The double (instructions) crosses as its
- * bit pattern so the decoded struct is byte-identical to the encoded
- * one; the friendly float is also emitted, for humans reading the
- * wire, and ignored on decode.
+ * SimResult member emission. The double (instructions) crosses only as
+ * its bit pattern (instructions_bits), so the decoded struct is
+ * byte-identical to the encoded one.
  */
 void
 appendSimResult(std::string &out, bool &first, const SimResult &r)
@@ -462,13 +461,10 @@ escapeJson(const std::string &s)
 bool
 schemeFromWireName(const std::string &name, Scheme &out)
 {
-    for (const Scheme scheme : allSchemes) {
-        if (name == schemeName(scheme)) {
-            out = scheme;
-            return true;
-        }
-    }
-    return false;
+    const std::optional<Scheme> scheme = findScheme(name, false);
+    if (scheme)
+        out = *scheme;
+    return scheme.has_value();
 }
 
 bool

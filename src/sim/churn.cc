@@ -3,12 +3,9 @@
 #include <memory>
 
 #include "common/logging.hh"
-#include "mmu/anchor_mmu.hh"
-#include "mmu/baseline_mmu.hh"
-#include "mmu/cluster_mmu.hh"
-#include "mmu/rmm_mmu.hh"
 #include "os/distance_selector.hh"
 #include "os/table_builder.hh"
+#include "sim/experiment.hh"
 #include "trace/workload.hh"
 
 namespace atlb
@@ -35,11 +32,10 @@ runMappingChurn(Scheme scheme, const std::vector<ChurnEpoch> &epochs,
     params.map_tail_run_pages = spec.map_tail_run_pages;
     params.map_tail_fraction = spec.map_tail_fraction;
 
-    const bool is_anchor =
-        scheme == Scheme::Anchor || scheme == Scheme::AnchorIdeal;
-    const bool use_thp =
-        scheme == Scheme::Thp || scheme == Scheme::Cluster2MB ||
-        scheme == Scheme::Rmm || is_anchor;
+    // An AnchorSweep scheme runs as Anchor at the controller's
+    // distance: the oracle sweep has no churn analogue.
+    const SchemeRow &row = schemeRow(scheme);
+    const bool is_anchor = row.anchored();
 
     DistanceController controller(8, options.distance_threshold);
     ChurnResult result;
@@ -75,34 +71,12 @@ runMappingChurn(Scheme scheme, const std::vector<ChurnEpoch> &epochs,
                 ++result.distance_changes;
         } else {
             map = std::move(next);
-            table = buildPageTable(map, use_thp);
+            table = buildPageTable(map, row.layout == TableLayout::Thp);
         }
 
         if (!mmu) {
-            const MmuConfig &cfg = options.mmu;
-            switch (scheme) {
-              case Scheme::Base:
-                mmu = std::make_unique<BaselineMmu>(cfg, table, "base");
-                break;
-              case Scheme::Thp:
-                mmu = std::make_unique<BaselineMmu>(cfg, table, "thp");
-                break;
-              case Scheme::Cluster:
-                mmu = std::make_unique<ClusterMmu>(cfg, table, false);
-                break;
-              case Scheme::Cluster2MB:
-                mmu = std::make_unique<ClusterMmu>(cfg, table, true);
-                break;
-              case Scheme::Rmm:
-                mmu = std::make_unique<RmmMmu>(cfg, table, map);
-                break;
-              case Scheme::Anchor:
-              case Scheme::AnchorIdeal:
-                mmu = std::make_unique<AnchorMmu>(
-                    cfg, table,
-                    AnchorDist::fromPages(controller.distance()));
-                break;
-            }
+            mmu = buildSchemeMmu(options.mmu, table, map, scheme,
+                                 controller.distance());
         } else {
             ProcessContext ctx;
             ctx.table = &table;

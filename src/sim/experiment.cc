@@ -127,10 +127,10 @@ CellKey
 cellKeyFor(const SimOptions &options, const CellSpec &spec,
            std::uint64_t trace_content_hash)
 {
-    // run() consults the distance override only for Scheme::Anchor;
-    // canonicalize so a stray override on another scheme cannot split
-    // one cell into two keys.
-    const bool overridden = spec.scheme == Scheme::Anchor &&
+    // A cell consults its distance override only when its scheme takes
+    // a distance; canonicalize so a stray override on another scheme
+    // cannot split one cell into two keys.
+    const bool overridden = schemeRow(spec.scheme).takesDistance() &&
                             spec.distance_override.has_value();
 
     Fnv1a h;
@@ -287,7 +287,7 @@ runSchemeCell(const SimOptions &options, const WorkloadSpec &spec,
     res.workload = spec.name;
     res.scenario = scenarioName(scenario);
     res.scheme = schemeName(scheme);
-    if (scheme == Scheme::Anchor || scheme == Scheme::AnchorIdeal)
+    if (schemeRow(scheme).anchored())
         res.anchor_distance = anchor_distance;
     return res;
 }
@@ -420,12 +420,12 @@ ExperimentContext::runCells(const std::vector<CellSpec> &cells)
         misses.push_back(i);
     }
 
-    // Longest jobs first: an AnchorIdeal cell is one simulation per
+    // Longest jobs first: a sweeping cell is one simulation per
     // candidate distance.
     std::stable_partition(misses.begin(), misses.end(),
                           [&cells](std::size_t i) {
-                              return cells[i].scheme ==
-                                     Scheme::AnchorIdeal;
+                              return schemeRow(cells[i].scheme).layout ==
+                                     TableLayout::AnchorSweep;
                           });
     {
         const auto ticket = scheduler_->open(

@@ -129,8 +129,9 @@ std::uint64_t traceSeedFor(const SimOptions &options,
                            const WorkloadSpec &spec);
 
 /**
- * Construct @p scheme's MMU over @p table. @p map is only read by RMM
- * (its range table); @p anchor_distance only by the anchor schemes.
+ * Construct @p scheme's MMU over @p table: the one place that maps a
+ * Scheme to its MMU class. @p map is only read by RMM (its range
+ * table); @p anchor_distance only by the anchored schemes.
  */
 std::unique_ptr<Mmu> buildSchemeMmu(const MmuConfig &config,
                                     const PageTable &table,
@@ -140,13 +141,13 @@ std::unique_ptr<Mmu> buildSchemeMmu(const MmuConfig &config,
 /**
  * Run one fully specified simulation: build @p scheme's MMU over the
  * prebuilt @p table and stream @p trace through it to exhaustion.
- * @p table must match the scheme's table flavour (plain 4KB for
- * Base/Cluster, THP for THP/Cluster-2MB/RMM, anchor-swept at
- * @p anchor_distance for the anchor schemes), and @p trace must be the
- * cell's stream: makeCellTrace(options, spec, cellAccesses(options,
- * spec)) or a replay of the same accesses. runCellJob
- * (sim/parallel_runner.hh) runs every simulation of every cell through
- * it, over CellPairState::cellTrace.
+ * @p table must have the scheme's layout (schemeRow(scheme).layout,
+ * anchor-swept at @p anchor_distance for the anchored ones), and
+ * @p trace is the cell's stream: makeCellTrace(options, spec,
+ * cellAccesses(options, spec)) or a replay of the same accesses, or
+ * the file `anchortlb replay` names. runCellJob
+ * (sim/parallel_runner.hh) runs every simulation of every cell
+ * through it.
  */
 SimResult runSchemeCell(const SimOptions &options, const WorkloadSpec &spec,
                         ScenarioKind scenario, const MemoryMap &map,
@@ -259,7 +260,7 @@ struct CellSpec
     std::string workload;
     ScenarioKind scenario = ScenarioKind::Demand;
     Scheme scheme = Scheme::Base;
-    /** Anchor distance override; only meaningful for Scheme::Anchor. */
+    /** Anchor distance override; read only if the scheme takesDistance. */
     std::optional<std::uint64_t> distance_override;
 };
 

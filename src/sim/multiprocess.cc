@@ -4,14 +4,10 @@
 #include <memory>
 
 #include "common/logging.hh"
-#include "mmu/anchor_mmu.hh"
-#include "mmu/baseline_mmu.hh"
-#include "mmu/cluster_mmu.hh"
-#include "mmu/region_anchor_mmu.hh"
-#include "mmu/rmm_mmu.hh"
 #include "os/distance_selector.hh"
 #include "os/region_partitioner.hh"
 #include "os/table_builder.hh"
+#include "sim/experiment.hh"
 #include "trace/workload.hh"
 
 namespace atlb
@@ -51,31 +47,25 @@ struct ProcessState
  * state.params. Called once at construction and again at every remap
  * epoch, with the scenario seed bumped in between; the trace is left
  * alone — the workload's access stream is continuous across remaps
- * (that's the point of virtual memory).
+ * (that's the point of virtual memory). An AnchorSweep scheme runs as
+ * Anchor at Algorithm 1's distance: the oracle sweep has no
+ * multi-process analogue.
  */
 void
 buildMapping(ProcessState &state, Scheme scheme)
 {
     state.map = buildScenario(state.scenario, state.params);
 
-    switch (scheme) {
-      case Scheme::Base:
-      case Scheme::Cluster:
-        state.table = buildPageTable(state.map, false);
-        break;
-      case Scheme::Thp:
-      case Scheme::Cluster2MB:
-      case Scheme::Rmm:
-        state.table = buildPageTable(state.map, true);
-        break;
-      case Scheme::Anchor:
-      case Scheme::AnchorIdeal:
+    const SchemeRow &row = schemeRow(scheme);
+    if (row.anchored()) {
         state.anchor_distance = AnchorDist::fromPages(
             selectAnchorDistance(state.map.contiguityHistogram())
                 .distance);
         state.table =
             buildAnchorPageTable(state.map, state.anchor_distance);
-        break;
+    } else {
+        state.table =
+            buildPageTable(state.map, row.layout == TableLayout::Thp);
     }
     // The region partition is cheap; compute it for completeness (only
     // the region scheme consumes it).
@@ -110,30 +100,6 @@ buildProcess(Scheme scheme, const ProcessSpec &p,
         ~0ULL, // effectively unbounded; the scheduler decides the length
         options.seed * 977 + index);
     return state;
-}
-
-std::unique_ptr<Mmu>
-buildMmu(Scheme scheme, const MultiProcessOptions &options,
-         const ProcessState &first)
-{
-    const MmuConfig &cfg = options.mmu;
-    switch (scheme) {
-      case Scheme::Base:
-        return std::make_unique<BaselineMmu>(cfg, first.table, "base");
-      case Scheme::Thp:
-        return std::make_unique<BaselineMmu>(cfg, first.table, "thp");
-      case Scheme::Cluster:
-        return std::make_unique<ClusterMmu>(cfg, first.table, false);
-      case Scheme::Cluster2MB:
-        return std::make_unique<ClusterMmu>(cfg, first.table, true);
-      case Scheme::Rmm:
-        return std::make_unique<RmmMmu>(cfg, first.table, first.map);
-      case Scheme::Anchor:
-      case Scheme::AnchorIdeal:
-        return std::make_unique<AnchorMmu>(cfg, first.table,
-                                           first.anchor_distance);
-    }
-    ATLB_PANIC("unknown scheme");
 }
 
 /** Counter-by-counter difference of two snapshots of the same MMU. */
@@ -174,7 +140,9 @@ runMultiProcess(Scheme scheme, const std::vector<ProcessSpec> &processes,
         states.push_back(
             buildProcess(scheme, processes[i], options, i));
 
-    std::unique_ptr<Mmu> mmu = buildMmu(scheme, options, states[0]);
+    std::unique_ptr<Mmu> mmu =
+        buildSchemeMmu(options.mmu, states[0].table, states[0].map, scheme,
+                       states[0].anchor_distance.pages());
     mmu->setSwitchPolicy(options.policy);
     // Load process 0 before its first quantum — uncounted, it's not a
     // switch. Under ASID retention this is what tags the very first

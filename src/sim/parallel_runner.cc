@@ -47,39 +47,34 @@ pairCacheKey(const SimOptions &options, const std::string &workload,
     return key;
 }
 
-/** One simulation of a cell of @p pair, over the pair's stream. */
-SimResult
-simulate(const SimOptions &options, const CellPairState &pair,
-         const PageTable &table, Scheme scheme, std::uint64_t distance)
-{
-    const std::unique_ptr<TraceSource> trace = pair.cellTrace(options);
-    return runSchemeCell(options, pair.spec(), pair.scenario(), pair.map(),
-                         table, scheme, distance, *trace);
-}
-
 } // namespace
 
 SimResult
 runCellJob(const SimOptions &options, const CellPairState &pair,
-           const CellJob &job)
+           const CellJob &job, const CellStream &stream)
 {
-    switch (job.scheme) {
-      case Scheme::Base:
-      case Scheme::Cluster:
-        return simulate(options, pair, pair.plainTable(), job.scheme, 0);
-      case Scheme::Thp:
-      case Scheme::Cluster2MB:
-      case Scheme::Rmm:
-        return simulate(options, pair, pair.thpTable(), job.scheme, 0);
-      case Scheme::Anchor: {
+    const auto simulate = [&](const PageTable &table,
+                              std::uint64_t distance) {
+        const std::unique_ptr<TraceSource> trace = stream();
+        return runSchemeCell(options, pair.spec(), pair.scenario(),
+                             pair.map(), table, job.scheme, distance,
+                             *trace);
+    };
+    const TableLayout layout = schemeRow(job.scheme).layout;
+    switch (layout) {
+      case TableLayout::Plain:
+        return simulate(pair.plainTable(), 0);
+      case TableLayout::Thp:
+        return simulate(pair.thpTable(), 0);
+      case TableLayout::Anchor: {
         const std::uint64_t distance = job.distance_override
                                            ? *job.distance_override
                                            : pair.dynamicDistance();
         const PageTable table = buildAnchorPageTable(
             pair.map(), AnchorDist::fromPages(distance));
-        return simulate(options, pair, table, job.scheme, distance);
+        return simulate(table, distance);
       }
-      case Scheme::AnchorIdeal: {
+      case TableLayout::AnchorSweep: {
         // Exhaustive sweep over every candidate distance; the first
         // minimum in canonical candidate order wins. sweepAnchors
         // rewrites every anchor entry, so one private THP table re-swept
@@ -92,8 +87,7 @@ runCellJob(const SimOptions &options, const CellPairState &pair,
         bool have_best = false;
         for (const std::uint64_t distance : distances) {
             table.sweepAnchors(pair.map(), AnchorDist::fromPages(distance));
-            SimResult res =
-                simulate(options, pair, table, job.scheme, distance);
+            SimResult res = simulate(table, distance);
             if (!have_best || res.misses() < best.misses()) {
                 best = std::move(res);
                 have_best = true;
@@ -102,7 +96,15 @@ runCellJob(const SimOptions &options, const CellPairState &pair,
         return best;
       }
     }
-    ATLB_FATAL("unhandled scheme in cell job");
+    ATLB_FATAL("unhandled table layout in cell job");
+}
+
+SimResult
+runCellJob(const SimOptions &options, const CellPairState &pair,
+           const CellJob &job)
+{
+    return runCellJob(options, pair, job,
+                      [&] { return pair.cellTrace(options); });
 }
 
 /** One admitted cell, waiting for a worker. */

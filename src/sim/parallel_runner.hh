@@ -61,19 +61,25 @@ namespace atlb
 /** One job: the coordinates of the cell it runs. */
 using CellJob = CellSpec;
 
+/** Opens a cell's access stream afresh, once per simulation. */
+using CellStream = std::function<std::unique_ptr<TraceSource>()>;
+
 /**
  * Run one cell against shared @p pair state (which must be the pair
- * @p job names, built under @p options' seed). This is the complete
- * single-cell job body: Base/Cluster use the pair's plain table, the
- * THP-family schemes its THP table, Anchor builds a private
- * distance-swept table from the shared mapping, and AnchorIdeal (the
- * paper's static ideal) builds one private THP table, re-sweeps its
- * anchors in place for each distance in candidateDistances() order and
- * keeps the first minimum-miss run. Every simulation, each of
- * AnchorIdeal's included, replays the pair's stream
- * (CellPairState::cellTrace). options.threads is not consulted. Safe
- * for concurrent calls sharing one @p pair.
+ * @p job names, built under @p options' seed), replaying @p stream.
+ * This is the complete single-cell job body, dispatched on the
+ * scheme's TableLayout: Plain and Thp use the pair's tables, Anchor
+ * builds a private table swept at the job's distance override or
+ * Algorithm 1's pick, and AnchorSweep (the paper's static ideal)
+ * builds one private THP table, re-sweeps its anchors in place for
+ * each distance in candidateDistances() order and keeps the first
+ * minimum-miss run. options.threads is not consulted. Safe for
+ * concurrent calls sharing one @p pair.
  */
+SimResult runCellJob(const SimOptions &options, const CellPairState &pair,
+                     const CellJob &job, const CellStream &stream);
+
+/** runCellJob over the pair's stream (CellPairState::cellTrace). */
 SimResult runCellJob(const SimOptions &options, const CellPairState &pair,
                      const CellJob &job);
 

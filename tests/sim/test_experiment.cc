@@ -112,6 +112,27 @@ TEST(Experiment, BaseAndThpIdenticalWithoutHugeChunks)
     EXPECT_EQ(base.misses(), thp.misses());
 }
 
+TEST(SchemeTable, EverySpellingNamesItsScheme)
+{
+    // Legend names are the wire's only spelling; the CLI also takes
+    // these names and "dynamic".
+    const std::pair<const char *, Scheme> cli_spellings[] = {
+        {"base", Scheme::Base},          {"thp", Scheme::Thp},
+        {"cluster", Scheme::Cluster},    {"cluster-2mb", Scheme::Cluster2MB},
+        {"rmm", Scheme::Rmm},            {"anchor", Scheme::Anchor},
+        {"dynamic", Scheme::Anchor},     {"ideal", Scheme::AnchorIdeal},
+    };
+    for (const Scheme scheme : allSchemes) {
+        EXPECT_EQ(findScheme(schemeName(scheme), false), scheme);
+        EXPECT_EQ(findScheme(schemeName(scheme), true), scheme);
+    }
+    for (const auto &[name, scheme] : cli_spellings) {
+        EXPECT_EQ(findScheme(name, true), scheme) << name;
+        EXPECT_FALSE(findScheme(name, false).has_value()) << name;
+    }
+    EXPECT_FALSE(findScheme("nope", true).has_value());
+}
+
 TEST(Experiment, RelativeMissesHelper)
 {
     EXPECT_DOUBLE_EQ(relativeMisses(50, 100), 0.5);

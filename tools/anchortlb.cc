@@ -40,12 +40,12 @@
 #include "os/mapping_io.hh"
 #include "trace/profiler.hh"
 #include "os/distance_selector.hh"
-#include "os/table_builder.hh"
 #include "serve/client.hh"
 #include "serve/result_store.hh"
 #include "serve/server.hh"
 #include "sim/experiment.hh"
 #include "sim/multiprocess.hh"
+#include "sim/parallel_runner.hh"
 #include "stats/histogram.hh"
 #include "stats/table.hh"
 #include "trace/trace_io.hh"
@@ -121,20 +121,12 @@ class Args
     std::vector<std::string> positional_;
 };
 
+/** A legend name or a CLI spelling (schemeRows); fatal otherwise. */
 Scheme
 schemeFromName(const std::string &name)
 {
-    for (const Scheme s : allSchemes)
-        if (name == schemeName(s))
-            return s;
-    // Friendlier aliases.
-    if (name == "base") return Scheme::Base;
-    if (name == "thp") return Scheme::Thp;
-    if (name == "cluster") return Scheme::Cluster;
-    if (name == "cluster-2mb") return Scheme::Cluster2MB;
-    if (name == "rmm") return Scheme::Rmm;
-    if (name == "anchor" || name == "dynamic") return Scheme::Anchor;
-    if (name == "ideal") return Scheme::AnchorIdeal;
+    if (const std::optional<Scheme> scheme = findScheme(name, true))
+        return *scheme;
     ATLB_FATAL("unknown scheme '{}' (try: base thp cluster cluster-2mb "
                "rmm anchor ideal)", name);
 }
@@ -205,8 +197,9 @@ cmdList(const Args &args)
 
 /**
  * The --scheme cells (default: every scheme) of one pair, --distance
- * applied to Anchor, run as one batch behind a leading Base cell:
- * front() is the Base denominator, the rest follow the scheme order.
+ * applied to a scheme that takes one, run as one batch behind a
+ * leading Base cell: front() is the Base denominator, the rest follow
+ * the scheme order.
  */
 std::vector<SimResult>
 runSchemeBatch(ExperimentContext &ctx, const Args &args,
@@ -221,7 +214,7 @@ runSchemeBatch(ExperimentContext &ctx, const Args &args,
     std::vector<CellSpec> cells = {{workload, scenario, Scheme::Base, {}}};
     for (const Scheme s : schemes) {
         std::optional<std::uint64_t> dist;
-        if (args.has("distance") && s == Scheme::Anchor)
+        if (args.has("distance") && schemeRow(s).takesDistance())
             dist = args.getU64("distance", 0);
         cells.push_back({workload, scenario, s, dist});
     }
@@ -329,44 +322,20 @@ cmdReplay(const Args &args)
     if (args.positional().empty())
         ATLB_FATAL("replay needs a trace file argument");
     const std::string path = args.positional()[0];
-    const std::string workload = args.get("workload", "canneal");
-    const ScenarioKind scenario =
-        scenarioFromName(args.get("scenario", "medium"));
-    const Scheme scheme = schemeFromName(args.get("scheme", "anchor"));
     const SimOptions opts = optionsFrom(args);
 
-    // The mapping and page tables every cell of this pair runs against;
-    // the anchor schemes use --distance or Algorithm 1's pick.
-    ExperimentContext ctx(opts);
-    const std::shared_ptr<const CellPairState> pair =
-        ctx.pair(workload, scenario);
-    std::uint64_t distance = 0;
-    std::optional<PageTable> anchored;
-    const PageTable *table = nullptr;
-    switch (scheme) {
-      case Scheme::Base:
-      case Scheme::Cluster:
-        table = &pair->plainTable();
-        break;
-      case Scheme::Thp:
-      case Scheme::Cluster2MB:
-      case Scheme::Rmm:
-        table = &pair->thpTable();
-        break;
-      case Scheme::Anchor:
-      case Scheme::AnchorIdeal:
-        distance = args.has("distance") ? args.getU64("distance", 8)
-                                        : pair->dynamicDistance();
-        table = &anchored.emplace(buildAnchorPageTable(
-            pair->map(), AnchorDist::fromPages(distance)));
-        break;
-    }
-    const std::unique_ptr<Mmu> mmu =
-        buildSchemeMmu(opts.mmu, *table, pair->map(), scheme, distance);
+    // One cell of the pair whose simulations replay the whole file
+    // (ATLBTRC1 or ATLBTRC2) instead of the pair's stream.
+    CellJob job;
+    job.workload = args.get("workload", "canneal");
+    job.scenario = scenarioFromName(args.get("scenario", "medium"));
+    job.scheme = schemeFromName(args.get("scheme", "anchor"));
+    if (args.has("distance") && schemeRow(job.scheme).takesDistance())
+        job.distance_override = args.getU64("distance", 0);
+    const CellPairState pair(opts, job.workload, job.scenario);
+    const SimResult r = runCellJob(opts, pair, job,
+                                   [&path] { return openTraceFile(path); });
 
-    TraceFileSource trace(path);
-    const SimResult r =
-        runSimulation(*mmu, trace, pair->spec().mem_per_instr);
     Table out("replay of " + path, {"metric", "value"});
     out.beginRow();
     out.cell(std::string("accesses"));
@@ -811,7 +780,7 @@ cmdMultiProcess(const Args &args)
                 {"scheme", "walks", "hit%", "switches", "remaps",
                  "shootdown kcyc", "charged CPI"});
     for (const Scheme s : schemes) {
-        if (s == Scheme::AnchorIdeal)
+        if (schemeRow(s).layout == TableLayout::AnchorSweep)
             continue; // the oracle sweep has no multi-process analogue
         const MultiProcessResult r = runMultiProcess(s, procs, opts);
         table.beginRow();
@@ -1032,7 +1001,8 @@ cmdSubmit(const Args &args, WireOp op)
                 cell.workload = workload;
                 cell.scenario = scenarioFromName(scenario);
                 cell.scheme = scheme;
-                if (args.has("distance") && scheme == Scheme::Anchor)
+                if (args.has("distance") &&
+                    schemeRow(scheme).takesDistance())
                     cell.distance = args.getU64("distance", 0);
                 request.cells.push_back(std::move(cell));
             }
@@ -1142,7 +1112,8 @@ commands:
       --workload=NAME --scenario=NAME
   gen-trace            write a synthetic access trace
       --workload=NAME [--out=FILE]
-  replay FILE          drive a trace file through one scheme
+  replay FILE          drive a trace file (ATLBTRC1 or ATLBTRC2) through
+                       one scheme; ideal sweeps every distance
       --workload=NAME --scenario=NAME --scheme=NAME [--distance=N]
   profile [FILE]       page-level profile of a trace file or a
                        synthetic workload (--workload=NAME); --json
