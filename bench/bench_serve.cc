@@ -3,13 +3,16 @@
  * Sweep-service bench: cold vs warm store sweeps, plus the shared cell
  * scheduler under multiple clients.
  *
- * Phase 1 (store): runs one small grid (3 workloads x {Base, Dynamic}
- * x medium) twice as an ExperimentContext::runCells batch with a
- * persistent ResultStore attached: the cold pass simulates every cell
- * and appends it to the store, the warm pass reopens the store in a
- * fresh context and must answer every cell without simulating. Gates:
- * warm results byte-identical to cold, all warm cells answered from the
- * store, warm at least 5x faster than cold.
+ * Phase 1 (store): submits one small grid (3 workloads x {Base,
+ * Dynamic} x medium) twice to a live SweepServer. The cold server
+ * simulates every cell and appends it to its store; it is then
+ * destroyed, which releases the store's lock, and a fresh server over
+ * the same store file must answer every cell without simulating. Hits
+ * come from the replies' cell statuses and the store's shape from the
+ * warm reply's counters. Gates: warm results byte-identical to cold
+ * (their encodeSimResult bytes), all warm cells answered from the
+ * store, no cold cell answered from it, warm at least 5x faster than
+ * cold.
  *
  * Phase 2 (scheduler): N clients submit disjoint grids to a live
  * SweepServer, first one-at-a-time (the serial-admission baseline the
@@ -31,7 +34,6 @@
  * Budget knobs: ANCHORTLB_ACCESSES (default 200k here), ANCHORTLB_SCALE.
  */
 
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -61,39 +63,12 @@ constexpr const char *kWorkloads[] = {"canneal", "sphinx3", "milc"};
 constexpr Scheme kSchemes[] = {Scheme::Base, Scheme::Anchor};
 constexpr ScenarioKind kScenario = ScenarioKind::MedContig;
 
-struct Pass
-{
-    double seconds = 0.0;
-    std::uint64_t result_lookups = 0;
-    std::uint64_t result_hits = 0;
-    std::vector<SimResult> results;
-};
-
 double
 secondsSince(std::chrono::steady_clock::time_point start)
 {
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
-}
-
-Pass
-runGrid(const SimOptions &opts, ResultStore &store)
-{
-    std::vector<CellSpec> cells;
-    for (const char *workload : kWorkloads) {
-        for (const Scheme scheme : kSchemes)
-            cells.push_back({workload, kScenario, scheme, {}});
-    }
-    ExperimentContext ctx(opts);
-    ctx.setResultCache(&store);
-    Pass pass;
-    const auto start = std::chrono::steady_clock::now();
-    pass.results = ctx.runCells(cells);
-    pass.seconds = secondsSince(start);
-    pass.result_lookups = ctx.cacheCounters().result_lookups;
-    pass.result_hits = ctx.cacheCounters().result_hits;
-    return pass;
 }
 
 /** A live SweepServer on private socket/store paths. */
@@ -112,6 +87,29 @@ struct BenchServer
         std::filesystem::remove(opts.store_path);
         std::filesystem::remove(opts.store_path + ".lock");
         opts.base = base;
+        start();
+    }
+
+    ~BenchServer()
+    {
+        stop();
+        std::filesystem::remove(opts.store_path);
+        std::filesystem::remove(opts.store_path + ".lock");
+    }
+
+    /**
+     * Destroy the server, which releases its store's lock, and start a
+     * fresh one that replays the same store file.
+     */
+    void restart()
+    {
+        stop();
+        start();
+    }
+
+  private:
+    void start()
+    {
         server = std::make_unique<SweepServer>(opts);
         std::string error;
         if (!server->start(&error))
@@ -119,12 +117,11 @@ struct BenchServer
         thread = std::thread([this] { server->run(); });
     }
 
-    ~BenchServer()
+    void stop()
     {
         server->requestStop();
         thread.join();
-        std::filesystem::remove(opts.store_path);
-        std::filesystem::remove(opts.store_path + ".lock");
+        server.reset();
     }
 };
 
@@ -152,6 +149,35 @@ counterValue(const SweepResponse &resp, const std::string &name)
             return value;
     }
     return 0;
+}
+
+/** One submit of the phase-1 grid, timed from connect to reply. */
+struct Pass
+{
+    double seconds = 0.0;
+    std::uint64_t store_hits = 0; //!< reply cells marked Hit
+    std::uint64_t computed = 0;   //!< reply cells marked Computed
+    SweepResponse reply;
+};
+
+Pass
+runGrid(const BenchServer &bs)
+{
+    SweepRequest req;
+    req.op = WireOp::Submit;
+    for (const char *workload : kWorkloads) {
+        for (const Scheme scheme : kSchemes)
+            req.cells.push_back(CellRequest{workload, kScenario, scheme, {}});
+    }
+    Pass pass;
+    const auto start = std::chrono::steady_clock::now();
+    pass.reply = roundTrip(bs, req);
+    pass.seconds = secondsSince(start);
+    for (const CellReply &cell : pass.reply.cells) {
+        pass.store_hits += cell.status == CellStatus::Hit ? 1 : 0;
+        pass.computed += cell.status == CellStatus::Computed ? 1 : 0;
+    }
+    return pass;
 }
 
 /**
@@ -187,27 +213,6 @@ makeClientGrids(std::size_t clients, std::size_t cells_per_client)
     return grids;
 }
 
-bool
-sameResult(const SimResult &a, const SimResult &b)
-{
-    return a.workload == b.workload && a.scenario == b.scenario &&
-           a.scheme == b.scheme &&
-           a.anchor_distance == b.anchor_distance &&
-           a.stats.accesses == b.stats.accesses &&
-           a.stats.l1_hits == b.stats.l1_hits &&
-           a.stats.l2_regular_hits == b.stats.l2_regular_hits &&
-           a.stats.coalesced_hits == b.stats.coalesced_hits &&
-           a.stats.page_walks == b.stats.page_walks &&
-           a.stats.translation_cycles == b.stats.translation_cycles &&
-           a.stats.shootdowns == b.stats.shootdowns &&
-           a.stats.shootdown_cycles == b.stats.shootdown_cycles &&
-           std::bit_cast<std::uint64_t>(a.instructions) ==
-               std::bit_cast<std::uint64_t>(b.instructions) &&
-           a.l2_hit_cycles == b.l2_hit_cycles &&
-           a.coalesced_cycles == b.coalesced_cycles &&
-           a.walk_cycles == b.walk_cycles;
-}
-
 } // namespace
 
 int
@@ -219,62 +224,50 @@ main(int argc, char **argv)
 
     const std::string json_path =
         argc > 1 ? argv[1] : "BENCH_serve.json";
-    const std::string store_path =
-        (std::filesystem::temp_directory_path() / "bench_serve.results")
-            .string();
-    std::filesystem::remove(store_path);
 
     printHeader("Result store: cold sweep vs warm (content-addressed)");
-    std::cout << opts.accesses << " accesses/cell, scenario "
-              << scenarioName(kScenario) << ", store " << store_path
-              << "\n\n";
-
     Pass cold, warm;
-    std::uint64_t live_cells = 0, file_bytes = 0, appends = 0;
     {
-        ResultStore store(store_path);
-        cold = runGrid(opts, store);
-    }
-    {
-        // A fresh context over the reopened store: everything the cold
+        BenchServer server("serve_store", opts);
+        std::cout << opts.accesses << " accesses/cell, scenario "
+                  << scenarioName(kScenario) << ", store "
+                  << server.opts.store_path << "\n\n";
+        cold = runGrid(server);
+        // A fresh server over the reopened store: everything the cold
         // pass computed must come back without simulation.
-        ResultStore store(store_path);
-        warm = runGrid(opts, store);
-        const ResultStore::Info info = store.info();
-        live_cells = info.live_cells;
-        file_bytes = info.file_bytes;
-        appends = store.counters().appends;
+        server.restart();
+        warm = runGrid(server);
     }
-    std::filesystem::remove(store_path);
 
-    bool identical = cold.results.size() == warm.results.size();
-    for (std::size_t i = 0; identical && i < cold.results.size(); ++i)
-        identical = sameResult(cold.results[i], warm.results[i]);
+    const std::vector<CellReply> &cold_cells = cold.reply.cells;
+    const std::vector<CellReply> &warm_cells = warm.reply.cells;
+    bool identical = cold_cells.size() == warm_cells.size();
+    for (std::size_t i = 0; identical && i < cold_cells.size(); ++i) {
+        identical = encodeSimResult(cold_cells[i].result) ==
+                    encodeSimResult(warm_cells[i].result);
+    }
 
-    const std::uint64_t cells = cold.results.size();
-    const bool warm_all_hits = warm.result_hits == cells;
-    const bool cold_all_misses = cold.result_hits == 0;
+    const std::uint64_t cells = cold_cells.size();
+    const bool warm_all_hits = warm.store_hits == cells;
+    const bool cold_all_misses = cold.store_hits == 0;
     const bool warm_faster = warm.seconds * 5.0 <= cold.seconds;
 
     Table table("Cold vs warm sweep",
-                {"pass", "seconds", "result lookups", "store hits",
-                 "simulated"});
+                {"pass", "seconds", "store hits", "computed"});
     table.beginRow();
     table.cell("cold");
     table.cell(cold.seconds, 3);
-    table.cell(cold.result_lookups);
-    table.cell(cold.result_hits);
-    table.cell(cells - cold.result_hits);
+    table.cell(cold.store_hits);
+    table.cell(cold.computed);
     table.beginRow();
     table.cell("warm");
     table.cell(warm.seconds, 3);
-    table.cell(warm.result_lookups);
-    table.cell(warm.result_hits);
-    table.cell(cells - warm.result_hits);
+    table.cell(warm.store_hits);
+    table.cell(warm.computed);
     table.printAscii(std::cout);
     std::cout << "\nwarm speedup "
               << (warm.seconds > 0.0 ? cold.seconds / warm.seconds : 0.0)
-              << "x, warm hits " << warm.result_hits << "/" << cells
+              << "x, warm hits " << warm.store_hits << "/" << cells
               << ", results identical " << (identical ? "yes" : "no")
               << "\n";
 
@@ -439,11 +432,14 @@ main(int argc, char **argv)
     json.field("cells", cells);
     json.field("cold_seconds", cold.seconds);
     json.field("warm_seconds", warm.seconds);
-    json.field("cold_store_hits", cold.result_hits);
-    json.field("warm_store_hits", warm.result_hits);
-    json.field("store_live_cells", live_cells);
-    json.field("store_file_bytes", file_bytes);
-    json.field("store_appends_during_warm", appends);
+    json.field("cold_store_hits", cold.store_hits);
+    json.field("warm_store_hits", warm.store_hits);
+    json.field("store_live_cells",
+               counterValue(warm.reply, "store_live_cells"));
+    json.field("store_file_bytes",
+               counterValue(warm.reply, "store_file_bytes"));
+    json.field("store_appends_during_warm",
+               counterValue(warm.reply, "store_appends"));
     json.field("cold_all_misses", cold_all_misses);
     json.field("warm_all_hits", warm_all_hits);
     json.field("results_identical", identical);

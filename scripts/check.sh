@@ -176,7 +176,7 @@ tsan_leg() {
         test_serve bench_e2e anchortlb
     (cd "$repo/build-tsan" &&
         ctest --output-on-failure -j "$jobs" \
-            -R 'ParallelRunner|Batch|MultiProcess|SwitchPolicy|AsidRetention|Serve|ResultCache|bench_e2e_smoke')
+            -R 'ParallelRunner|Batch|MultiProcess|SwitchPolicy|AsidRetention|Serve|bench_e2e_smoke')
 }
 
 if [[ $fast == 0 ]]; then

@@ -3,8 +3,10 @@
 # Sweep-service smoke test: start `anchortlb serve` on a private
 # socket/store, submit a small grid twice, and require the second pass
 # (and a follow-up query) to be answered entirely from the persistent
-# result store — zero recomputation. Finishes with a clean `serve stop`
-# and a `store info` over the store the server left behind.
+# result store — zero recomputation. A submit naming a file that is no
+# trace must fail only its cell, leaving the same server to answer the
+# query. Finishes with a clean `serve stop` and a `store info` over the
+# store the server left behind.
 #
 # Usage:
 #   scripts/serve_smoke.sh [path/to/anchortlb]
@@ -78,6 +80,18 @@ fi
 warm_hits="$(grep -c ',hit' <<< "$second" || true)"
 [[ "$warm_hits" -ge 4 ]] ||
     fail "expected 4 store hits on the warm pass, saw $warm_hits"
+
+echo "== unusable trace file (a cell error, not a dead server) =="
+echo "not a trace file" > "$tmp/not_a_trace.txt"
+bad_status=0
+bad="$("$bin" submit --socket="$socket" --csv \
+    --workloads="trace:$tmp/not_a_trace.txt" --scenarios=medium \
+    --schemes=Base)" || bad_status=$?
+echo "$bad"
+[[ "$bad_status" -eq 1 ]] ||
+    fail "submit of an unusable trace file exited $bad_status, not 1"
+grep -q ',error: ' <<< "$bad" ||
+    fail "the unusable trace file was not reported as a cell error"
 
 echo "== query (read-only: must hit, never simulate) =="
 query="$(submit query)"

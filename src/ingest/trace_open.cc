@@ -36,21 +36,33 @@ traceKindName(TraceKind kind)
     return "?";
 }
 
+std::optional<TraceKind>
+tryTraceKind(const std::string &path, std::string &error)
+{
+    std::ifstream in(path, std::ios::binary);
+    char magic[8] = {};
+    if (!in)
+        error = atlb::format("cannot open trace file '{}'", path);
+    else if (!in.read(magic, 8))
+        error = atlb::format("'{}' is too short to be a trace file", path);
+    else if (std::memcmp(magic, "ATLBTRC1", 8) == 0)
+        return TraceKind::V1;
+    else if (std::memcmp(magic, "ATLBTRC2", 8) == 0)
+        return TraceKind::V2;
+    else
+        error = atlb::format(
+            "'{}' is neither an ATLBTRC1 nor an ATLBTRC2 trace file", path);
+    return std::nullopt;
+}
+
 TraceKind
 sniffTraceKind(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        ATLB_FATAL("cannot open trace file '{}'", path);
-    char magic[8] = {};
-    if (!in.read(magic, 8))
-        ATLB_FATAL("'{}' is too short to be a trace file", path);
-    if (std::memcmp(magic, "ATLBTRC1", 8) == 0)
-        return TraceKind::V1;
-    if (std::memcmp(magic, "ATLBTRC2", 8) == 0)
-        return TraceKind::V2;
-    ATLB_FATAL("'{}' is neither an ATLBTRC1 nor an ATLBTRC2 trace file",
-               path);
+    std::string error;
+    const std::optional<TraceKind> kind = tryTraceKind(path, error);
+    if (!kind)
+        ATLB_FATAL("{}", error);
+    return *kind;
 }
 
 TraceFileInfo

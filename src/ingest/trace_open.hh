@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "trace/access.hh"
@@ -32,6 +33,14 @@ enum class TraceKind
 
 /** Short name for messages and JSON ("atlbtrc1" / "atlbtrc2"). */
 const char *traceKindName(TraceKind kind);
+
+/**
+ * Read the magic of @p path: its format, or nullopt with the reason in
+ * @p error when it cannot be opened, is too short or carries neither
+ * trace magic. A workload check uses it to refuse a file without dying.
+ */
+std::optional<TraceKind> tryTraceKind(const std::string &path,
+                                      std::string &error);
 
 /** Read the magic of @p path; fatal if it is neither trace format. */
 TraceKind sniffTraceKind(const std::string &path);

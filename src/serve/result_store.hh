@@ -59,8 +59,12 @@ std::string encodeSimResult(const SimResult &result);
  */
 bool decodeSimResult(const std::string &payload, SimResult &out);
 
-/** On-disk ResultCache implementation (thread-safe). */
-class ResultStore final : public ResultCache
+/**
+ * The on-disk store of finished cells (thread-safe). `anchortlb serve`
+ * (SweepServer) answers cells from it and appends the ones it computes;
+ * `anchortlb store` inspects and compacts it.
+ */
+class ResultStore
 {
   public:
     /**
@@ -73,13 +77,16 @@ class ResultStore final : public ResultCache
     explicit ResultStore(const std::string &path);
 
     /** Releases the store lock. */
-    ~ResultStore() override;
+    ~ResultStore();
 
     ResultStore(const ResultStore &) = delete;
     ResultStore &operator=(const ResultStore &) = delete;
 
-    std::optional<SimResult> lookup(CellKey key) override;
-    void store(CellKey key, const SimResult &result) override;
+    /** The stored result for @p key, if any. */
+    std::optional<SimResult> lookup(CellKey key);
+
+    /** Record @p result as the cell @p key's value (an append). */
+    void store(CellKey key, const SimResult &result);
 
     /** Append a tombstone for @p key (idempotent). */
     void invalidate(CellKey key);

@@ -14,7 +14,6 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "sim/parallel_runner.hh"
-#include "trace/workload.hh"
 
 namespace atlb
 {
@@ -28,9 +27,6 @@ constexpr int pollTimeoutMs = 200;
 /** Request-line cap: a grid request is KBs; beyond this is abuse. */
 constexpr std::size_t maxLineBytes = 16 * 1024 * 1024;
 
-/** Workload-name prefix selecting a trace-driven workload. */
-constexpr const char *traceWorkloadPrefixServe = "trace:";
-
 /** Microseconds elapsed since @p start. */
 std::uint64_t
 elapsedUsSince(std::chrono::steady_clock::time_point start)
@@ -42,32 +38,26 @@ elapsedUsSince(std::chrono::steady_clock::time_point start)
 }
 
 /**
- * Non-fatal workload validation + trace content hash. Synthetic names
- * must be in the catalog; "trace:<path>" must name a readable file
- * (its content hash feeds the cell key). Returns false with a
- * diagnostic for anything else — a request must never be able to
- * crash the server through a bad name.
+ * Non-fatal workload validation + trace content hash: the engine's own
+ * workload check (tryScaledWorkloadSpec) under the request's @p options,
+ * then the hash of a trace-driven workload's file, which feeds the cell
+ * key. Returns false with the reason in @p error — a request must never
+ * be able to crash the server through a bad name or an unusable trace.
  */
 bool
-validateWorkload(const std::string &workload, std::uint64_t &trace_hash,
-                 std::string &error)
+validateWorkload(const SimOptions &options, const std::string &workload,
+                 std::uint64_t &trace_hash, std::string &error)
 {
     trace_hash = 0;
-    if (workload.rfind(traceWorkloadPrefixServe, 0) == 0) {
-        const std::string path =
-            workload.substr(std::strlen(traceWorkloadPrefixServe));
-        if (!fnv1a64File(path, trace_hash)) {
-            error = "trace file '" + path + "' is not readable";
-            return false;
-        }
-        return true;
+    const std::optional<WorkloadSpec> spec =
+        tryScaledWorkloadSpec(options, workload, error);
+    if (!spec)
+        return false;
+    if (spec->traceDriven() && !fnv1a64File(spec->trace_path, trace_hash)) {
+        error = "trace file '" + spec->trace_path + "' is not readable";
+        return false;
     }
-    for (const WorkloadSpec &spec : workloadCatalog()) {
-        if (spec.name == workload)
-            return true;
-    }
-    error = "unknown workload '" + workload + "'";
-    return false;
+    return true;
 }
 
 bool
@@ -297,7 +287,8 @@ SweepServer::resolveCells(const SweepRequest &request,
     };
     std::vector<PendingCell> owned;
     std::vector<PendingCell> joined;
-    // One request hashes each distinct trace file once.
+    // One request checks each distinct workload (and hashes its trace
+    // file) once.
     std::unordered_map<std::string, std::uint64_t> trace_hashes;
 
     for (std::size_t i = 0; i < request.cells.size(); ++i) {
@@ -314,7 +305,7 @@ SweepServer::resolveCells(const SweepRequest &request,
             trace_hash = memo->second;
         } else {
             std::string error;
-            if (!validateWorkload(cell.workload, trace_hash, error)) {
+            if (!validateWorkload(opts, cell.workload, trace_hash, error)) {
                 reply.status = CellStatus::Error;
                 reply.error = error;
                 const std::lock_guard<std::mutex> lock(state_m_);

@@ -4,7 +4,10 @@
  *
  * `anchortlb serve` binds a SOCK_STREAM unix socket and answers the
  * line-delimited JSON protocol of wire.hh. Each connection gets a
- * thread; each submit request resolves its cells in three tiers:
+ * thread. Each cell's workload first passes the engine's own check
+ * (tryScaledWorkloadSpec), so an unknown name or an unusable trace file
+ * fails only its cell. A submit request then resolves its cells in
+ * three tiers:
  *
  *   1. store hit   — the persistent ResultStore already holds the
  *                    cell's content address: answered with zero

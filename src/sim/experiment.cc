@@ -85,26 +85,38 @@ constexpr const char *traceWorkloadPrefix = "trace:";
  */
 constexpr std::uint64_t maxTraceFootprintPages = 1ULL << 25; // 128GB
 
-WorkloadSpec
-traceWorkloadSpec(const std::string &workload, const std::string &path)
+std::optional<WorkloadSpec>
+traceWorkloadSpec(const std::string &workload, const std::string &path,
+                  std::string &error)
 {
+    if (!tryTraceKind(path, error))
+        return std::nullopt;
     const TraceFileInfo info = inspectTraceFile(path);
-    if (info.accesses == 0)
-        ATLB_FATAL("trace '{}' is empty; nothing to simulate", path);
-    if (info.min_vaddr < traceBaseVa().raw())
-        ATLB_FATAL("trace '{}' touches vaddr {} below the simulated "
-                   "region base {}; re-import it with --rebase",
-                   path, info.min_vaddr, traceBaseVa());
+    if (info.accesses == 0) {
+        error = atlb::format("trace '{}' is empty; nothing to simulate",
+                             path);
+        return std::nullopt;
+    }
+    if (info.min_vaddr < traceBaseVa().raw()) {
+        error = atlb::format("trace '{}' touches vaddr {} below the "
+                             "simulated region base {}; re-import it "
+                             "with --rebase",
+                             path, info.min_vaddr, traceBaseVa());
+        return std::nullopt;
+    }
     WorkloadSpec spec;
     spec.name = workload;
     spec.trace_path = path;
     spec.trace_accesses = info.accesses;
     spec.footprint_bytes = info.max_vaddr + 1 - traceBaseVa().raw();
-    if (spec.footprintPages() > maxTraceFootprintPages)
-        ATLB_FATAL("trace '{}' spans {} pages from the region base "
-                   "(cap {}); re-import it with --rebase to compact "
-                   "the address range",
-                   path, spec.footprintPages(), maxTraceFootprintPages);
+    if (spec.footprintPages() > maxTraceFootprintPages) {
+        error = atlb::format("trace '{}' spans {} pages from the region "
+                             "base (cap {}); re-import it with --rebase "
+                             "to compact the address range",
+                             path, spec.footprintPages(),
+                             maxTraceFootprintPages);
+        return std::nullopt;
+    }
     return spec;
 }
 
@@ -189,22 +201,41 @@ cellKeyFor(const SimOptions &options, const CellSpec &spec,
     return CellKey{h.digest()};
 }
 
-WorkloadSpec
-scaledWorkloadSpec(const SimOptions &options, const std::string &workload)
+std::optional<WorkloadSpec>
+tryScaledWorkloadSpec(const SimOptions &options, const std::string &workload,
+                      std::string &error)
 {
     if (workload.rfind(traceWorkloadPrefix, 0) == 0) {
         // Trace-driven: footprint comes from the capture's own vaddr
         // bounds, so footprint_scale does not apply.
         return traceWorkloadSpec(
-            workload, workload.substr(std::strlen(traceWorkloadPrefix)));
+            workload, workload.substr(std::strlen(traceWorkloadPrefix)),
+            error);
     }
-    WorkloadSpec spec = findWorkload(workload);
-    spec.footprint_bytes = static_cast<std::uint64_t>(
-        static_cast<double>(spec.footprint_bytes) *
-        options.footprint_scale);
-    if (spec.footprint_bytes < pageBytes)
-        spec.footprint_bytes = pageBytes;
-    return spec;
+    for (const WorkloadSpec &entry : workloadCatalog()) {
+        if (entry.name != workload)
+            continue;
+        WorkloadSpec spec = entry;
+        spec.footprint_bytes = static_cast<std::uint64_t>(
+            static_cast<double>(spec.footprint_bytes) *
+            options.footprint_scale);
+        if (spec.footprint_bytes < pageBytes)
+            spec.footprint_bytes = pageBytes;
+        return spec;
+    }
+    error = atlb::format("unknown workload '{}'", workload);
+    return std::nullopt;
+}
+
+WorkloadSpec
+scaledWorkloadSpec(const SimOptions &options, const std::string &workload)
+{
+    std::string error;
+    std::optional<WorkloadSpec> spec =
+        tryScaledWorkloadSpec(options, workload, error);
+    if (!spec)
+        ATLB_FATAL("{}", error);
+    return *std::move(spec);
 }
 
 ScenarioParams
@@ -364,28 +395,6 @@ ExperimentContext::pair(const std::string &workload, ScenarioKind scenario)
     return scheduler_->pair(options_, workload, scenario);
 }
 
-std::uint64_t
-ExperimentContext::traceHashFor(const std::string &workload)
-{
-    const auto it = trace_hashes_.find(workload);
-    if (it != trace_hashes_.end())
-        return it->second;
-    const std::uint64_t digest = traceContentHash(workload);
-    trace_hashes_.emplace(workload, digest);
-    return digest;
-}
-
-CellKey
-ExperimentContext::cellKey(const std::string &workload,
-                           ScenarioKind scenario, Scheme scheme,
-                           std::optional<std::uint64_t> distance_override)
-{
-    return cellKeyFor(options_,
-                      CellSpec{workload, scenario, scheme,
-                               distance_override},
-                      traceHashFor(workload));
-}
-
 SimResult
 ExperimentContext::run(const std::string &workload, ScenarioKind scenario,
                        Scheme scheme,
@@ -399,49 +408,25 @@ ExperimentContext::run(const std::string &workload, ScenarioKind scenario,
 std::vector<SimResult>
 ExperimentContext::runCells(const std::vector<CellSpec> &cells)
 {
-    // An attached result cache is consulted before any expensive state
-    // is built: a hit skips mapping/page-table construction entirely.
-    std::vector<SimResult> results(cells.size());
-    std::vector<CellKey> keys(cells.size());
-    std::vector<std::size_t> misses;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (result_cache_) {
-            const CellSpec &cell = cells[i];
-            keys[i] = cellKey(cell.workload, cell.scenario, cell.scheme,
-                              cell.distance_override);
-            ++counters_.result_lookups;
-            if (std::optional<SimResult> cached =
-                    result_cache_->lookup(keys[i])) {
-                ++counters_.result_hits;
-                results[i] = *std::move(cached);
-                continue;
-            }
-        }
-        misses.push_back(i);
-    }
-
     // Longest jobs first: a sweeping cell is one simulation per
     // candidate distance.
-    std::stable_partition(misses.begin(), misses.end(),
+    std::vector<std::size_t> order(cells.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::stable_partition(order.begin(), order.end(),
                           [&cells](std::size_t i) {
                               return schemeRow(cells[i].scheme).layout ==
                                      TableLayout::AnchorSweep;
                           });
-    {
-        const auto ticket = scheduler_->open(
-            options_, [&results](std::size_t index, const SimResult &result,
-                                 std::uint64_t /*queue_wait_us*/) {
-                results[index] = result;
-            });
-        for (const std::size_t i : misses)
-            ticket->submit(i, cells[i]);
-        ticket->wait();
-    }
-
-    if (result_cache_) {
-        for (const std::size_t i : misses)
-            result_cache_->store(keys[i], results[i]);
-    }
+    std::vector<SimResult> results(cells.size());
+    const auto ticket = scheduler_->open(
+        options_, [&results](std::size_t index, const SimResult &result,
+                             std::uint64_t /*queue_wait_us*/) {
+            results[index] = result;
+        });
+    for (const std::size_t i : order)
+        ticket->submit(i, cells[i]);
+    ticket->wait();
     return results;
 }
 

@@ -18,7 +18,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mmu/mmu_config.hh"
@@ -82,15 +81,25 @@ constexpr bool validFootprintScale(double scale)
 }
 
 /**
- * Footprint-scaled catalog spec for @p workload (fatal if unknown).
+ * Footprint-scaled catalog spec for @p workload, or nullopt with the
+ * reason it cannot run in @p error. The one workload check: the CLI and
+ * the engine reach it through scaledWorkloadSpec, and `anchortlb serve`
+ * turns its reason into a cell error.
  *
  * A name of the form "trace:<path>" instead names a trace-driven
- * workload: @p path must be a binary trace file (ATLBTRC1/2) whose
- * vaddrs all fall inside the simulated region starting at traceBaseVa()
- * (import with --rebase to guarantee this). Its footprint is taken from
- * the trace's vaddr bounds — footprint_scale deliberately does not
- * apply, since the addresses are fixed by the capture.
+ * workload: @p path must be a non-empty binary trace file (ATLBTRC1/2)
+ * whose vaddrs all fall inside the simulated region starting at
+ * traceBaseVa() (import with --rebase to guarantee this), spanning at
+ * most 128GB. Its footprint is taken from the trace's vaddr bounds —
+ * footprint_scale deliberately does not apply, since the addresses are
+ * fixed by the capture. A file with a trace magic but a corrupt header
+ * or index is still fatal, inside the ingest readers.
  */
+std::optional<WorkloadSpec> tryScaledWorkloadSpec(const SimOptions &options,
+                                                  const std::string &workload,
+                                                  std::string &error);
+
+/** tryScaledWorkloadSpec, fatal with its reason if @p workload cannot run. */
 WorkloadSpec scaledWorkloadSpec(const SimOptions &options,
                                 const std::string &workload);
 
@@ -287,23 +296,6 @@ std::uint64_t traceContentHash(const std::string &workload);
 CellKey cellKeyFor(const SimOptions &options, const CellSpec &spec,
                    std::uint64_t trace_content_hash = 0);
 
-/**
- * A persistent (or otherwise external) cache of finished cells, keyed
- * by content address. ExperimentContext consults one when attached via
- * setResultCache(); serve/result_store.hh implements it on disk.
- */
-class ResultCache
-{
-  public:
-    virtual ~ResultCache() = default;
-
-    /** The stored result for @p key, if any. */
-    virtual std::optional<SimResult> lookup(CellKey key) = 0;
-
-    /** Record @p result as the cell @p key's value. */
-    virtual void store(CellKey key, const SimResult &result) = 0;
-};
-
 class CellScheduler;
 
 /**
@@ -313,10 +305,11 @@ class CellScheduler;
  * serve --pairs` defaults to. Every cell is one runCellJob on a worker
  * and every pair state is the scheduler's, so a context, the server and
  * the test reference (runCellJob on a fresh CellPairState) all produce
- * the same bytes. One calling thread per context. A context takes a
- * trace file to be fixed while it lives (it memoizes content hashes),
- * so its pairs are keyed without one; `anchortlb serve`, which outlives
- * rewrites, keys its pairs on each request's hashes.
+ * the same bytes. One calling thread per context. A context submits its
+ * jobs without a trace content hash, so it takes a trace file to be
+ * fixed while it lives; `anchortlb serve`, which outlives rewrites,
+ * keys its pairs on each request's hashes. Finished cells are stored
+ * only by the server (SweepServer, serve/server.hh).
  */
 class ExperimentContext
 {
@@ -341,28 +334,9 @@ class ExperimentContext
      * Run @p cells as one batch across the scheduler's workers and
      * return their results in @p cells order. AnchorIdeal cells (one
      * simulation per candidate distance each) are submitted first, so
-     * the longest jobs start earliest. An attached result cache is
-     * consulted for every cell before the batch is submitted and filled
-     * with the simulated ones afterwards.
+     * the longest jobs start earliest.
      */
     std::vector<SimResult> runCells(const std::vector<CellSpec> &cells);
-
-    /**
-     * Attach (or detach, with nullptr) an external result cache. Borrowed:
-     * @p cache must outlive the context or the next setResultCache().
-     * While attached, run() and runCells() answer from the cache when it
-     * holds a cell's key and store every freshly computed result back.
-     */
-    void setResultCache(ResultCache *cache) { result_cache_ = cache; }
-
-    /**
-     * The content address run() would use for this cell under the
-     * context's options. Trace content hashes are memoized per workload
-     * name, so sweeps over trace-driven workloads hash each file once.
-     */
-    CellKey cellKey(const std::string &workload, ScenarioKind scenario,
-                    Scheme scheme,
-                    std::optional<std::uint64_t> distance_override = {});
 
     /**
      * The pair state cells of (@p workload, @p scenario) run against:
@@ -374,29 +348,12 @@ class ExperimentContext
 
     const SimOptions &options() const { return options_; }
 
-    /** Attached-ResultCache effectiveness counters. */
-    struct CacheCounters
-    {
-        /** Cells looked up in the attached ResultCache. */
-        std::uint64_t result_lookups = 0;
-        /** ... of which answered without simulating. */
-        std::uint64_t result_hits = 0;
-    };
-
-    const CacheCounters &cacheCounters() const { return counters_; }
-
     /** The scheduler every cell runs on (pair builds and reuses). */
     const CellScheduler &scheduler() const { return *scheduler_; }
 
   private:
     SimOptions options_;
     std::unique_ptr<CellScheduler> scheduler_;
-    CacheCounters counters_;
-    ResultCache *result_cache_ = nullptr; //!< borrowed, may be null
-    /** Per-workload trace content hashes (files hashed once). */
-    std::unordered_map<std::string, std::uint64_t> trace_hashes_;
-
-    std::uint64_t traceHashFor(const std::string &workload);
 };
 
 /**

@@ -145,8 +145,10 @@ class CellScheduler
          * callback. @p trace_content_hash is traceContentHash of the
          * job's workload, as its cell key folds it (0 for synthetic
          * workloads): the pair cache keys on it, so a rewritten trace
-         * file gets a new pair. Blocks while the scheduler-wide queue
-         * is at capacity (backpressure).
+         * file gets a new pair. ExperimentContext, which takes trace
+         * files as fixed, leaves it 0; `anchortlb serve` passes the
+         * hash it keyed the cell with. Blocks while the scheduler-wide
+         * queue is at capacity (backpressure).
          */
         void submit(std::size_t index, const CellJob &job,
                     std::uint64_t trace_content_hash = 0);

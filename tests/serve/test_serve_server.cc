@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "serve/client.hh"
+#include "serve/result_store.hh"
 #include "serve/server.hh"
 #include "serve/wire.hh"
 #include "sim/cell_reference.hh"
@@ -57,14 +59,37 @@ struct TestServer
     std::unique_ptr<SweepServer> server;
     std::thread thread;
 
-    explicit TestServer(const std::string &name)
+    explicit TestServer(const std::string &name,
+                        const SimOptions &base = quickOptions())
     {
         opts.socket_path = testing::TempDir() + "atlb_" + name + ".sock";
         opts.store_path =
             testing::TempDir() + "atlb_" + name + ".results";
         fs::remove(opts.socket_path);
         fs::remove(opts.store_path);
-        opts.base = quickOptions();
+        opts.base = base;
+        start();
+    }
+
+    ~TestServer()
+    {
+        stop();
+        fs::remove(opts.store_path);
+    }
+
+    /**
+     * Destroy the server, which releases its store's lock, and start a
+     * fresh one over the same store file.
+     */
+    void restart()
+    {
+        stop();
+        start();
+    }
+
+  private:
+    void start()
+    {
         server = std::make_unique<SweepServer>(opts);
         std::string error;
         if (!server->start(&error)) {
@@ -74,13 +99,13 @@ struct TestServer
         thread = std::thread([this] { server->run(); });
     }
 
-    ~TestServer()
+    void stop()
     {
         if (server)
             server->requestStop();
         if (thread.joinable())
             thread.join();
-        fs::remove(opts.store_path);
+        server.reset();
     }
 };
 
@@ -207,6 +232,100 @@ TEST(ServeServer, UnknownWorkloadIsACellError)
     EXPECT_FALSE(resp.cells[0].error.empty());
     EXPECT_EQ(resp.cells[1].status, CellStatus::Computed);
     EXPECT_EQ(counterValue(resp, "cell_errors"), 1u);
+}
+
+TEST(ServeServer, UnusableTraceFileIsACellError)
+{
+    // The engine's workload check once ran only on a worker, where its
+    // fatal error ended the server: each of these files took it down.
+    TestServer ts("unusable_trace");
+    const std::string prefix = testing::TempDir() + "atlb_unusable_" +
+                               std::to_string(::getpid());
+    const std::string text = prefix + ".txt";
+    const std::string below_base = prefix + "_low.atlbtrc1";
+    const std::string empty = prefix + "_empty.atlbtrc1";
+    {
+        std::ofstream out(text);
+        out << "0x7f0000000000 R\n";
+    }
+    {
+        TraceWriter writer(below_base);
+        writer.append(MemAccess{VirtAddr{0x1000}, false});
+    }
+    {
+        TraceWriter writer(empty);
+    }
+
+    SweepRequest req;
+    req.op = WireOp::Submit;
+    for (const std::string &path : {text, below_base, empty}) {
+        req.cells.push_back(CellRequest{"trace:" + path,
+                                        ScenarioKind::MedContig,
+                                        Scheme::Base,
+                                        {}});
+    }
+    req.cells.push_back(
+        CellRequest{"canneal", ScenarioKind::MedContig, Scheme::Base, {}});
+
+    const SweepResponse resp = roundTrip(ts, req);
+    ASSERT_TRUE(resp.ok) << resp.error;
+    ASSERT_EQ(resp.cells.size(), 4u);
+    const char *const messages[] = {
+        "is neither an ATLBTRC1 nor an ATLBTRC2 trace file",
+        "touches vaddr 4096 below the simulated region base",
+        "is empty; nothing to simulate",
+    };
+    for (std::size_t i = 0; i < 3; ++i) {
+        SCOPED_TRACE(req.cells[i].workload);
+        EXPECT_EQ(resp.cells[i].status, CellStatus::Error);
+        EXPECT_NE(resp.cells[i].error.find(messages[i]), std::string::npos)
+            << resp.cells[i].error;
+    }
+    EXPECT_EQ(resp.cells[3].status, CellStatus::Computed);
+    EXPECT_EQ(counterValue(resp, "cell_errors"), 3u);
+
+    // The server is still up.
+    SweepRequest stats;
+    stats.op = WireOp::Stats;
+    EXPECT_TRUE(roundTrip(ts, stats).ok);
+    for (const std::string &path : {text, below_base, empty})
+        std::remove(path.c_str());
+}
+
+TEST(ServeServer, ReopenedStoreAnswersAGridWithoutBuildingPairs)
+{
+    // Four workers fill the store; a fresh server over the same file
+    // answers every cell from it without touching pair state.
+    SimOptions base = quickOptions();
+    base.threads = 4;
+    TestServer ts("reopened_store", base);
+    SweepRequest req = gridRequest(WireOp::Submit);
+    req.cells.push_back(
+        CellRequest{"canneal", ScenarioKind::MedContig, Scheme::Thp, {}});
+    req.cells.push_back(CellRequest{"canneal", ScenarioKind::MedContig,
+                                    Scheme::AnchorIdeal,
+                                    {}});
+
+    const SweepResponse cold = roundTrip(ts, req);
+    ASSERT_TRUE(cold.ok) << cold.error;
+    ASSERT_EQ(cold.cells.size(), req.cells.size());
+    for (const CellReply &cell : cold.cells)
+        EXPECT_EQ(cell.status, CellStatus::Computed);
+
+    ts.restart();
+    const SweepResponse warm = roundTrip(ts, req);
+    ASSERT_TRUE(warm.ok) << warm.error;
+    ASSERT_EQ(warm.cells.size(), req.cells.size());
+    EXPECT_EQ(counterValue(warm, "simulations"), 0u);
+    EXPECT_EQ(counterValue(warm, "sched_pair_builds"), 0u);
+    for (std::size_t i = 0; i < req.cells.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(warm.cells[i].status, CellStatus::Hit);
+        EXPECT_EQ(warm.cells[i].key, cold.cells[i].key);
+        EXPECT_EQ(encodeSimResult(warm.cells[i].result),
+                  encodeSimResult(cold.cells[i].result));
+        expectSameResult(cold.cells[i].result, freshResult(req.cells[i]));
+    }
 }
 
 TEST(ServeServer, InvalidKnobsAreARequestError)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the experiment context (the facade over the cell engine),
- * its pair-state and result caching, and the cell key.
+ * its pair-state caching, and the cell key.
  */
 
 #include <gtest/gtest.h>
@@ -10,9 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -183,7 +181,7 @@ TEST(ExperimentDeath, OptionsFromEnvRejectsMalformedNumbers)
     }
 }
 
-TEST(Experiment, CacheCountersTrackHitsAndMisses)
+TEST(Experiment, PairCountersTrackBuildsAndReuses)
 {
     ExperimentContext ctx(quickOptions());
     EXPECT_EQ(ctx.scheduler().stats().pair_builds, 0u);
@@ -203,8 +201,6 @@ TEST(Experiment, CacheCountersTrackHitsAndMisses)
     EXPECT_EQ(stats.pair_builds, 2u);
     EXPECT_EQ(stats.pair_reuses, 1u);
     EXPECT_EQ(stats.pairs_cached, 2u);
-    EXPECT_EQ(ctx.cacheCounters().result_lookups, 0u)
-        << "no result cache is attached";
 }
 
 /** defaultPairBudget + 2 distinct pairs, so a sweep over them evicts. */
@@ -342,109 +338,6 @@ TEST(Experiment, SyntheticWorkloadsHaveNoTraceContentHash)
 {
     EXPECT_EQ(traceContentHash("canneal"), 0u);
     EXPECT_EQ(traceContentHash("milc"), 0u);
-}
-
-/** In-memory ResultCache for the hook tests. */
-class MapResultCache final : public ResultCache
-{
-  public:
-    std::optional<SimResult> lookup(CellKey key) override
-    {
-        const auto it = cells_.find(key.raw());
-        if (it == cells_.end())
-            return std::nullopt;
-        return it->second;
-    }
-
-    void store(CellKey key, const SimResult &result) override
-    {
-        cells_[key.raw()] = result;
-    }
-
-    std::size_t size() const { return cells_.size(); }
-
-  private:
-    std::unordered_map<std::uint64_t, SimResult> cells_;
-};
-
-TEST(Experiment, ResultCacheAnswersRepeatRunsWithoutSimulating)
-{
-    MapResultCache cache;
-    ExperimentContext ctx(quickOptions());
-    ctx.setResultCache(&cache);
-
-    const SimResult first =
-        ctx.run("canneal", ScenarioKind::MedContig, Scheme::Base);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(ctx.cacheCounters().result_lookups, 1u);
-    EXPECT_EQ(ctx.cacheCounters().result_hits, 0u);
-
-    // A fresh context with the same options must answer from the cache
-    // (no pair state is ever built for a cached cell).
-    ExperimentContext warm(quickOptions());
-    warm.setResultCache(&cache);
-    const SimResult cached =
-        warm.run("canneal", ScenarioKind::MedContig, Scheme::Base);
-    EXPECT_EQ(warm.cacheCounters().result_hits, 1u);
-    EXPECT_EQ(warm.scheduler().stats().pair_builds, 0u)
-        << "a result-cache hit must not touch pair state";
-    EXPECT_EQ(cached.stats.page_walks, first.stats.page_walks);
-    EXPECT_EQ(cached.stats.translation_cycles,
-              first.stats.translation_cycles);
-
-    // Detaching goes back to plain simulation.
-    warm.setResultCache(nullptr);
-    const SimResult direct =
-        warm.run("canneal", ScenarioKind::MedContig, Scheme::Base);
-    EXPECT_EQ(warm.cacheCounters().result_lookups, 1u); // unchanged
-    EXPECT_EQ(direct.stats.page_walks, first.stats.page_walks);
-}
-
-TEST(Experiment, ContextCellKeyMatchesFreeFunction)
-{
-    ExperimentContext ctx(quickOptions());
-    const CellKey via_ctx =
-        ctx.cellKey("canneal", ScenarioKind::MedContig, Scheme::Anchor,
-                    64);
-    const CellKey via_free = cellKeyFor(
-        ctx.options(), CellSpec{"canneal", ScenarioKind::MedContig,
-                                Scheme::Anchor, 64});
-    EXPECT_EQ(via_ctx, via_free);
-}
-
-TEST(Experiment, ResultCacheAnswersParallelGrid)
-{
-    // A batch across four workers fills an attached cache, and a fresh
-    // context answers the same batch from it without building any pair.
-    SimOptions opts = quickOptions();
-    opts.threads = 4;
-    std::vector<CellSpec> grid;
-    for (const char *workload : {"canneal", "sphinx3"}) {
-        for (const Scheme scheme :
-             {Scheme::Base, Scheme::Thp, Scheme::Anchor})
-            grid.push_back({workload, ScenarioKind::MedContig, scheme, {}});
-    }
-    grid.push_back(
-        {"canneal", ScenarioKind::MedContig, Scheme::AnchorIdeal, {}});
-
-    MapResultCache cache;
-    ExperimentContext cold(opts);
-    cold.setResultCache(&cache);
-    const std::vector<SimResult> computed = cold.runCells(grid);
-    EXPECT_EQ(cache.size(), grid.size());
-    EXPECT_EQ(cold.cacheCounters().result_lookups, grid.size());
-    EXPECT_EQ(cold.cacheCounters().result_hits, 0u);
-
-    ExperimentContext warm(opts);
-    warm.setResultCache(&cache);
-    const std::vector<SimResult> answered = warm.runCells(grid);
-    EXPECT_EQ(warm.cacheCounters().result_hits, grid.size());
-    EXPECT_EQ(warm.scheduler().stats().pair_builds, 0u);
-    ASSERT_EQ(answered.size(), grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        expectSameResult(answered[i], computed[i]);
-        expectSameResult(computed[i], freshCellResult(opts, grid[i]));
-    }
 }
 
 TEST(Experiment, RevisitedPairSurvivesLruSweep)
