@@ -29,11 +29,19 @@
  * half the large grid's — round-robin bounds it near two cells' work,
  * while FIFO-behind-the-grid would push it to the full grid time.
  *
+ * Phases 2 and 3 time a few milliseconds of work each, so one
+ * descheduled worker can decide a single pass. Each runs kRepeats
+ * times, every repeat on a fresh server over a fresh store (so every
+ * cell still simulates), and both gates read the medians. The JSON
+ * holds the medians under the phases' field names and each repeat's
+ * seconds in the *_runs arrays.
+ *
  * Results go to stdout as tables and to BENCH_serve.json (or argv[1]).
  *
  * Budget knobs: ANCHORTLB_ACCESSES (default 200k here), ANCHORTLB_SCALE.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -62,6 +70,18 @@ using namespace atlb::bench;
 constexpr const char *kWorkloads[] = {"canneal", "sphinx3", "milc"};
 constexpr Scheme kSchemes[] = {Scheme::Base, Scheme::Anchor};
 constexpr ScenarioKind kScenario = ScenarioKind::MedContig;
+
+/** Timed repeats of phases 2 and 3; their gates read the medians. */
+constexpr int kRepeats = 5;
+
+/** Median of @p values (the upper one of an even count). */
+template <typename T>
+T
+median(std::vector<T> values)
+{
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+}
 
 double
 secondsSince(std::chrono::steady_clock::time_point start)
@@ -282,18 +302,18 @@ main(int argc, char **argv)
               << " disjoint cells, " << opts.threads
               << " scheduler worker(s)\n\n";
 
-    double serial_seconds = 0.0;
-    {
-        BenchServer server("serve_serial", opts);
-        const auto start = std::chrono::steady_clock::now();
-        for (const SweepRequest &grid : grids)
-            roundTrip(server, grid);
-        serial_seconds = secondsSince(start);
-    }
+    std::vector<double> serial_runs, concurrent_runs;
+    std::vector<std::uint64_t> queue_wait_p99_runs, queue_peak_runs,
+        admission_stall_runs;
+    for (int repeat = 0; repeat < kRepeats; ++repeat) {
+        {
+            BenchServer server("serve_serial", opts);
+            const auto start = std::chrono::steady_clock::now();
+            for (const SweepRequest &grid : grids)
+                roundTrip(server, grid);
+            serial_runs.push_back(secondsSince(start));
+        }
 
-    double concurrent_seconds = 0.0;
-    std::uint64_t queue_wait_p99 = 0, queue_peak = 0, admission_stalls = 0;
-    {
         BenchServer server("serve_conc", opts);
         std::vector<std::thread> threads;
         threads.reserve(kClients);
@@ -304,15 +324,20 @@ main(int argc, char **argv)
         }
         for (std::thread &t : threads)
             t.join();
-        concurrent_seconds = secondsSince(start);
+        concurrent_runs.push_back(secondsSince(start));
 
         SweepRequest stats;
         stats.op = WireOp::Stats;
         const SweepResponse s = roundTrip(server, stats);
-        queue_wait_p99 = counterValue(s, "queue_wait_us_p99");
-        queue_peak = counterValue(s, "queue_peak");
-        admission_stalls = counterValue(s, "admission_stalls");
+        queue_wait_p99_runs.push_back(counterValue(s, "queue_wait_us_p99"));
+        queue_peak_runs.push_back(counterValue(s, "queue_peak"));
+        admission_stall_runs.push_back(counterValue(s, "admission_stalls"));
     }
+    const double serial_seconds = median(serial_runs);
+    const double concurrent_seconds = median(concurrent_runs);
+    const std::uint64_t queue_wait_p99 = median(queue_wait_p99_runs);
+    const std::uint64_t queue_peak = median(queue_peak_runs);
+    const std::uint64_t admission_stalls = median(admission_stall_runs);
 
     const double total_cells =
         static_cast<double>(kClients * kCellsPerClient);
@@ -336,7 +361,8 @@ main(int argc, char **argv)
     sched_table.cell(concurrent_seconds, 3);
     sched_table.cell(concurrent_cps, 1);
     sched_table.printAscii(std::cout);
-    std::cout << "\nconcurrent/serial throughput "
+    std::cout << "\nmedians of " << kRepeats
+              << " repeats; concurrent/serial throughput "
               << (serial_cps > 0.0 ? concurrent_cps / serial_cps : 0.0)
               << "x, queue peak " << queue_peak << ", queue wait p99 "
               << queue_wait_p99 << "us, admission stalls "
@@ -372,15 +398,13 @@ main(int argc, char **argv)
         }
     }
 
-    double small_idle_seconds = 0.0;
-    double small_during_seconds = 0.0;
-    double large_seconds = 0.0;
-    {
+    std::vector<double> small_idle_runs, small_during_runs, large_runs;
+    for (int repeat = 0; repeat < kRepeats; ++repeat) {
         BenchServer server("serve_fair", opts);
         {
             const auto start = std::chrono::steady_clock::now();
             roundTrip(server, small_idle);
-            small_idle_seconds = secondsSince(start);
+            small_idle_runs.push_back(secondsSince(start));
         }
 
         double large_elapsed = 0.0;
@@ -404,10 +428,13 @@ main(int argc, char **argv)
 
         const auto start = std::chrono::steady_clock::now();
         roundTrip(server, small);
-        small_during_seconds = secondsSince(start);
+        small_during_runs.push_back(secondsSince(start));
         big.join();
-        large_seconds = large_elapsed;
+        large_runs.push_back(large_elapsed);
     }
+    const double small_idle_seconds = median(small_idle_runs);
+    const double small_during_seconds = median(small_during_runs);
+    const double large_seconds = median(large_runs);
     // Round-robin bounds the small request near two cells of the
     // grid's work; queueing behind all 24 cells would cost the full
     // grid time. Half the grid time separates the two regimes with
@@ -415,7 +442,8 @@ main(int argc, char **argv)
     const bool small_decoupled =
         small_during_seconds <= 0.5 * large_seconds;
 
-    std::cout << "small idle " << small_idle_seconds << "s, during grid "
+    std::cout << "medians of " << kRepeats << " repeats: small idle "
+              << small_idle_seconds << "s, during grid "
               << small_during_seconds << "s, grid " << large_seconds
               << "s, decoupled " << (small_decoupled ? "yes" : "no")
               << "\n";
@@ -424,6 +452,14 @@ main(int argc, char **argv)
     if (!out)
         ATLB_FATAL("cannot write '{}'", json_path);
     JsonWriter json(out);
+    const auto runs = [&json](const std::string &name,
+                              const std::vector<double> &seconds) {
+        json.key(name);
+        json.beginArray();
+        for (const double s : seconds)
+            json.value(s);
+        json.endArray();
+    };
     json.beginObject();
     json.field("bench", "bench_serve");
     json.field("scenario", scenarioName(kScenario));
@@ -449,8 +485,11 @@ main(int argc, char **argv)
                static_cast<std::uint64_t>(kCellsPerClient));
     json.field("scheduler_threads",
                static_cast<std::uint64_t>(opts.threads));
+    json.field("repeats", static_cast<std::uint64_t>(kRepeats));
     json.field("serial_seconds", serial_seconds);
     json.field("concurrent_seconds", concurrent_seconds);
+    runs("serial_seconds_runs", serial_runs);
+    runs("concurrent_seconds_runs", concurrent_runs);
     json.field("serial_cells_per_sec", serial_cps);
     json.field("concurrent_cells_per_sec", concurrent_cps);
     json.field("queue_peak", queue_peak);
@@ -459,6 +498,9 @@ main(int argc, char **argv)
     json.field("large_grid_seconds", large_seconds);
     json.field("small_idle_seconds", small_idle_seconds);
     json.field("small_during_grid_seconds", small_during_seconds);
+    runs("large_grid_seconds_runs", large_runs);
+    runs("small_idle_seconds_runs", small_idle_runs);
+    runs("small_during_grid_seconds_runs", small_during_runs);
     json.field("concurrent_no_worse_than_serial", concurrent_no_worse);
     json.field("small_latency_decoupled", small_decoupled);
     json.endObject();

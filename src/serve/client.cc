@@ -84,14 +84,11 @@ ServeClient::roundTrip(const SweepRequest &request,
         sent += static_cast<std::size_t>(n);
     }
 
+    std::string reply;
     for (;;) {
-        const std::size_t newline = buf_.find('\n');
-        if (newline != std::string::npos) {
-            std::string reply = buf_.substr(0, newline);
-            buf_.erase(0, newline + 1);
+        if (buf_.next(reply))
             return decodeResponse(reply, response, error);
-        }
-        char chunk[4096];
+        char chunk[LineBuffer::readBytes];
         const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
         if (n < 0) {
             if (errno == EINTR)

@@ -46,7 +46,7 @@ class ServeClient
 
   private:
     int fd_ = -1;
-    std::string buf_; //!< bytes past the last reply line
+    LineBuffer buf_; //!< bytes past the last reply line
 };
 
 } // namespace atlb

@@ -168,8 +168,9 @@ SweepServer::run()
 void
 SweepServer::handleConnection(int fd)
 {
-    std::string buf;
-    char chunk[4096];
+    LineBuffer lines;
+    std::string line;
+    char chunk[LineBuffer::readBytes];
 
     while (!stopping()) {
         pollfd pfd{};
@@ -183,23 +184,15 @@ SweepServer::handleConnection(int fd)
         const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
         if (n <= 0)
             break; // EOF or error: client is gone
-        buf.append(chunk, static_cast<std::size_t>(n));
-        if (buf.size() > maxLineBytes)
-            break; // unterminated oversized line: refuse
-
-        std::size_t newline = 0;
-        while ((newline = buf.find('\n')) != std::string::npos) {
-            std::string line = buf.substr(0, newline);
-            buf.erase(0, newline + 1);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            if (line.empty())
-                continue;
+        lines.append(chunk, static_cast<std::size_t>(n));
+        while (lines.next(line)) {
             if (!sendAll(fd, handleLine(line) + "\n")) {
                 ::close(fd);
                 return;
             }
         }
+        if (lines.pending() > maxLineBytes)
+            break; // unterminated oversized line: refuse
     }
     ::close(fd);
 }

@@ -25,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -130,6 +131,65 @@ counterValue(const SweepResponse &resp, const std::string &name)
     ADD_FAILURE() << "response carries no counter '" << name << "'";
     return 0;
 }
+
+/**
+ * A raw client socket, for bytes no ServeClient would send: malformed
+ * lines, pipelined lines, lines split across sends.
+ */
+class RawConnection
+{
+  public:
+    explicit RawConnection(const TestServer &ts)
+    {
+        fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        EXPECT_GE(fd_, 0);
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, ts.opts.socket_path.c_str(),
+                     sizeof(addr.sun_path) - 1);
+        EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr *>(&addr),
+                            sizeof(addr)),
+                  0);
+    }
+
+    ~RawConnection() { ::close(fd_); }
+
+    RawConnection(const RawConnection &) = delete;
+    RawConnection &operator=(const RawConnection &) = delete;
+
+    /** Send all of @p bytes; false once the server has hung up. */
+    bool send(std::string_view bytes)
+    {
+        while (!bytes.empty()) {
+            const long n =
+                ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+            if (n <= 0)
+                return false;
+            bytes.remove_prefix(static_cast<std::size_t>(n));
+        }
+        return true;
+    }
+
+    /** The next reply line, decoded; false at end of stream. */
+    bool reply(SweepResponse &resp)
+    {
+        std::string line;
+        while (!lines_.next(line)) {
+            char chunk[4096];
+            const long n = ::recv(fd_, chunk, sizeof(chunk), 0);
+            if (n <= 0)
+                return false;
+            lines_.append(chunk, static_cast<std::size_t>(n));
+        }
+        std::string error;
+        EXPECT_TRUE(decodeResponse(line, resp, &error)) << error;
+        return true;
+    }
+
+  private:
+    int fd_ = -1;
+    LineBuffer lines_;
+};
 
 /** 2 workloads x medium x 2 schemes: small but exercises Anchor. */
 SweepRequest
@@ -356,37 +416,11 @@ TEST(ServeServer, InvalidKnobsAreARequestError)
 TEST(ServeServer, MalformedLinePoisonsOnlyThatRequest)
 {
     TestServer ts("malformed");
-
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, ts.opts.socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
-
-    const auto raw_round_trip = [fd](const std::string &line) {
-        const std::string msg = line + "\n";
-        EXPECT_EQ(::send(fd, msg.data(), msg.size(), MSG_NOSIGNAL),
-                  static_cast<long>(msg.size()));
-        std::string buf;
-        char chunk[4096];
-        while (buf.find('\n') == std::string::npos) {
-            const long n = ::recv(fd, chunk, sizeof(chunk), 0);
-            if (n <= 0)
-                break;
-            buf.append(chunk, static_cast<std::size_t>(n));
-        }
-        return buf.substr(0, buf.find('\n'));
-    };
+    RawConnection conn(ts);
 
     SweepResponse resp;
-    std::string error;
-    ASSERT_TRUE(
-        decodeResponse(raw_round_trip("this is not json"), resp, &error))
-        << error;
+    ASSERT_TRUE(conn.send("this is not json\n"));
+    ASSERT_TRUE(conn.reply(resp));
     EXPECT_FALSE(resp.ok);
     EXPECT_FALSE(resp.error.empty());
     EXPECT_EQ(counterValue(resp, "bad_requests"), 1u);
@@ -395,11 +429,80 @@ TEST(ServeServer, MalformedLinePoisonsOnlyThatRequest)
     SweepRequest stats;
     stats.op = WireOp::Stats;
     SweepResponse ok_resp;
-    ASSERT_TRUE(decodeResponse(raw_round_trip(encodeRequest(stats)),
-                               ok_resp, &error))
-        << error;
+    ASSERT_TRUE(conn.send(encodeRequest(stats) + "\n"));
+    ASSERT_TRUE(conn.reply(ok_resp));
     EXPECT_TRUE(ok_resp.ok);
-    ::close(fd);
+}
+
+TEST(ServeServer, TwoLinesInOneSendGetTwoRepliesInOrder)
+{
+    TestServer ts("pipelined");
+    RawConnection conn(ts);
+
+    SweepRequest query = gridRequest(WireOp::Query);
+    query.cells.resize(1);
+    SweepRequest stats;
+    stats.op = WireOp::Stats;
+    ASSERT_TRUE(conn.send(encodeRequest(query) + "\n" +
+                          encodeRequest(stats) + "\r\n"));
+
+    SweepResponse first, second;
+    ASSERT_TRUE(conn.reply(first));
+    ASSERT_TRUE(conn.reply(second));
+    ASSERT_TRUE(first.ok) << first.error;
+    ASSERT_EQ(first.cells.size(), 1u);
+    EXPECT_EQ(first.cells[0].status, CellStatus::Miss);
+    EXPECT_EQ(counterValue(first, "requests"), 1u);
+    EXPECT_TRUE(second.ok) << second.error;
+    EXPECT_TRUE(second.cells.empty());
+    EXPECT_EQ(counterValue(second, "requests"), 2u);
+}
+
+TEST(ServeServer, RequestSentOneBytePerSendIsAnswered)
+{
+    TestServer ts("bytewise");
+    RawConnection conn(ts);
+
+    const std::string line =
+        encodeRequest(gridRequest(WireOp::Query)) + "\n";
+    for (const char byte : line) {
+        ASSERT_TRUE(conn.send(std::string_view(&byte, 1)));
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    SweepResponse resp;
+    ASSERT_TRUE(conn.reply(resp));
+    ASSERT_TRUE(resp.ok) << resp.error;
+    EXPECT_EQ(resp.cells.size(), 4u);
+    EXPECT_EQ(counterValue(resp, "requests"), 1u);
+}
+
+TEST(ServeServer, OversizedLineClosesOnlyItsConnection)
+{
+    TestServer ts("oversized");
+    RawConnection bystander(ts);
+
+    {
+        // Past the 16 MiB line cap with no newline: the server hangs
+        // up before it takes 17 MiB, and sends no reply.
+        RawConnection flood(ts);
+        const std::string block(1 << 20, 'x');
+        int sent = 0;
+        while (sent < 17 && flood.send(block))
+            ++sent;
+        ASSERT_LT(sent, 17) << "the server read past its line cap";
+        SweepResponse resp;
+        EXPECT_FALSE(flood.reply(resp));
+    }
+
+    SweepRequest stats;
+    stats.op = WireOp::Stats;
+    SweepResponse resp;
+    ASSERT_TRUE(bystander.send(encodeRequest(stats) + "\n"));
+    ASSERT_TRUE(bystander.reply(resp));
+    EXPECT_TRUE(resp.ok);
+    const SweepResponse fresh = roundTrip(ts, stats);
+    EXPECT_TRUE(fresh.ok);
+    EXPECT_EQ(counterValue(fresh, "bad_requests"), 0u);
 }
 
 TEST(ServeServer, ConcurrentIdenticalSubmitsSimulateOnce)

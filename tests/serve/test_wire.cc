@@ -1,15 +1,25 @@
 /**
  * @file
- * Tests for the sweep-service wire protocol (JSON codec + messages).
+ * Tests for the sweep-service wire protocol (JSON codec + messages):
+ * round trips, one named test per decoding rule, and a differential
+ * fuzz test of the typed decoders against the tree-walking reference
+ * in wire_reference.hh.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "common/rng.hh"
 #include "serve/wire.hh"
+#include "serve/wire_reference.hh"
 
 namespace atlb
 {
@@ -280,6 +290,448 @@ TEST(ServeWire, OpAndStatusNamesRoundTrip)
     EXPECT_STREQ(cellStatusName(CellStatus::Deduped), "deduped");
     EXPECT_STREQ(cellStatusName(CellStatus::Miss), "miss");
     EXPECT_STREQ(cellStatusName(CellStatus::Error), "error");
+}
+
+TEST(ServeWire, DecodeOverwritesAReusedStruct)
+{
+    SweepResponse first;
+    first.ok = false;
+    first.error = "bad request: no cells";
+    first.counters = {{"requests", 1}};
+    SweepResponse second;
+    second.ok = true;
+    CellReply hit;
+    hit.status = CellStatus::Hit;
+    hit.key = 7;
+    hit.result = sampleResult();
+    CellReply miss;
+    miss.status = CellStatus::Miss;
+    miss.key = 8;
+    second.cells = {hit, miss};
+    second.counters = {{"requests", 2}};
+    const std::string second_line = encodeResponse(second);
+
+    SweepResponse reused;
+    ASSERT_TRUE(decodeResponse(encodeResponse(first), reused, nullptr));
+    ASSERT_TRUE(decodeResponse(second_line, reused, nullptr));
+    SweepResponse fresh;
+    ASSERT_TRUE(decodeResponse(second_line, fresh, nullptr));
+    EXPECT_EQ(encodeResponse(reused), encodeResponse(fresh));
+    EXPECT_TRUE(reused.error.empty());
+    ASSERT_EQ(reused.cells.size(), 2u);
+    EXPECT_EQ(reused.cells[0].key, 7u);
+    ASSERT_EQ(reused.counters.size(), 1u);
+    EXPECT_EQ(reused.counters[0].second, 2u);
+
+    SweepRequest request;
+    ASSERT_TRUE(decodeRequest(encodeRequest(sampleRequest()), request,
+                              nullptr));
+    ASSERT_TRUE(decodeRequest(R"({"op":"stats"})", request, nullptr));
+    EXPECT_EQ(request.op, WireOp::Stats);
+    EXPECT_TRUE(request.cells.empty());
+    EXPECT_FALSE(request.accesses.has_value());
+    EXPECT_FALSE(request.seed.has_value());
+    EXPECT_FALSE(request.scale.has_value());
+}
+
+TEST(ServeWire, FirstOfTwoSameNamedMembersWins)
+{
+    SweepRequest req;
+    ASSERT_TRUE(decodeRequest(
+        R"({"op":"query","op":"submit","seed":1,"seed":2,)"
+        R"("cells":[{"workload":"mcf","scenario":"demand","scheme":"Base",)"
+        R"("scheme":"THP","distance":4,"distance":8}],"cells":7})",
+        req, nullptr));
+    EXPECT_EQ(req.op, WireOp::Query);
+    EXPECT_EQ(req.seed, std::optional<std::uint64_t>{1});
+    ASSERT_EQ(req.cells.size(), 1u);
+    EXPECT_EQ(req.cells[0].scheme, Scheme::Base);
+    EXPECT_EQ(req.cells[0].distance, std::optional<std::uint64_t>{4});
+
+    // A first 'op' that is no string hides a valid second one.
+    std::string error;
+    EXPECT_FALSE(decodeRequest(R"({"op":1,"op":"stats"})", req, &error));
+    EXPECT_EQ(error, "missing 'op'");
+
+    SweepResponse resp;
+    ASSERT_TRUE(decodeResponse(
+        R"({"ok":true,"ok":false,"cells":[{"status":"miss","key":3,)"
+        R"("key":4,"status":"hit"}],"counters":{"a":1,"a":2}})",
+        resp, nullptr));
+    EXPECT_TRUE(resp.ok);
+    ASSERT_EQ(resp.cells.size(), 1u);
+    EXPECT_EQ(resp.cells[0].status, CellStatus::Miss);
+    EXPECT_EQ(resp.cells[0].key, 3u);
+    // Counters keep every member, repeats included, in order.
+    ASSERT_EQ(resp.counters.size(), 2u);
+    EXPECT_EQ(resp.counters[1].second, 2u);
+}
+
+TEST(ServeWire, EscapedMemberNameMatches)
+{
+    SweepRequest req;
+    std::string error;
+    ASSERT_TRUE(decodeRequest(
+        R"({"\u006fp":"stats","se\u0065d":9,"c\u0065lls":[]})", req,
+        &error))
+        << error;
+    EXPECT_EQ(req.op, WireOp::Stats);
+    EXPECT_EQ(req.seed, std::optional<std::uint64_t>{9});
+
+    SweepResponse resp;
+    ASSERT_TRUE(decodeResponse(
+        R"({"\u006fk":true,"cells":[{"\u0073tatus":"miss","k\u0065y":5}],)"
+        R"("counters":{"h\u0069ts":2}})",
+        resp, &error))
+        << error;
+    EXPECT_TRUE(resp.ok);
+    ASSERT_EQ(resp.cells.size(), 1u);
+    EXPECT_EQ(resp.cells[0].key, 5u);
+    ASSERT_EQ(resp.counters.size(), 1u);
+    EXPECT_EQ(resp.counters[0].first, "hits");
+}
+
+TEST(ServeWire, MalformedUnknownMemberRejectsTheLine)
+{
+    SweepRequest req;
+    std::string error;
+    EXPECT_FALSE(decodeRequest(R"({"op":"stats","extra":[1,]})", req,
+                               &error));
+    EXPECT_EQ(error, "json error at byte 25: expected a value");
+    EXPECT_FALSE(decodeRequest(R"({"op":"stats","extra":"\q"})", req,
+                               &error));
+    EXPECT_EQ(error, "json error at byte 25: bad escape character");
+    EXPECT_FALSE(decodeRequest(R"({"op":"stats","extra":1e999})", req,
+                               &error));
+    EXPECT_EQ(error, "json error at byte 27: unrepresentable number");
+
+    // A syntax error after a semantic fault still wins.
+    SweepResponse resp;
+    EXPECT_FALSE(decodeResponse(R"({"ok":1,"extra":tru})", resp, &error));
+    EXPECT_EQ(error, "json error at byte 16: bad literal");
+}
+
+TEST(ServeWire, NonU64KnobIsAbsent)
+{
+    for (const char *value :
+         {"-1", "1.0", "1e3", "18446744073709551616", "\"5\"", "null",
+          "[5]"}) {
+        SweepRequest req;
+        std::string error;
+        const std::string line =
+            std::string(R"({"op":"submit","accesses":)") + value +
+            R"(,"seed":)" + value + R"(,"scale_bits":)" + value +
+            R"(,"cells":[{"workload":"mcf","scenario":"demand",)" +
+            R"("scheme":"Dynamic","distance":)" + value + "}]}";
+        ASSERT_TRUE(decodeRequest(line, req, &error)) << line << ": "
+                                                      << error;
+        EXPECT_FALSE(req.accesses.has_value()) << value;
+        EXPECT_FALSE(req.seed.has_value()) << value;
+        EXPECT_FALSE(req.scale.has_value()) << value;
+        ASSERT_EQ(req.cells.size(), 1u);
+        EXPECT_FALSE(req.cells[0].distance.has_value()) << value;
+    }
+    SweepRequest req;
+    ASSERT_TRUE(decodeRequest(
+        R"({"op":"submit","accesses":18446744073709551615})", req,
+        nullptr));
+    EXPECT_EQ(req.accesses,
+              std::optional<std::uint64_t>{18'446'744'073'709'551'615u});
+}
+
+TEST(ServeWire, NestingTooDeepInsideAnUnknownMember)
+{
+    // The root is depth 0 and "x"'s value depth 1, so 32 brackets put
+    // the innermost value at depth 33.
+    const std::string open32(32, '[');
+    const std::string close32(32, ']');
+    SweepRequest req;
+    std::string error;
+    EXPECT_TRUE(decodeRequest(R"({"op":"stats","x":)" + open32.substr(1) +
+                                  close32.substr(1) + "}",
+                              req, &error))
+        << error;
+    EXPECT_FALSE(decodeRequest(
+        R"({"op":"stats","x":)" + open32 + "1" + close32 + "}", req,
+        &error));
+    EXPECT_EQ(error, "json error at byte 50: nesting too deep");
+
+    SweepResponse resp;
+    EXPECT_FALSE(decodeResponse(
+        R"({"ok":true,"x":)" + open32 + "1" + close32 + "}", resp,
+        &error));
+    EXPECT_EQ(error, "json error at byte 47: nesting too deep");
+}
+
+TEST(ServeWire, LineBufferFramesLinesAcrossReads)
+{
+    LineBuffer lines;
+    std::string line;
+    lines.append("ab", 2);
+    EXPECT_FALSE(lines.next(line));
+    EXPECT_EQ(lines.pending(), 2u);
+    const std::string rest = "c\r\n\n\r\nd\nxyz";
+    lines.append(rest.data(), rest.size());
+    ASSERT_TRUE(lines.next(line));
+    EXPECT_EQ(line, "abc");
+    ASSERT_TRUE(lines.next(line)); // the empty lines are skipped
+    EXPECT_EQ(line, "d");
+    EXPECT_FALSE(lines.next(line));
+    EXPECT_EQ(lines.pending(), 3u);
+    lines.append("\n", 1);
+    ASSERT_TRUE(lines.next(line));
+    EXPECT_EQ(line, "xyz");
+    EXPECT_EQ(lines.pending(), 0u);
+}
+
+/** The first difference between two decoded requests, or "". */
+std::string
+requestDiff(const SweepRequest &a, const SweepRequest &b)
+{
+    const auto bits = [](const std::optional<double> &v) {
+        return v ? std::optional<std::uint64_t>{std::bit_cast<
+                       std::uint64_t>(*v)}
+                 : std::nullopt;
+    };
+    if (a.op != b.op)
+        return "op";
+    if (a.accesses != b.accesses || a.seed != b.seed ||
+        bits(a.scale) != bits(b.scale))
+        return "knobs";
+    if (a.cells.size() != b.cells.size())
+        return "cell count";
+    for (std::size_t i = 0; i < a.cells.size(); ++i) {
+        const CellRequest &x = a.cells[i];
+        const CellRequest &y = b.cells[i];
+        if (x.workload != y.workload || x.scenario != y.scenario ||
+            x.scheme != y.scheme || x.distance != y.distance)
+            return "cell " + std::to_string(i);
+    }
+    return "";
+}
+
+/**
+ * The first difference between two decoded replies, or "". Field by
+ * field: encodeResponse drops the result of a miss or error cell, so
+ * comparing encodings would miss a stray result there.
+ */
+std::string
+responseDiff(const SweepResponse &a, const SweepResponse &b)
+{
+    if (a.ok != b.ok || a.error != b.error)
+        return "ok/error";
+    if (a.cells.size() != b.cells.size())
+        return "cell count";
+    for (std::size_t i = 0; i < a.cells.size(); ++i) {
+        const CellReply &x = a.cells[i];
+        const CellReply &y = b.cells[i];
+        const SimResult &r = x.result;
+        const SimResult &q = y.result;
+        if (x.status != y.status || x.error != y.error || x.key != y.key ||
+            r.workload != q.workload || r.scenario != q.scenario ||
+            r.scheme != q.scheme || r.anchor_distance != q.anchor_distance ||
+            r.stats.accesses != q.stats.accesses ||
+            r.stats.l1_hits != q.stats.l1_hits ||
+            r.stats.l2_regular_hits != q.stats.l2_regular_hits ||
+            r.stats.coalesced_hits != q.stats.coalesced_hits ||
+            r.stats.page_walks != q.stats.page_walks ||
+            r.stats.translation_cycles != q.stats.translation_cycles ||
+            r.stats.shootdowns != q.stats.shootdowns ||
+            r.stats.shootdown_cycles != q.stats.shootdown_cycles ||
+            std::bit_cast<std::uint64_t>(r.instructions) !=
+                std::bit_cast<std::uint64_t>(q.instructions) ||
+            r.l2_hit_cycles != q.l2_hit_cycles ||
+            r.coalesced_cycles != q.coalesced_cycles ||
+            r.walk_cycles != q.walk_cycles)
+            return "cell " + std::to_string(i);
+    }
+    if (a.counters != b.counters)
+        return "counters";
+    return "";
+}
+
+/** A reply shaped like a Fig. 9 grid's: every scheme at each mapping. */
+SweepResponse
+fig9ShapedResponse()
+{
+    SweepResponse resp;
+    resp.ok = true;
+    std::uint64_t key = 0x9e3779b97f4a7c15ULL;
+    for (const ScenarioKind scenario :
+         {ScenarioKind::Demand, ScenarioKind::MedContig}) {
+        for (const Scheme scheme : allSchemes) {
+            CellReply cell;
+            cell.status = CellStatus::Hit;
+            cell.key = key;
+            key = key * 6364136223846793005ULL + 1442695040888963407ULL;
+            cell.result = sampleResult();
+            cell.result.scenario = scenarioName(scenario);
+            cell.result.scheme = schemeName(scheme);
+            cell.result.stats.page_walks = key >> 40;
+            resp.cells.push_back(cell);
+        }
+    }
+    for (const char *name :
+         {"connections", "requests", "bad_requests", "cells", "hits",
+          "dedups", "simulations", "cell_errors", "queue_peak",
+          "store_lookups", "store_hits", "store_file_bytes"})
+        resp.counters.emplace_back(name, key >>= 7);
+    return resp;
+}
+
+/** The lines the fuzz test mutates. */
+std::vector<std::string>
+fuzzCorpus()
+{
+    SweepResponse mixed;
+    mixed.ok = true;
+    CellReply hit;
+    hit.status = CellStatus::Computed;
+    hit.key = 0xdeadbeefcafef00dULL;
+    hit.result = sampleResult();
+    CellReply miss;
+    miss.status = CellStatus::Miss;
+    miss.key = 42;
+    CellReply err;
+    err.status = CellStatus::Error;
+    err.error = "unknown workload 'no\"pe'";
+    mixed.cells = {hit, miss, err};
+    mixed.counters = {{"hits", 1}, {"simulations", 0}};
+    SweepResponse refused;
+    refused.error = "bad request: no cells";
+
+    return {
+        encodeRequest(sampleRequest()),
+        encodeResponse(mixed),
+        encodeResponse(refused),
+        encodeResponse(fig9ShapedResponse()),
+        // One line per decoding rule.
+        R"({"op":"query","op":"submit","seed":1,"seed":2,"cells":[)"
+        R"({"workload":"mcf","scenario":"low","scheme":"Base",)"
+        R"("scheme":"RMM"}]})",
+        R"({"ok":false,"ok":true,"error":"x","error":"y","cells":[)"
+        R"({"status":"miss","key":1,"key":2}]})",
+        R"({"\u006fp":"stats","\u0063ells":[]})",
+        R"({"\u006fk":true,"c\u006funters":{"\u0068its":3}})",
+        R"({"op":"stats","extra":{"a":[1,2,{"b":null}],"c":"\n"}})",
+        R"({"ok":true,"extra":[true,false,null,-0.5e3]})",
+        R"({"op":"submit","accesses":-1,"seed":1.0,)"
+        R"("scale_bits":18446744073709551616})",
+        R"({"op":"stats","x":1e999})",
+        R"({"op":"stats","x":)" + std::string(32, '[') +
+            std::string(32, ']') + "}",
+        R"({"cells":5,"op":"explode"})",
+        R"({"counters":[],"cells":[{"status":"hit","key":1}],"ok":1})",
+        R"({"ok":true,"cells":[{"key":9,"status":"error","workload":7}]})",
+        R"({"ok":true,"cells":[{"status":"deduped","key":5,)"
+        R"("walk_cycles":1,"workload":"a","scenario":"b","scheme":"c",)"
+        R"("anchor_distance":0,"accesses":1,"l1_hits":1,)"
+        R"("l2_regular_hits":0,"coalesced_hits":0,"page_walks":0,)"
+        R"("translation_cycles":0,"shootdowns":0,"shootdown_cycles":0,)"
+        R"("instructions_bits":4607182418800017408,"l2_hit_cycles":0,)"
+        R"("coalesced_cycles":0,"walk_cycles":"x"}]})",
+    };
+}
+
+/** @p line with one random edit: a byte, a cut, a copy or a token. */
+void
+mutate(Rng &rng, std::string &line)
+{
+    static const std::vector<std::string> tokens = {
+        "{", "}", "[", "]", ",", ":", "\"", "1e999", "-1",
+        "18446744073709551616", "\\ud800", "\"\\u0073tatus\"",
+        std::string(33, '[')};
+    const auto at = [&](std::size_t bound) {
+        return static_cast<std::size_t>(rng.nextBounded(bound + 1));
+    };
+    switch (rng.nextBounded(5)) {
+      case 0: // flip a byte
+        if (!line.empty()) {
+            line[at(line.size() - 1)] =
+                static_cast<char>(rng.nextBounded(256));
+        }
+        break;
+      case 1: { // delete a slice
+        const std::size_t pos = at(line.size());
+        line.erase(pos, at(std::min<std::size_t>(8, line.size() - pos)));
+        break;
+      }
+      case 2: // truncate
+        line.resize(at(line.size()));
+        break;
+      case 3: { // duplicate a slice somewhere else
+        const std::size_t pos = at(line.size());
+        const std::string slice =
+            line.substr(pos, at(std::min<std::size_t>(64, line.size() - pos)));
+        line.insert(at(line.size()), slice);
+        break;
+      }
+      default: { // a dictionary token, inserted or written over
+        const std::string &token = tokens[rng.nextBounded(tokens.size())];
+        const std::size_t pos = at(line.size());
+        if (rng.nextBool(0.5))
+            line.insert(pos, token);
+        else
+            line.replace(pos, token.size(), token);
+      }
+    }
+}
+
+TEST(ServeWire, TypedDecodersMatchTreeReference)
+{
+    const std::vector<std::string> corpus = fuzzCorpus();
+    Rng rng(20'171'017);
+    constexpr int mutations = 100'000;
+    int decodes = 0;
+    int accepted = 0;
+    int disagreements = 0;
+    const auto disagree = [&](const std::string &what,
+                              const std::string &line) {
+        if (++disagreements <= 10)
+            ADD_FAILURE() << what << " differs on: " << line;
+    };
+
+    for (int i = 0; i < mutations; ++i) {
+        std::string line = corpus[rng.nextBounded(corpus.size())];
+        const std::uint64_t edits = 1 + rng.nextBounded(3);
+        for (std::uint64_t e = 0; e < edits; ++e)
+            mutate(rng, line);
+
+        SweepRequest req, ref_req;
+        std::string error, ref_error;
+        const bool ok = decodeRequest(line, req, &error);
+        const bool ref_ok =
+            wire_reference::decodeRequest(line, ref_req, &ref_error);
+        decodes += 1;
+        accepted += ok ? 1 : 0;
+        if (ok != ref_ok)
+            disagree("request verdict", line);
+        else if (!ok && error != ref_error)
+            disagree("request error '" + error + "' vs '" + ref_error + "'",
+                     line);
+        else if (ok && !requestDiff(req, ref_req).empty())
+            disagree("request " + requestDiff(req, ref_req), line);
+
+        SweepResponse resp, ref_resp;
+        const bool resp_ok = decodeResponse(line, resp, &error);
+        const bool ref_resp_ok =
+            wire_reference::decodeResponse(line, ref_resp, &ref_error);
+        decodes += 1;
+        accepted += resp_ok ? 1 : 0;
+        if (resp_ok != ref_resp_ok)
+            disagree("reply verdict", line);
+        else if (!resp_ok && error != ref_error)
+            disagree("reply error '" + error + "' vs '" + ref_error + "'",
+                     line);
+        else if (resp_ok && !responseDiff(resp, ref_resp).empty())
+            disagree("reply " + responseDiff(resp, ref_resp), line);
+    }
+    EXPECT_EQ(disagreements, 0);
+    // The corpus must keep reaching the typed paths, not just the
+    // syntax errors.
+    EXPECT_GE(accepted * 100, decodes) << accepted << " of " << decodes;
+    std::printf("%d decodes, %d accepted, %d disagreements\n", decodes,
+                accepted, disagreements);
 }
 
 } // namespace
