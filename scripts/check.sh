@@ -3,11 +3,12 @@
 # Full correctness gate: clang-format (check only), shellcheck, a
 # parse of every CI workflow file, clang-tidy, the anchortlb_lint
 # domain-rule pass, a -Werror + ANCHORTLB_CHECKED build with the whole
-# test suite (including the parallel-engine determinism tests), an
-# unchecked build running the goldens and batch suites through both
-# batch kernels, the same full suite again under AddressSanitizer and
-# UndefinedBehaviorSanitizer, and the concurrency suites plus the
-# bench_e2e smoke under ThreadSanitizer.
+# test suite (including the parallel-engine determinism tests and the
+# goldens, which run the batch kernel with every translation verified),
+# the same suite with the scalar kernel forced, the full suite again
+# under AddressSanitizer and UndefinedBehaviorSanitizer, and the
+# concurrency suites plus the bench_e2e smoke (an unchecked -Werror
+# build) under ThreadSanitizer.
 #
 # This is the tier-1 entry point (see ROADMAP.md). The fast inner loop
 # remains:  cmake -B build -S . && cmake --build build -j && ctest
@@ -30,7 +31,7 @@ for arg in "$@"; do
     case "$arg" in
     --fast) fast=1 ;;
     -h | --help)
-        sed -n '2,17p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
+        sed -n '2,18p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
         exit 0
         ;;
     *)
@@ -129,33 +130,13 @@ note "anchortlb_lint (domain rules)"
 # ------------------------------------------- scalar-forced dispatch --
 # The SIMD kernels must be pure speed, never behaviour: the same
 # checked build re-runs the whole suite (goldens included) with the
-# scalar dispatch level forced, pinning byte-identical results.
+# scalar dispatch level forced, so the batch kernel's scalar
+# instantiation runs under the oracle too, pinning byte-identical
+# results.
 note "ctest build-checked (ANCHORTLB_SIMD=scalar)"
 (cd "$repo/build-checked" &&
     ANCHORTLB_SIMD=scalar ctest --output-on-failure -j "$jobs") ||
     failures+=("scalar-forced ctest")
-
-# ------------------------------------------- unchecked batch kernels --
-# Under ANCHORTLB_CHECKED translateBatch loops translate() so the
-# oracle sees every access, so the legs above never run a batch kernel.
-# An unchecked build runs the goldens and the batch-equivalence suites
-# through the vector kernel (auto level) and again through the scalar
-# loop (ANCHORTLB_SIMD=scalar).
-unchecked_leg() {
-    note "build build-unchecked (goldens + batch suites, both kernels)"
-    cmake -S "$repo" -B "$repo/build-unchecked" -DANCHORTLB_WERROR=ON \
-        > /dev/null
-    cmake --build "$repo/build-unchecked" -j "$jobs" \
-        --target test_sim test_ingest bench_fig2_prior_schemes \
-        bench_fig9_all_mappings bench_ext_context_switch bench_ext_churn \
-        anchortlb
-    (cd "$repo/build-unchecked" &&
-        ctest --output-on-failure -j "$jobs" -R 'golden|Batch' &&
-        ANCHORTLB_SIMD=scalar ctest --output-on-failure -j "$jobs" \
-            -R 'golden|Batch')
-}
-
-unchecked_leg || failures+=("unchecked batch kernels")
 
 # ------------------------------------------------------ serve smoke --
 # The sweep service end to end: server up, a grid submitted twice, the

@@ -1,10 +1,10 @@
 /**
  * @file
- * Definition of Mmu::runBatchKernelVecT, the vectorised batch loop.
+ * Definition of Mmu::runBatchKernelVecT, the batch loop.
  *
- * Only the per-ISA kernel TUs include this header
- * (batch_kernel_avx2.cc — the TU compiled with -mavx2 — and
- * batch_kernel_neon.cc on aarch64); everything else sees just the
+ * Only the TUs that instantiate it include this header: mmu.cc for
+ * the scalar level, batch_kernel_avx2.cc (the TU compiled with -mavx2)
+ * and batch_kernel_neon.cc on aarch64; everything else sees just the
  * declaration in mmu.hh. Keeping the definition out of mmu.hh is the
  * point of the design: the Isa policy's probe and pre-pass bodies are
  * ISA intrinsics that may only be *compiled* in a TU built for that
@@ -12,9 +12,10 @@
  * kernel pay (per-lookup dispatch through a function pointer was
  * measured slower than the scalar scan it replaced — DESIGN.md §7.3).
  *
- * The Isa policy supplies two statics, both matching the dispatch
- * kernel contracts in common/simd.hh (the differential tests in
- * tests/common/test_simd.cc pin those against the scalar reference):
+ * The Isa policy supplies two statics matching the dispatch kernel
+ * contracts in common/simd.hh (the differential tests in
+ * tests/common/test_simd.cc pin the vector ones against the scalar
+ * reference), and one compile-time constant:
  *
  *   static int  find(const std::uint64_t *words, unsigned count,
  *                    std::uint64_t want);            // SimdFindU64Fn
@@ -22,6 +23,7 @@
  *                     unsigned shift, std::uint64_t prev,
  *                     std::uint64_t *vpns, std::uint64_t *eqbits);
  *                                                    // SimdVpnEqFn
+ *   static constexpr bool prefetch;  // warm the miss path ahead
  */
 
 #ifndef ANCHORTLB_MMU_BATCH_KERNEL_HH
@@ -40,8 +42,7 @@ namespace atlb
 
 /**
  * See the contract on the declaration in mmu.hh: counter-identical to
- * the scalar runBatchKernel, probes in stream order, prefetches
- * kBatchPrefetchDistance probes ahead.
+ * the translate() loop, probes in stream order.
  */
 template <class Isa>
 void
@@ -56,6 +57,12 @@ Mmu::runBatchKernelVecT(const MemAccess *accesses, std::size_t n,
     std::uint64_t n_filtered = 0;
     Vpn last_vpn = invalidVpn;
     bool have_last = l0FilterLoad(last_vpn);
+#ifdef ANCHORTLB_CHECKED
+    // Only a batch that opens on the carried page serves its entry
+    // unprobed; a page remapped since is stale only if it is used.
+    if (have_last && n > 0 && vpnOf(accesses[0].vaddr) == last_vpn)
+        verifyL0Carry(last_vpn);
+#endif
     constexpr std::size_t kChunk = 512;
     alignas(simdAlignBytes) std::uint64_t vpns[kChunk];
     std::uint64_t eqbits[kChunk / 64];
@@ -69,8 +76,8 @@ Mmu::runBatchKernelVecT(const MemAccess *accesses, std::size_t n,
             eqbits[0] &= ~std::uint64_t{1};
 
         // Turn the eq bitset into the chunk's probe list: the indices
-        // whose bit is clear, ascending — exactly the accesses the
-        // scalar loop would probe, in the order it would probe them.
+        // whose bit is clear, ascending — the accesses that leave the
+        // previous one's page, in stream order.
         std::size_t np = 0;
         for (std::size_t w = 0; w * 64 < m; ++w) {
             const std::size_t first = w * 64;
@@ -91,26 +98,33 @@ Mmu::runBatchKernelVecT(const MemAccess *accesses, std::size_t n,
         n_hits += filtered;
         n_filtered += filtered;
 
-        // Probe loop with the translate path warmed
-        // kBatchPrefetchDistance probes ahead. The warm-up loop covers
-        // the chunk's first probes, whose +distance partner the main
-        // loop never reaches.
-        const std::size_t warm =
-            std::min(np, kBatchPrefetchDistance);
-        for (std::size_t j = 0; j < warm; ++j)
-            prefetchTranslate(Vpn{vpns[probes[j]]});
+        // Probe loop, with the translate path warmed
+        // kBatchPrefetchDistance probes ahead when the Isa prefetches.
+        // The warm-up loop covers the chunk's first probes, whose
+        // +distance partner the main loop never reaches.
+        if constexpr (Isa::prefetch) {
+            const std::size_t warm =
+                std::min(np, kBatchPrefetchDistance);
+            for (std::size_t j = 0; j < warm; ++j)
+                prefetchTranslate(Vpn{vpns[probes[j]]});
+        }
         for (std::size_t j = 0; j < np; ++j) {
-            if (j + kBatchPrefetchDistance < np)
-                prefetchTranslate(
-                    Vpn{vpns[probes[j + kBatchPrefetchDistance]]});
+            if constexpr (Isa::prefetch) {
+                if (j + kBatchPrefetchDistance < np)
+                    prefetchTranslate(
+                        Vpn{vpns[probes[j + kBatchPrefetchDistance]]});
+            }
             const Vpn vpn{vpns[probes[j]]};
-            if (l1_4k_.lookupWith(EntryKind::Page4K, pageKey(vpn),
-                                  Isa::find) != nullptr) {
+            // l1Hit verifies the hit in checked builds.
+            if (const TlbEntry *e4k = l1_4k_.lookupWith(
+                    EntryKind::Page4K, pageKey(vpn), Isa::find)) {
+                l1Hit(vpn, *e4k, PageSize::Base4K);
                 ++n_hits;
                 continue;
             }
-            if (l1_2m_.lookupWith(EntryKind::Page2M, hugeKey(vpn),
-                                  Isa::find) != nullptr) {
+            if (const TlbEntry *e2m = l1_2m_.lookupWith(
+                    EntryKind::Page2M, hugeKey(vpn), Isa::find)) {
+                l1Hit(vpn, *e2m, PageSize::Huge2M);
                 ++n_hits;
                 continue;
             }

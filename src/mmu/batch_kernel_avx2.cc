@@ -25,6 +25,8 @@ namespace
 
 struct Avx2Isa
 {
+    static constexpr bool prefetch = true;
+
     static int
     find(const std::uint64_t *words, unsigned count, std::uint64_t want)
     {

@@ -22,6 +22,8 @@ namespace
 
 struct NeonIsa
 {
+    static constexpr bool prefetch = true;
+
     static int
     find(const std::uint64_t *words, unsigned count, std::uint64_t want)
     {

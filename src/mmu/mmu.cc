@@ -1,13 +1,54 @@
 #include "mmu.hh"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "common/simd.hh"
+#include "mmu/batch_kernel.hh"
 #include "os/page_table.hh"
 #include "tlb/range_tlb.hh"
 
 namespace atlb
 {
+
+namespace
+{
+
+/**
+ * The scalar level's batch-kernel policy. It does not prefetch, so
+ * bench_hotpath's SIMD-over-scalar gates still measure the vector
+ * kernels against a loop without prefetch.
+ */
+struct ScalarIsa
+{
+    static constexpr bool prefetch = false;
+
+    static int
+    find(const std::uint64_t *words, unsigned count, std::uint64_t want)
+    {
+        return scalarFindWay(words, count, want);
+    }
+
+    static void
+    vpnEq(const std::uint8_t *accesses, std::size_t count,
+          unsigned shift, std::uint64_t prev, std::uint64_t *vpns,
+          std::uint64_t *eqbits)
+    {
+        std::fill_n(eqbits, (count + 63) / 64, std::uint64_t{0});
+        for (std::size_t i = 0; i < count; ++i) {
+            std::uint64_t raw = 0;
+            std::memcpy(&raw, accesses + 16 * i, sizeof(raw));
+            vpns[i] = raw >> shift;
+            if (vpns[i] == prev)
+                eqbits[i / 64] |= std::uint64_t{1} << (i % 64);
+            prev = vpns[i];
+        }
+    }
+};
+
+} // namespace
 
 Mmu::Mmu(const MmuConfig &config, const PageTable &table, std::string name)
     : config_(config), table_(&table), name_(std::move(name)),
@@ -24,8 +65,6 @@ Mmu::Mmu(const MmuConfig &config, const PageTable &table, std::string name)
     // The SIMD level is captured here, once: benches/tests that flip
     // levels in-process (forceSimdLevel) construct fresh MMUs.
     switch (simdLevel()) {
-      case SimdLevel::Scalar:
-        break;
 #if defined(__x86_64__)
       case SimdLevel::Avx2:
         batch_kernel_ = &Mmu::batchKernelAvx2;
@@ -37,8 +76,9 @@ Mmu::Mmu(const MmuConfig &config, const PageTable &table, std::string name)
         break;
 #endif
       default:
-        // A level this build cannot run; simdLevel() already rejects
-        // the combination, so the scalar kernel is a safe backstop.
+        // The scalar level, or one this build cannot run (simdLevel()
+        // already rejects that combination).
+        batch_kernel_ = &Mmu::runBatchKernelVecT<ScalarIsa>;
         break;
     }
 }
@@ -92,61 +132,9 @@ Mmu::noteMiss(Vpn vpn, const TranslationResult &res)
     }
     stats_.translation_cycles += res.cycles;
     fillL1(vpn, res);
-}
-
-void
-Mmu::translateBatch(const MemAccess *accesses, std::size_t n,
-                    BatchStats &batch)
-{
 #ifdef ANCHORTLB_CHECKED
-    // Per-access translate(), so the verifyTranslation oracle sees
-    // every access; BatchStats recovered from the MmuStats delta.
-    const std::uint64_t hits_before = stats_.l1_hits;
-    for (std::size_t i = 0; i < n; ++i)
-        translate(accesses[i].vaddr);
-    batch.accesses += n;
-    batch.l1_hits += stats_.l1_hits - hits_before;
-#else
-    (this->*batch_kernel_)(accesses, n, batch);
+    verifyTranslation(vpn, res);
 #endif
-}
-
-void
-Mmu::runBatchKernel(const MemAccess *accesses, std::size_t n,
-                    BatchStats &batch)
-{
-    std::uint64_t n_hits = 0;
-    std::uint64_t n_filtered = 0;
-    Vpn last_vpn = invalidVpn;
-    bool have_last = l0FilterLoad(last_vpn);
-    for (std::size_t i = 0; i < n; ++i) {
-        const Vpn vpn = vpnOf(accesses[i].vaddr);
-        if (have_last && vpn == last_vpn) {
-            // Same page as the previous translation: guaranteed L1
-            // hit, and re-probing the MRU entry is an LRU no-op.
-            ++n_hits;
-            ++n_filtered;
-            continue;
-        }
-        last_vpn = vpn;
-        have_last = true;
-        if (l1_4k_.lookup(EntryKind::Page4K, pageKey(vpn)) != nullptr) {
-            ++n_hits;
-            continue;
-        }
-        if (l1_2m_.lookup(EntryKind::Page2M, hugeKey(vpn)) != nullptr) {
-            ++n_hits;
-            continue;
-        }
-        noteMiss(vpn, translateL2(vpn));
-    }
-    stats_.accesses += n;
-    stats_.l1_hits += n_hits;
-    batch.accesses += n;
-    batch.l1_hits += n_hits;
-    batch.l0_filtered += n_filtered;
-    if (n > 0 && have_last)
-        l0FilterStore(last_vpn);
 }
 
 void
@@ -172,6 +160,19 @@ Mmu::verifyTranslation(Vpn vpn, const TranslationResult &res) const
     }
     ANCHOR_CHECK_EQ(res.ppn, expected, "{}: wrong frame for vpn {}",
                     name_, vpn);
+}
+
+void
+Mmu::verifyL0Carry(Vpn vpn) const
+{
+    // The same 4KB-then-2MB order as the probe the filter skipped.
+    if (const TlbEntry *e4k = l1_4k_.probe(EntryKind::Page4K, pageKey(vpn)))
+        l1Hit(vpn, *e4k, PageSize::Base4K);
+    else if (const TlbEntry *e2m =
+                 l1_2m_.probe(EntryKind::Page2M, hugeKey(vpn)))
+        l1Hit(vpn, *e2m, PageSize::Huge2M);
+    else
+        ATLB_PANIC("{}: carried L0 vpn {} has no L1 entry", name_, vpn);
 }
 
 void

@@ -45,9 +45,9 @@ class RangeTlb;
 struct RegionPartition;
 
 /**
- * How many *probes* ahead the vector batch kernel prefetches the
- * translate path (prefetchTranslate: both L1 sets, the scheme's L2
- * sets, and the page-table leaf line). Counted in probes, not
+ * How many *probes* ahead the batch kernel prefetches the translate
+ * path (prefetchTranslate: the scheme's L2 sets and the page-table
+ * leaf line) when its Isa policy prefetches. Counted in probes, not
  * accesses: L0-filtered accesses touch no TLB state, so distance in
  * access space would mostly aim at accesses that need no warming and
  * the lead time would collapse on filter-heavy streams. A probe costs
@@ -171,8 +171,7 @@ struct BatchStats
     std::uint64_t l1_hits = 0;
     /**
      * Accesses short-circuited by the L0 same-page filter (a subset of
-     * l1_hits). Zero in checked builds, which route every access
-     * through the verifying per-access pipeline.
+     * l1_hits).
      */
     std::uint64_t l0_filtered = 0;
 
@@ -208,30 +207,24 @@ class Mmu
      * site: the inlined SetAssocTlb lookups and the stats update are
      * the entire fast path, and only L1 misses fall into the virtual
      * scheme pipeline (translateMiss -> translateL2). Checked builds
-     * additionally re-walk the page table for every result
-     * (verifyTranslation).
+     * additionally re-walk the page table for every result (l1Hit,
+     * noteMiss).
      */
     TranslationResult translate(VirtAddr va)
     {
         ++stats_.accesses;
         const Vpn vpn = vpnOf(va);
-        TranslationResult res;
         if (const TlbEntry *e4k = l1_4k_.lookup(EntryKind::Page4K,
                                                 pageKey(vpn))) {
             ++stats_.l1_hits;
-            res = {e4k->ppn, 0, HitLevel::L1, PageSize::Base4K};
-        } else if (const TlbEntry *e2m = l1_2m_.lookup(EntryKind::Page2M,
-                                                       hugeKey(vpn))) {
-            ++stats_.l1_hits;
-            res = {e2m->ppn + hugeOffset(vpn), 0, HitLevel::L1,
-                   PageSize::Huge2M};
-        } else {
-            res = translateMiss(vpn);
+            return l1Hit(vpn, *e4k, PageSize::Base4K);
         }
-#ifdef ANCHORTLB_CHECKED
-        verifyTranslation(vpn, res);
-#endif
-        return res;
+        if (const TlbEntry *e2m = l1_2m_.lookup(EntryKind::Page2M,
+                                                hugeKey(vpn))) {
+            ++stats_.l1_hits;
+            return l1Hit(vpn, *e2m, PageSize::Huge2M);
+        }
+        return translateMiss(vpn);
     }
 
     /**
@@ -239,23 +232,16 @@ class Mmu
      * MMU's stats and into @p batch. Counter-identical to calling
      * translate() on every element; the batch path exists purely to
      * make the replay loop fast. The one batch entry point for every
-     * scheme:
-     *
-     *  - checked builds loop translate(), so verifyTranslation's
-     *    oracle sees every element;
-     *  - otherwise the kernel chosen at construction runs: the
-     *    vectorised runBatchKernelVecT at a SIMD level, the scalar
-     *    runBatchKernel at the scalar level.
-     *
-     * Both kernels keep the accesses/l1_hits counters in registers for
-     * the whole batch, short-circuit consecutive accesses to the same
-     * page through the L0 filter, and call the scheme's translateL2
-     * virtually once per L1 miss. The equivalence suite
-     * (tests/sim/test_batch_kernel.cc) and bench_hotpath compare them
+     * scheme and every build: the runBatchKernelVecT instantiation
+     * chosen at construction. The equivalence suite
+     * (tests/sim/test_batch_kernel.cc) and bench_hotpath compare it
      * against the translate() loop.
      */
     void translateBatch(const MemAccess *accesses, std::size_t n,
-                        BatchStats &batch);
+                        BatchStats &batch)
+    {
+        (this->*batch_kernel_)(accesses, n, batch);
+    }
 
     /**
      * Invalidate all TLB state (context switch / shootdown): the L1s,
@@ -377,8 +363,8 @@ class Mmu
     TranslationResult walkPageTable(Vpn vpn, Cycles lookup_cycles);
 
     /**
-     * Warm the translate path for @p vpn, issued by the vector batch
-     * kernel kBatchPrefetchDistance probes before the lookup. The base
+     * Warm the translate path for @p vpn, issued by the batch kernel
+     * kBatchPrefetchDistance probes before the lookup. The base
      * prefetches the page-table leaf line (PageTable::prefetchWalk);
      * schemes extend it with the L2 sets their translateL2 probes
      * first. Must stay semantics-free — prefetch hints only, no
@@ -426,73 +412,44 @@ class Mmu
     using BatchKernelFn = void (Mmu::*)(const MemAccess *, std::size_t,
                                         BatchStats &);
     /**
-     * Batch kernel for the construction-time SIMD level: a per-ISA
-     * instantiation of runBatchKernelVecT, or runBatchKernel at the
-     * scalar level. The only dispatch indirection of the batch path,
+     * The runBatchKernelVecT instantiation for the construction-time
+     * SIMD level: the only dispatch indirection of the batch path,
      * paid once per batch.
      */
-    BatchKernelFn batch_kernel_ = &Mmu::runBatchKernel;
+    BatchKernelFn batch_kernel_ = nullptr;
 
     /** Apply @p op to every registered structure (defined in mmu.cc). */
     template <class Op>
     void forEachTlb(Op op);
 
     /**
-     * Scalar batch loop, the kernel at the scalar SIMD level.
-     * Counter-identical to the translate() loop (DESIGN.md §7.2):
-     *
-     *  - The L0 same-page filter only short-circuits an access whose
-     *    VPN equals the immediately preceding one in the same kernel
-     *    run. That access is guaranteed an L1 hit under translate():
-     *    either the previous access hit L1 (entry present, and
-     *    lookup() just made it MRU) or it missed and fillL1 inserted
-     *    it (insert() made it MRU). Re-looking it up would only re-mark
-     *    the MRU entry MRU — an LRU no-op — so skipping the probe
-     *    leaves every replacement decision, every fill, and every
-     *    MmuStats counter identical. (TlbStats lookups/hits and the
-     *    LRU tick value do diverge; nothing in SimResult or the golden
-     *    output depends on them, and relative recency — the thing LRU
-     *    replacement reads — is unchanged.)
-     *  - Across kernel runs the filter is only trusted while the L1s
-     *    have been neither probed nor mutated since the snapshot
-     *    (SetAssocTlb::mutations() contract); flushAll and
-     *    invalidatePage additionally drop it eagerly.
-     *  - An L1 miss runs the same translateL2 -> noteMiss sequence as
-     *    translateMiss.
-     *  - accesses/l1_hits accumulate in locals and flush to stats_
-     *    once per batch; sums are associative, so totals match.
-     */
-    void runBatchKernel(const MemAccess *accesses, std::size_t n,
-                        BatchStats &batch);
-
-    /**
-     * Vectorised batch loop, the kernel at a SIMD level. The template
-     * is defined in mmu/batch_kernel.hh and *instantiated only in the
-     * per-ISA TUs* (mmu/batch_kernel_avx2.cc, compiled with -mavx2;
+     * The batch loop, defined in mmu/batch_kernel.hh and instantiated
+     * once per SIMD level: over ScalarIsa in mmu.cc, and in the per-ISA
+     * TUs (mmu/batch_kernel_avx2.cc, compiled with -mavx2;
      * mmu/batch_kernel_neon.cc on aarch64), where the Isa policy's
-     * probe and pre-pass bodies inline into the loop. Dispatch is paid
-     * once per batch — a per-lookup kernel pointer was measured to
-     * cost more than the 4-way scan it replaced (DESIGN.md §7.3).
+     * probe and pre-pass inline into the loop. Dispatch is paid once
+     * per batch — a per-lookup kernel pointer was measured to cost
+     * more than the 4-way scan it replaced (DESIGN.md §7.3).
      *
-     * Counter-identical to runBatchKernel — same MmuStats, BatchStats
-     * and TlbStats, same victim choices:
-     *
-     *  - The pre-pass computes, for a whole chunk, every access's VPN
-     *    and a same-page bitset eq (bit i set iff vpn[i] == vpn[i-1],
-     *    carrying across chunk and batch boundaries exactly like
-     *    last_vpn does in the scalar loop; when the carried filter is
-     *    invalid, bit 0 of the first chunk is cleared — the scalar
-     *    loop's `have_last` guard). These are precisely the accesses
-     *    the scalar loop short-circuits, so counting them in bulk and
-     *    probing only the zero bits — in ascending order, the stream
-     *    order — issues the identical lookup()/noteMiss() sequence. No
-     *    probe order changes, so no LRU or victim decision can.
-     *  - The scheme pipeline runs through the same translateL2 virtual
-     *    call per L1 miss as the scalar loop.
-     *  - The software prefetch (prefetchTranslate, issued
-     *    kBatchPrefetchDistance *probes* ahead from the chunk's probe
-     *    list) is semantics-free: prefetching reads nothing
+     * Counter-identical to the translate() loop (DESIGN.md §7.2):
+     *  - A per-chunk pre-pass finds each access's VPN and whether it
+     *    repeats the previous access's page (carried across chunks,
+     *    and across batches while the L0 filter is valid). Such an
+     *    access is an L1 hit on an MRU entry, which re-probing would
+     *    not change, so it is counted in bulk; only TlbStats
+     *    lookups/hits and the LRU tick diverge, and SimResult reads
+     *    neither.
+     *  - The other accesses are probed in stream order, and an L1 miss
+     *    runs translateL2 -> noteMiss as translateMiss does.
+     *  - accesses/l1_hits accumulate in locals, flushed once per batch.
+     *  - When Isa::prefetch holds, prefetchTranslate runs
+     *    kBatchPrefetchDistance probes ahead; it reads nothing
      *    architecturally.
+     *
+     * Checked builds verify each L1 hit (l1Hit) and miss (noteMiss),
+     * and the carried page's L1 entry when a batch opens on it
+     * (verifyL0Carry): every other filtered access repeats a
+     * translation verified earlier in the batch.
      */
     template <class Isa>
     void runBatchKernelVecT(const MemAccess *accesses, std::size_t n,
@@ -513,10 +470,26 @@ class Mmu
     TranslationResult translateMiss(Vpn vpn);
     /**
      * Account one L1 miss: bump the per-level bucket, charge the
-     * cycles, fill L1. Shared by translateMiss and both batch kernels
-     * so the paths cannot drift.
+     * cycles, fill L1, and verify @p res in checked builds. Shared by
+     * translateMiss and the batch kernel so the paths cannot drift.
      */
     void noteMiss(Vpn vpn, const TranslationResult &res);
+
+    /**
+     * The translation L1 entry @p e gives @p vpn, verified in checked
+     * builds: the one L1-hit result of translate() and the batch
+     * kernel.
+     */
+    TranslationResult l1Hit(Vpn vpn, const TlbEntry &e, PageSize size) const
+    {
+        const TranslationResult res{
+            size == PageSize::Huge2M ? e.ppn + hugeOffset(vpn) : e.ppn, 0,
+            HitLevel::L1, size};
+#ifdef ANCHORTLB_CHECKED
+        verifyTranslation(vpn, res);
+#endif
+        return res;
+    }
     void fillL1(Vpn vpn, const TranslationResult &res);
 
     /**
@@ -565,6 +538,12 @@ class Mmu
      * the fast path produced a different frame (see common/check.hh).
      */
     void verifyTranslation(Vpn vpn, const TranslationResult &res) const;
+
+    /**
+     * Checked builds: verify the carried L0 VPN's L1 entry, read with
+     * SetAssocTlb::probe so LRU and stats stay as they are.
+     */
+    void verifyL0Carry(Vpn vpn) const;
 };
 
 } // namespace atlb

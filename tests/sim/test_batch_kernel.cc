@@ -6,17 +6,17 @@
  * point is counter-identical to calling translate() on every element,
  * for every scheme, every trace source the grid can replay (synthetic
  * pattern, v1 ifstream, v1 mmap, v2 block codec), with the L0
- * same-page filter engaged, through whichever kernel the MMU chose at
- * construction (the vector kernel, or the scalar loop under a forced
- * scalar level). The per-access pipeline is always the reference;
- * nothing here encodes expected absolute counts.
+ * same-page filter engaged, through whichever kernel instantiation the
+ * MMU chose at construction (the vector one, or the scalar one under a
+ * forced scalar level). The per-access pipeline is always the
+ * reference; nothing here encodes expected absolute counts.
  *
  * Also covered: the L0 filter invalidation contract (flushAll /
  * invalidatePage / switchProcess / interleaved per-access probes must
  * drop the carried VPN rather than serve stale short-circuits), batch
- * accounting in BatchStats, and — in checked builds — that the batch
- * path routes through the verifying per-access pipeline so the oracle
- * still catches planted corruption.
+ * accounting in BatchStats, and — in checked builds — that each of the
+ * kernel's verification sites (carried page, L1 hit, L1 miss) catches
+ * planted corruption.
  */
 
 #include <gtest/gtest.h>
@@ -427,15 +427,10 @@ TEST(BatchEquivalence, RandomizedDifferentialAllSchemes)
             EXPECT_EQ(bs.accesses, p.batch->stats().accesses);
             EXPECT_EQ(bs.l1_hits, p.batch->stats().l1_hits);
             EXPECT_LE(bs.l0_filtered, bs.l1_hits);
-#ifndef ANCHORTLB_CHECKED
             // The stream dwells on pages, so the filter must actually
-            // engage (the speedup the kernel exists for).
+            // engage (the speedup the kernel exists for), in every
+            // build.
             EXPECT_GT(bs.l0_filtered, 0u) << p.name;
-#else
-            // Checked builds route through the verifying per-access
-            // path and never short-circuit.
-            EXPECT_EQ(bs.l0_filtered, 0u) << p.name;
-#endif
         }
     }
 }
@@ -566,9 +561,9 @@ TEST(BatchL0Filter, InterleavedPerAccessProbesInvalidateTheCarry)
 
 TEST(BatchSimdLevels, GridCellsMatchAcrossLevels)
 {
-    // The vectorised batch kernel (VPN/eq pre-pass + set-probe kernel)
-    // must land on results byte-identical to the scalar-dispatch
-    // kernel AND the per-access reference, cell by cell. The MMU
+    // The vector instantiation of the batch kernel (VPN/eq pre-pass +
+    // set-probe kernel) must land on results byte-identical to the
+    // scalar one AND the per-access reference, cell by cell. The MMU
     // captures its kernels at construction, so forcing the level
     // around the whole cell run pins the flavour.
     if (detectedSimdLevel() == SimdLevel::Scalar)
@@ -600,8 +595,8 @@ TEST(BatchSimdLevels, GridCellsMatchAcrossLevels)
 TEST(BatchSimdLevels, RandomizedDifferentialScalarVsSimd)
 {
     // Same random batch sizes as the per-access differential, but
-    // the reference is now the scalar-level batch kernel: both rigs
-    // take the batch path, only the kernel flavour differs. Any
+    // the reference is now the scalar instantiation of the kernel:
+    // both rigs take the batch path, only the Isa policy differs. Any
     // pre-pass mistake (eq bit off by one, prev-VPN carry across a
     // 512-access chunk, stats accounting) diverges the counters at
     // some batch boundary.
@@ -647,16 +642,15 @@ TEST(BatchSimdLevels, RandomizedDifferentialScalarVsSimd)
     }
 }
 
-// --- checked-build routing ---------------------------------------------
+// --- checked-build verification ----------------------------------------
 
 #ifdef ANCHORTLB_CHECKED
 TEST(BatchCheckedBuild, OracleSeesEveryBatchAccess)
 {
     // Plant the classic stale-TLB corruption (migration without
-    // shootdown). The batch kernel must route through the verifying
-    // per-access pipeline, so the oracle catches it on the *batch*
-    // call — before the fix, batches bypassed verifyTranslation
-    // entirely.
+    // shootdown). The oracle must catch it on the *batch* call. The
+    // stale page is the carried L0 VPN, so the batch filters it
+    // without a probe: only the carried-page check sees it.
     detail::setThrowOnError(true);
     MemoryMap map = test::makeVariedMap();
     PageTable table = buildPageTable(map, false);
@@ -671,6 +665,45 @@ TEST(BatchCheckedBuild, OracleSeesEveryBatchAccess)
     const std::vector<MemAccess> again = sameVpnBurst(baseVpn + 2, 1);
     EXPECT_THROW(mmu.translateBatch(again.data(), again.size(), bs),
                  std::logic_error); // ANCHOR_CHECK panics throw this
+    detail::setThrowOnError(false);
+}
+
+TEST(BatchCheckedBuild, OracleSeesAProbedStaleL1Entry)
+{
+    // The batch [X+1, X] leaves the carried page first, so X is
+    // probed, not filtered: its stale L1 hit reaches the L1-hit check.
+    detail::setThrowOnError(true);
+    FilterProbe probe;
+    const Vpn x = baseVpn + 2;
+    probe.run(sameVpnBurst(x, 1));
+    probe.table.remap4K(x, Ppn{0x4444}); // no shootdown: stale TLB
+
+    const std::vector<MemAccess> batch = {{vaOf(x + 1), false},
+                                          {vaOf(x), false}};
+    EXPECT_THROW(
+        probe.batch_mmu.translateBatch(batch.data(), batch.size(), probe.bs),
+        std::logic_error);
+    detail::setThrowOnError(false);
+}
+
+TEST(BatchCheckedBuild, OracleSeesAStaleL2HitAfterL1Eviction)
+{
+    // Evict stale X from its 4-way L1 set (16 sets: X+16k shares it)
+    // while its L2 entry survives; translating X again is an L1 miss
+    // that hits the stale L2 entry, so only the miss check sees it.
+    detail::setThrowOnError(true);
+    FilterProbe probe;
+    const Vpn x = baseVpn + 514;
+    probe.run(sameVpnBurst(x, 1));
+    probe.table.remap4K(x, Ppn{0x4444}); // no shootdown: stale TLB
+
+    std::vector<MemAccess> batch;
+    for (std::uint64_t k = 1; k <= 4; ++k)
+        batch.push_back({vaOf(x + 16 * k), false});
+    batch.push_back({vaOf(x), false});
+    EXPECT_THROW(
+        probe.batch_mmu.translateBatch(batch.data(), batch.size(), probe.bs),
+        std::logic_error);
     detail::setThrowOnError(false);
 }
 #endif // ANCHORTLB_CHECKED

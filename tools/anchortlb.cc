@@ -294,21 +294,29 @@ cmdSweepDistance(const Args &args)
     return 0;
 }
 
+/**
+ * Catalog workload @p workload's stream for gen-trace and profile: the
+ * engine's scaled spec, seeded with --seed itself.
+ */
+std::unique_ptr<TraceSource>
+syntheticStream(const SimOptions &opts, const std::string &workload)
+{
+    findWorkload(workload); // catalog names only
+    return std::make_unique<PatternTrace>(scaledWorkloadSpec(opts, workload),
+                                          traceBaseVa(), opts.accesses,
+                                          opts.seed);
+}
+
 int
 cmdGenTrace(const Args &args)
 {
     const std::string workload = args.get("workload", "canneal");
     const std::string path = args.get("out", workload + ".trace");
-    const SimOptions opts = optionsFrom(args);
-
-    WorkloadSpec spec = findWorkload(workload);
-    spec.footprint_bytes = static_cast<std::uint64_t>(
-        static_cast<double>(spec.footprint_bytes) * opts.footprint_scale);
-    PatternTrace source(spec, vaOf(Vpn{0x7f0000000ULL}), opts.accesses,
-                        opts.seed);
+    const std::unique_ptr<TraceSource> source =
+        syntheticStream(optionsFrom(args), workload);
     TraceWriter writer(path);
     MemAccess a;
-    while (source.next(a))
+    while (source->next(a))
         writer.append(a);
     writer.close();
     std::cout << "wrote " << writer.written() << " accesses to " << path
@@ -362,12 +370,7 @@ cmdProfile(const Args &args)
         source = openTraceFile(what);
     } else {
         const std::string workload = args.get("workload", "canneal");
-        WorkloadSpec spec = findWorkload(workload);
-        spec.footprint_bytes = static_cast<std::uint64_t>(
-            static_cast<double>(spec.footprint_bytes) *
-            opts.footprint_scale);
-        source = std::make_unique<PatternTrace>(
-            spec, vaOf(Vpn{0x7f0000000ULL}), opts.accesses, opts.seed);
+        source = syntheticStream(opts, workload);
         what = workload + " (synthetic)";
     }
     if (args.has("json")) {

@@ -17,11 +17,11 @@
  *                  the macro compiles out in release builds, so any
  *                  mutation inside it changes behaviour across build
  *                  modes.
- *   kernel-stats   inside the batch loop bodies (runBatchKernel,
- *                  runBatchKernelVecT), stats may only be flushed at
- *                  the top level of the function body (the
- *                  register-resident counter pattern); per-access
- *                  stats mutation inside the loop defeats the kernel.
+ *   kernel-stats   inside the batch loop body (runBatchKernelVecT),
+ *                  stats may only be flushed at the top level of the
+ *                  function body (the register-resident counter
+ *                  pattern); per-access stats mutation inside the
+ *                  loop defeats the kernel.
  *
  * Escape hatch: a `// lint-allow: <rule>` comment on the offending
  * line (or the line above) suppresses that rule there. Every allow is
@@ -397,10 +397,10 @@ checkDcheckEffect(const std::string &path, const FileText &f,
 }
 
 /**
- * Rule kernel-stats: in the batch loop definitions (runBatchKernel,
- * the scalar loop, and runBatchKernelVecT, the vector loop), stats_
- * may be touched only at the top level of the function body (the
- * post-loop flush of register-resident counters).
+ * Rule kernel-stats: in the batch loop definition (runBatchKernelVecT,
+ * every SIMD level's loop), stats_ may be touched only at the top
+ * level of the function body (the post-loop flush of
+ * register-resident counters).
  */
 void
 checkKernelStats(const std::string &path, const FileText &f,
@@ -408,9 +408,7 @@ checkKernelStats(const std::string &path, const FileText &f,
 {
     const auto &t = f.tokens;
     for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-        if ((t[i].text != "runBatchKernel" &&
-             t[i].text != "runBatchKernelVecT") ||
-            t[i + 1].text != "(")
+        if (t[i].text != "runBatchKernelVecT" || t[i + 1].text != "(")
             continue;
         // Only a definition counts: argument list, then the body.
         const std::size_t body = matchDelim(t, i + 1) + 1;
