@@ -19,7 +19,6 @@
 #include "common/rng.hh"
 #include "mmu/anchor_mmu.hh"
 #include "mmu/baseline_mmu.hh"
-#include "mmu/region_anchor_mmu.hh"
 #include "os/region_partitioner.hh"
 #include "os/scenario.hh"
 #include "os/table_builder.hh"
@@ -104,7 +103,7 @@ runMix(std::uint64_t frag_pages, std::uint64_t run_pages,
     }
 
     PageTable multi_table = buildRegionAnchorPageTable(map, partition);
-    RegionAnchorMmu multi(cfg, multi_table, partition);
+    AnchorMmu multi(cfg, multi_table, partition);
     driveBoth(map, partition.regions, accesses,
               [&](VirtAddr va) { multi.translate(va); });
     out.multi = multi.stats().page_walks;

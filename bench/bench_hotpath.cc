@@ -7,10 +7,10 @@
  * measurement twice — once via the per-access translate() reference
  * loop, once via Mmu::translateBatch (the batch kernel the SIMD level
  * selects) in 1024-access batches. Every concrete scheme class is covered,
- * including the two outside the experiment grid (COLT, multi-region
- * anchor). The two modes must land on byte-identical MmuStats (fatal
- * check, same contract the golden harness pins); the interesting
- * number is the speedup ratio.
+ * including the two configurations outside the experiment grid (COLT,
+ * the anchor MMU with a region table). The two modes must land on
+ * byte-identical MmuStats (fatal check, same contract the golden
+ * harness pins); the interesting number is the speedup ratio.
  *
  * Each cell's batch kernel is additionally timed under the forced
  * scalar SIMD level (fresh MMU, same stream, forceSimdLevel), so the
@@ -55,8 +55,8 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/simd.hh"
+#include "mmu/anchor_mmu.hh"
 #include "mmu/colt_mmu.hh"
-#include "mmu/region_anchor_mmu.hh"
 #include "os/distance_selector.hh"
 #include "os/region_partitioner.hh"
 #include "os/scenario.hh"
@@ -164,8 +164,8 @@ struct CellState
         if (scheme == "colt")
             return std::make_unique<ColtMmu>(cfg, plain_table);
         if (scheme == "region-anchor")
-            return std::make_unique<RegionAnchorMmu>(cfg, region_table,
-                                                     partition);
+            return std::make_unique<AnchorMmu>(cfg, region_table,
+                                               partition);
         const std::optional<Scheme> s = findScheme(scheme, true);
         if (!s)
             ATLB_FATAL("unknown hotpath scheme '{}'", scheme);

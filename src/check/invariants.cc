@@ -81,8 +81,6 @@ InvariantReport
 checkAnchorInvariants(const AnchorMmu &mmu)
 {
     InvariantReport report;
-    const std::uint64_t distance = mmu.distance().pages();
-    const unsigned shift = mmu.distance().log2();
     const SetAssocTlb &l2 = mmu.l2Tlb();
     const PageTable &table = mmu.pageTable();
     const PageTable *host = mmu.hostPageTable();
@@ -97,18 +95,27 @@ checkAnchorInvariants(const AnchorMmu &mmu)
             if (tlbKeyAsid(e.key) != l2.asid())
                 continue;
 
-            // Anchor keys are group-encoded under the ASID tag;
-            // reconstructing the VPN is this checker's job.
+            // Anchor keys are group-encoded under the ASID tag, with
+            // log2(distance) above the group; reconstructing the
+            // distance and the VPN is this checker's job.
             constexpr std::uint64_t scheme_mask =
                 (std::uint64_t{1} << tlbKeyAsidShift) - 1;
+            constexpr std::uint64_t group_mask =
+                (std::uint64_t{1} << AnchorMmu::anchorKeyLog2Shift) - 1;
+            const std::uint64_t scheme_key = e.key.raw() & scheme_mask;
+            const AnchorDist keyed = AnchorDist::fromLog2(
+                static_cast<unsigned>(scheme_key >>
+                                      AnchorMmu::anchorKeyLog2Shift));
             // lint-allow: page-shift
-            const Vpn avpn{(e.key.raw() & scheme_mask) << shift};
-            if (!avpn.isAligned(distance)) {
+            const Vpn avpn{(scheme_key & group_mask) << keyed.log2()};
+            if (keyed != mmu.distanceFor(avpn)) {
                 violate(report,
-                        "{}: anchor vpn {} not aligned to distance {}",
-                        l2.name(), avpn, distance);
+                        "{}: anchor vpn {} keyed at distance {} but the "
+                        "region table gives {}",
+                        l2.name(), avpn, keyed, mmu.distanceFor(avpn));
                 continue;
             }
+            const std::uint64_t distance = keyed.pages();
             if (e.aux == 0 || e.aux > distance ||
                 e.aux > PageTable::maxContiguity) {
                 violate(report,

@@ -54,7 +54,8 @@ InvariantReport checkTlbInvariants(const SetAssocTlb &tlb);
 
 /**
  * Anchor scheme semantics: every anchor entry cached in @p mmu's L2
- *  - decodes to an anchor VPN aligned to the current distance;
+ *  - is keyed at the distance the loaded region table gives its anchor
+ *    VPN (AnchorMmu::distanceFor);
  *  - carries contiguity within (0, distance] and the representable
  *    maximum;
  *  - covers only pages the authoritative page table maps at exactly

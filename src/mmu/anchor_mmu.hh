@@ -1,6 +1,7 @@
 /**
  * @file
- * Hybrid TLB coalescing MMU — the paper's contribution (Section 3).
+ * Hybrid TLB coalescing MMU — the paper's contribution (Section 3) and
+ * its multi-region generalisation (Section 4.2).
  *
  * The unified L2 TLB (1024-entry 8-way, Table 3) holds regular 4KB
  * entries, regular 2MB entries, and anchor entries side by side. For a
@@ -25,14 +26,24 @@
  * check is off the critical path); only one of the two entries is
  * inserted, keeping the TLB free of redundant translations.
  *
- * The anchor distance is a per-process register restored on context
- * switch; changing it invalidates the TLBs (paper Section 3.3).
+ * The distance comes from a per-process region table: at most
+ * maxRegions (start VPN, end VPN, distance) triples plus a default
+ * distance, searched in parallel with the L1/L2 lookups like RMM's
+ * range TLB — which is why its capacity stays small. The paper's
+ * single distance register is the table with no regions. A VPN whose
+ * anchor VPN falls before its region's start gets no anchor service:
+ * that anchor slot belongs to the neighbouring region and was swept
+ * with a different distance. Every anchor key carries log2(distance),
+ * so regions with different distances never alias onto each other's
+ * entries. The table is restored on context switch; changing it
+ * in-process invalidates the TLBs (paper Section 3.3).
  */
 
 #ifndef ANCHORTLB_MMU_ANCHOR_MMU_HH
 #define ANCHORTLB_MMU_ANCHOR_MMU_HH
 
 #include "mmu/mmu.hh"
+#include "os/region_partitioner.hh"
 #include "tlb/set_assoc_tlb.hh"
 
 namespace atlb
@@ -51,7 +62,21 @@ struct AnchorMmuStats
 class AnchorMmu : public Mmu
 {
   public:
+    /** Maximum region-table entries (parallel search budget). */
+    static constexpr unsigned maxRegions = 16;
+
     /**
+     * Bit of an anchor key that holds log2(distance). log2(distance)
+     * <= 16 needs 5 bits; packing it at bit 43 fills the 48-bit
+     * scheme-key budget exactly — the bits above belong to the ASID
+     * tag (tlb/set_assoc_tlb.hh) and must stay clear.
+     */
+    static constexpr unsigned anchorKeyLog2Shift = 43;
+    static_assert(anchorKeyLog2Shift + 5 == tlbKeyAsidShift);
+
+    /**
+     * Single-distance MMU: a region table with no regions.
+     *
      * @param distance anchor distance; its page count must be a power
      *                 of two in [2, max_contiguity]. The page table
      *                 must have been swept with the same distance.
@@ -60,20 +85,19 @@ class AnchorMmu : public Mmu
               AnchorDist distance, std::string name = "anchor");
 
     /**
-     * Invalidates the page's own entries *and* the anchor entry of its
-     * block: the anchor's cached contiguity may claim the remapped
-     * page.
+     * @param partition regions + default distance; the page table must
+     *                  have been built with buildRegionAnchorPageTable
+     *                  over the same partition.
      */
-    void invalidatePage(Vpn vpn) override;
+    AnchorMmu(const MmuConfig &config, const PageTable &table,
+              RegionPartition partition,
+              std::string name = "region-anchor");
 
     /**
-     * Cross-ASID shootdown. Anchor keys are formed with the current
-     * distance register, so a target other than the running address
-     * space falls back to invalidateAsid (see Mmu::invalidatePage).
+     * Loads the new process's table and its region table
+     * (ctx.partition), or ctx.anchor_distance as a table with no
+     * regions when ctx.partition is null.
      */
-    void invalidatePage(Vpn vpn, Asid target) override;
-
-    /** Loads the new process's table and anchor-distance register. */
     void switchProcess(const ProcessContext &ctx) override;
 
     /**
@@ -84,33 +108,68 @@ class AnchorMmu : public Mmu
     bool supportsNested() const override { return true; }
 
     /**
-     * Change the anchor distance register (after the OS has re-swept
-     * the page table); flushes all TLBs like the paper's shootdown.
+     * Load @p distance as a table with no regions (after the OS has
+     * re-swept the page table); flushes all TLBs like the paper's
+     * shootdown.
      */
     void setDistance(AnchorDist distance);
 
-    AnchorDist distance() const { return distance_; }
+    /**
+     * The default distance, used outside every region: the paper's
+     * distance register when the table has no regions.
+     */
+    AnchorDist distance() const { return partition_.default_distance; }
+
+    /** Distance of the region containing @p vpn, else the default. */
+    AnchorDist distanceFor(Vpn vpn) const;
+
     const SetAssocTlb &l2Tlb() const { return l2_; }
     /** Mutable L2 for corruption-injection tests (invariant checkers). */
     SetAssocTlb &l2TlbForTest() { return l2_; }
     const AnchorMmuStats &anchorStats() const { return anchor_stats_; }
 
+    /**
+     * L2 key for the anchor entry at @p avpn swept with @p distance:
+     * the Fig. 6 group key, tagged with log2(distance).
+     */
+    static TlbKey
+    anchorKey(Vpn avpn, AnchorDist distance)
+    {
+        // Tag-word packing, not page math.
+        return TlbKey{distance.keyOf(avpn).raw() |
+                      (static_cast<std::uint64_t>(distance.log2())
+                       << anchorKeyLog2Shift)}; // lint-allow: page-shift
+    }
+
   protected:
     TranslationResult translateL2(Vpn vpn) override;
 
-    /** Adds the unified-L2 sets (4K, 2M, anchor) probed on a miss. */
+    /**
+     * Invalidates the page's own entries *and* the anchor entry of its
+     * block: the anchor's cached contiguity may claim the remapped
+     * page. Anchor keys are formed with the loaded region table, so a
+     * target other than the running address space falls back to
+     * invalidateAsid.
+     */
+    void invalidateL2(Vpn vpn, Asid target) override;
+
+    /**
+     * Adds the unified-L2 sets probed on a miss: 4K, 2M and — with no
+     * region table — the anchor set. With regions, the anchor key
+     * needs the region search, too expensive for a prefetch hint.
+     */
     void prefetchTranslate(Vpn vpn) const override;
 
   private:
     SetAssocTlb l2_;
-    AnchorDist distance_;
+    RegionPartition partition_;
     AnchorMmuStats anchor_stats_;
 
-    /** Anchor VPN of @p vpn under the current distance. */
-    Vpn anchorOf(Vpn vpn) const { return distance_.anchorOf(vpn); }
+    /** Region containing @p vpn, or nullptr. */
+    const AnchorRegion *regionFor(Vpn vpn) const;
 
-    /** L2 key for the anchor entry at @p avpn (Fig. 6 indexing). */
-    TlbKey anchorKey(Vpn avpn) const { return distance_.keyOf(avpn); }
+    /** Validate @p partition against the hardware, then load it. */
+    void load(RegionPartition partition);
 };
 
 } // namespace atlb

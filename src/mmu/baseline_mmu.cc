@@ -24,23 +24,35 @@ BaselineMmu::prefetchTranslate(Vpn vpn) const
     Mmu::prefetchTranslate(vpn);
 }
 
-TranslationResult
-BaselineMmu::translateL2(Vpn vpn)
+bool
+BaselineMmu::lookupRegular(Vpn vpn, TranslationResult &res)
 {
     if (const TlbEntry *e = l2_.lookup(EntryKind::Page4K, pageKey(vpn))) {
-        return {e->ppn, config_.l2_hit_cycles, HitLevel::L2Regular,
-                PageSize::Base4K};
+        res = {e->ppn, config_.l2_hit_cycles, HitLevel::L2Regular,
+               PageSize::Base4K};
+        return true;
     }
     if (const TlbEntry *e = l2_.lookup(EntryKind::Page2M, hugeKey(vpn))) {
-        return {e->ppn + hugeOffset(vpn), config_.l2_hit_cycles,
-                HitLevel::L2Regular, PageSize::Huge2M};
+        res = {e->ppn + hugeOffset(vpn), config_.l2_hit_cycles,
+               HitLevel::L2Regular, PageSize::Huge2M};
+        return true;
     }
     if (const TlbEntry *e =
             l2_1g_.lookup(EntryKind::Page1G, giantKey(vpn))) {
-        return {e->ppn + giantOffset(vpn), config_.l2_hit_cycles,
-                HitLevel::L2Regular, PageSize::Giant1G};
+        res = {e->ppn + giantOffset(vpn), config_.l2_hit_cycles,
+               HitLevel::L2Regular, PageSize::Giant1G};
+        return true;
     }
-    TranslationResult res = walkPageTable(vpn, config_.l2_hit_cycles);
+    return false;
+}
+
+TranslationResult
+BaselineMmu::translateL2(Vpn vpn)
+{
+    TranslationResult res;
+    if (lookupRegular(vpn, res))
+        return res;
+    res = walkPageTable(vpn, config_.l2_hit_cycles);
     fillL2(vpn, res);
     return res;
 }
@@ -70,20 +82,8 @@ BaselineMmu::fillL2(Vpn vpn, const TranslationResult &res)
 }
 
 void
-BaselineMmu::invalidatePage(Vpn vpn)
+BaselineMmu::invalidateL2(Vpn vpn, Asid target)
 {
-    Mmu::invalidatePage(vpn);
-    l2_.invalidate(EntryKind::Page4K, pageKey(vpn));
-    l2_.invalidate(EntryKind::Page2M, hugeKey(vpn));
-    l2_1g_.invalidate(EntryKind::Page1G, giantKey(vpn));
-}
-
-void
-BaselineMmu::invalidatePage(Vpn vpn, Asid target)
-{
-    // Per-page keys carry no per-process register state, so the
-    // cross-ASID shootdown is exact.
-    Mmu::invalidatePage(vpn, target);
     l2_.invalidate(EntryKind::Page4K, pageKey(vpn), target);
     l2_.invalidate(EntryKind::Page2M, hugeKey(vpn), target);
     l2_1g_.invalidate(EntryKind::Page1G, giantKey(vpn), target);

@@ -24,9 +24,6 @@ class BaselineMmu : public Mmu
     BaselineMmu(const MmuConfig &config, const PageTable &table,
                 std::string name = "base");
 
-    void invalidatePage(Vpn vpn) override;
-    void invalidatePage(Vpn vpn, Asid target) override;
-
     /** Per-page fills are host-safe: nested mode is supported. */
     bool supportsNested() const override { return true; }
 
@@ -36,8 +33,20 @@ class BaselineMmu : public Mmu
   protected:
     TranslationResult translateL2(Vpn vpn) override;
 
+    /**
+     * Per-page keys carry no per-process register state, so the
+     * cross-ASID shootdown is exact.
+     */
+    void invalidateL2(Vpn vpn, Asid target) override;
+
     /** Adds the unified-L2 sets this scheme probes on an L1 miss. */
     void prefetchTranslate(Vpn vpn) const override;
+
+    /**
+     * Probe the regular L2 entries for @p vpn: 4KB, then 2MB, then the
+     * 1GB side table. On a hit, sets @p res and returns true.
+     */
+    bool lookupRegular(Vpn vpn, TranslationResult &res);
 
     /** Fill the L2 with the result of a walk (4KB/2MB/1GB entry). */
     void fillL2(Vpn vpn, const TranslationResult &res);

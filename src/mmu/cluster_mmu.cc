@@ -127,18 +127,8 @@ ClusterMmu::translateL2(Vpn vpn)
 }
 
 void
-ClusterMmu::invalidatePage(Vpn vpn)
+ClusterMmu::invalidateL2(Vpn vpn, Asid target)
 {
-    Mmu::invalidatePage(vpn);
-    regular_.invalidate(EntryKind::Page4K, pageKey(vpn));
-    regular_.invalidate(EntryKind::Page2M, hugeKey(vpn));
-    cluster_.invalidate(EntryKind::Cluster, groupKey(vpn, span_log2_));
-}
-
-void
-ClusterMmu::invalidatePage(Vpn vpn, Asid target)
-{
-    Mmu::invalidatePage(vpn, target);
     regular_.invalidate(EntryKind::Page4K, pageKey(vpn), target);
     regular_.invalidate(EntryKind::Page2M, hugeKey(vpn), target);
     cluster_.invalidate(EntryKind::Cluster, groupKey(vpn, span_log2_),

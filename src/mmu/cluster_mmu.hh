@@ -35,17 +35,17 @@ class ClusterMmu : public Mmu
     ClusterMmu(const MmuConfig &config, const PageTable &table,
                bool use_2mb, std::string name = "");
 
-    /** Also kills the cluster entry covering the page's group. */
-    void invalidatePage(Vpn vpn) override;
-
-    /** Cluster keys are register-free: cross-ASID shootdown is exact. */
-    void invalidatePage(Vpn vpn, Asid target) override;
-
     const SetAssocTlb &regularTlb() const { return regular_; }
     const SetAssocTlb &clusterTlb() const { return cluster_; }
 
   protected:
     TranslationResult translateL2(Vpn vpn) override;
+
+    /**
+     * Also kills the cluster entry covering the page's group. Cluster
+     * keys are register-free: the cross-ASID shootdown is exact.
+     */
+    void invalidateL2(Vpn vpn, Asid target) override;
 
     /** Adds the regular and cluster L2 sets probed on a miss. */
     void prefetchTranslate(Vpn vpn) const override;

@@ -140,19 +140,8 @@ ColtMmu::translateL2(Vpn vpn)
 }
 
 void
-ColtMmu::invalidatePage(Vpn vpn)
+ColtMmu::invalidateL2(Vpn vpn, Asid target)
 {
-    Mmu::invalidatePage(vpn);
-    regular_.invalidate(EntryKind::Page4K, pageKey(vpn));
-    coalesced_.invalidate(EntryKind::Cluster,
-                          TlbKey{vpn.raw() / config_.cluster_span});
-    fa_.invalidateContaining(vpn);
-}
-
-void
-ColtMmu::invalidatePage(Vpn vpn, Asid target)
-{
-    Mmu::invalidatePage(vpn, target);
     regular_.invalidate(EntryKind::Page4K, pageKey(vpn), target);
     coalesced_.invalidate(EntryKind::Cluster,
                           TlbKey{vpn.raw() / config_.cluster_span}, target);

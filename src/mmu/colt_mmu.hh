@@ -31,18 +31,18 @@ class ColtMmu : public Mmu
     ColtMmu(const MmuConfig &config, const PageTable &table,
             std::string name = "colt-fa");
 
-    /** Kills the page's entries and any coalesced entry covering it. */
-    void invalidatePage(Vpn vpn) override;
-
-    /** CoLT keys are register-free: cross-ASID shootdown is exact. */
-    void invalidatePage(Vpn vpn, Asid target) override;
-
     const SetAssocTlb &regularTlb() const { return regular_; }
     const SetAssocTlb &coalescedTlb() const { return coalesced_; }
     const RangeTlb &faTlb() const { return fa_; }
 
   protected:
     TranslationResult translateL2(Vpn vpn) override;
+
+    /**
+     * Kills the page's entries and any coalesced entry covering it.
+     * CoLT keys are register-free: the cross-ASID shootdown is exact.
+     */
+    void invalidateL2(Vpn vpn, Asid target) override;
 
     /** Adds the regular and coalesced L2 sets probed on a miss. */
     void prefetchTranslate(Vpn vpn) const override;

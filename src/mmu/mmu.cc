@@ -272,19 +272,12 @@ Mmu::switchProcess(const ProcessContext &ctx)
 }
 
 void
-Mmu::invalidatePage(Vpn vpn)
-{
-    l0FilterClear();
-    l1_4k_.invalidate(EntryKind::Page4K, pageKey(vpn));
-    l1_2m_.invalidate(EntryKind::Page2M, hugeKey(vpn));
-}
-
-void
 Mmu::invalidatePage(Vpn vpn, Asid target)
 {
     l0FilterClear();
     l1_4k_.invalidate(EntryKind::Page4K, pageKey(vpn), target);
     l1_2m_.invalidate(EntryKind::Page2M, hugeKey(vpn), target);
+    invalidateL2(vpn, target);
 }
 
 void

@@ -4,8 +4,10 @@
  *
  * Every scheme shares the L1 organisation of paper Table 3 (64-entry
  * 4-way for 4KB, 32-entry 4-way for 2MB; hits fully hidden). On an L1
- * miss the scheme-specific translateL2() runs; subclasses implement the
- * baseline, cluster, RMM and anchor pipelines. Latency accounting:
+ * miss the scheme-specific translateL2() runs, and a page shootdown
+ * ends in the scheme's invalidateL2(); subclasses implement the
+ * baseline, cluster, CoLT, RMM and anchor pipelines. Latency
+ * accounting:
  *
  *   L1 hit                 : 0 cycles
  *   L2 regular entry hit   : l2_hit_cycles (7)
@@ -68,9 +70,14 @@ constexpr std::size_t kBatchPrefetchDistance = 8;
 struct ProcessContext
 {
     const PageTable *table = nullptr;
-    const MemoryMap *map = nullptr;             //!< RMM range table
-    AnchorDist anchor_distance{};               //!< anchor scheme
-    const RegionPartition *partition = nullptr; //!< multi-region scheme
+    const MemoryMap *map = nullptr; //!< RMM range table
+    AnchorDist anchor_distance{};   //!< anchor scheme, no region table
+    /**
+     * Anchor scheme's region table (paper Section 4.2). When set, the
+     * anchor MMU loads it in place of anchor_distance; when null it
+     * loads anchor_distance as a table with no regions.
+     */
+    const RegionPartition *partition = nullptr;
     /** Address-space tag under SwitchPolicy::Asid (0 = untagged). */
     Asid asid{};
 };
@@ -275,23 +282,19 @@ class Mmu
      * mapping: invalidates every TLB entry that could translate
      * @p vpn — including coalesced entries that merely *cover* it
      * (the paper's Section 3.3 notes the shootdown must invalidate
-     * anchor entries as well as page entries). Schemes extend this for
-     * their own structures. Acts on the current ASID.
+     * anchor entries as well as page entries). Acts on the current
+     * ASID: every registered TLB carries it, so this is the
+     * ASID-qualified form at currentAsid().
      */
-    virtual void invalidatePage(Vpn vpn);
+    void invalidatePage(Vpn vpn) { invalidatePage(vpn, asid_); }
 
     /**
      * ASID-qualified page shootdown: invalidate @p target's entries
-     * covering @p vpn while some other process may be running.
-     * Schemes whose coalesced keys depend on per-process registers
-     * (the anchor distance, the region table) can only form exact
-     * keys for the address space whose registers are loaded; for any
-     * other target they conservatively fall back to invalidateAsid —
-     * over-invalidation, never a stale survivor. Schemes with
-     * register-free keys (baseline, cluster, CoLT, RMM) invalidate
-     * exactly.
+     * covering @p vpn while some other process may be running. Clears
+     * the L0 filter and the L1 entries, then runs the scheme's
+     * invalidateL2 hook.
      */
-    virtual void invalidatePage(Vpn vpn, Asid target);
+    void invalidatePage(Vpn vpn, Asid target);
 
     /**
      * Drop every translation tagged with @p target (address-space
@@ -358,6 +361,19 @@ class Mmu
      * fill is handled by the base class.
      */
     virtual TranslationResult translateL2(Vpn vpn) = 0;
+
+    /**
+     * Scheme shootdown, invoked by invalidatePage after the L1s: drop
+     * @p target's entries in the scheme's structures that translate or
+     * cover @p vpn. Schemes whose coalesced keys depend on per-process
+     * registers (the anchor distance, the region table) can only form
+     * exact keys for the address space whose registers are loaded; for
+     * any other target they conservatively fall back to invalidateAsid
+     * — over-invalidation, never a stale survivor. Schemes with
+     * register-free keys (baseline, cluster, CoLT, RMM) invalidate
+     * exactly.
+     */
+    virtual void invalidateL2(Vpn vpn, Asid target) = 0;
 
     /** Walk the page table; panics if @p vpn is unmapped. */
     TranslationResult walkPageTable(Vpn vpn, Cycles lookup_cycles);

@@ -25,21 +25,15 @@ RmmMmu::switchProcess(const ProcessContext &ctx)
 TranslationResult
 RmmMmu::translateL2(Vpn vpn)
 {
-    if (const TlbEntry *e = l2_.lookup(EntryKind::Page4K, pageKey(vpn))) {
-        return {e->ppn, config_.l2_hit_cycles, HitLevel::L2Regular,
-                PageSize::Base4K};
-    }
-    if (const TlbEntry *e = l2_.lookup(EntryKind::Page2M, hugeKey(vpn))) {
-        return {e->ppn + hugeOffset(vpn), config_.l2_hit_cycles,
-                HitLevel::L2Regular, PageSize::Huge2M};
-    }
+    TranslationResult res;
+    if (lookupRegular(vpn, res))
+        return res;
     if (const RangeEntry *r = range_tlb_.lookup(vpn)) {
         return {r->translate(vpn), config_.coalesced_hit_cycles,
                 HitLevel::Coalesced, PageSize::Base4K};
     }
 
-    TranslationResult res =
-        walkPageTable(vpn, config_.coalesced_hit_cycles);
+    res = walkPageTable(vpn, config_.coalesced_hit_cycles);
     fillL2(vpn, res);
     // Range-table walk, off the critical path: refill the covering range.
     if (const Chunk *c = range_table_->chunkContaining(vpn)) {
@@ -50,16 +44,9 @@ RmmMmu::translateL2(Vpn vpn)
 }
 
 void
-RmmMmu::invalidatePage(Vpn vpn)
+RmmMmu::invalidateL2(Vpn vpn, Asid target)
 {
-    BaselineMmu::invalidatePage(vpn);
-    range_tlb_.invalidateContaining(vpn);
-}
-
-void
-RmmMmu::invalidatePage(Vpn vpn, Asid target)
-{
-    BaselineMmu::invalidatePage(vpn, target);
+    BaselineMmu::invalidateL2(vpn, target);
     range_tlb_.invalidateContaining(vpn, target);
 }
 

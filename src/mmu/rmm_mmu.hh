@@ -33,12 +33,6 @@ class RmmMmu : public BaselineMmu
     RmmMmu(const MmuConfig &config, const PageTable &table,
            const MemoryMap &range_table, std::string name = "rmm");
 
-    /** Also kills any cached range covering the page. */
-    void invalidatePage(Vpn vpn) override;
-
-    /** Range slots carry their own ASID: cross-ASID shootdown is exact. */
-    void invalidatePage(Vpn vpn, Asid target) override;
-
     /** Loads the new process's table and range table. */
     void switchProcess(const ProcessContext &ctx) override;
 
@@ -46,6 +40,12 @@ class RmmMmu : public BaselineMmu
 
   protected:
     TranslationResult translateL2(Vpn vpn) override;
+
+    /**
+     * Also kills any cached range covering the page. Range slots carry
+     * their own ASID: the cross-ASID shootdown is exact.
+     */
+    void invalidateL2(Vpn vpn, Asid target) override;
 
   private:
     const MemoryMap *range_table_;

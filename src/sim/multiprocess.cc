@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "os/distance_selector.hh"
-#include "os/region_partitioner.hh"
 #include "os/table_builder.hh"
 #include "sim/experiment.hh"
 #include "trace/workload.hh"
@@ -26,7 +25,6 @@ struct ProcessState
     MemoryMap map;
     PageTable table;
     AnchorDist anchor_distance{};
-    RegionPartition partition;
     std::unique_ptr<PatternTrace> trace;
 
     ProcessContext
@@ -36,7 +34,6 @@ struct ProcessState
         ctx.table = &table;
         ctx.map = &map;
         ctx.anchor_distance = anchor_distance;
-        ctx.partition = &partition;
         ctx.asid = asid;
         return ctx;
     }
@@ -67,9 +64,6 @@ buildMapping(ProcessState &state, Scheme scheme)
         state.table =
             buildPageTable(state.map, row.layout == TableLayout::Thp);
     }
-    // The region partition is cheap; compute it for completeness (only
-    // the region scheme consumes it).
-    state.partition = partitionAnchorRegions(state.map);
 }
 
 ProcessState

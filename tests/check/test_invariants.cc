@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include "check/invariants.hh"
+#include "common/rng.hh"
 #include "common/types.hh"
 #include "mem/buddy_allocator.hh"
 #include "mmu/anchor_mmu.hh"
 #include "mmu/mmu_config.hh"
 #include "os/memory_map.hh"
+#include "os/region_partitioner.hh"
+#include "os/scenario.hh"
 #include "os/table_builder.hh"
 #include "tlb/set_assoc_tlb.hh"
 
@@ -190,7 +193,7 @@ TEST(AnchorInvariants, DetectsContiguityOutOfRange)
     // insert() can never produce — straight into the L2.
     SetAssocTlb &l2 = mmu.l2TlbForTest();
     TlbEntry e = makeEntry(EntryKind::Anchor,
-                           anchorBase.raw() >> 4 /* log2(distance) */,
+                           AnchorMmu::anchorKey(anchorBase, anchorDist).raw(),
                            0x5000);
     e.aux = 0;
     const unsigned set = static_cast<unsigned>(e.key.raw() % l2.numSets());
@@ -209,6 +212,61 @@ TEST(AnchorInvariants, DetectsContiguityOutOfRange)
     ASSERT_FALSE(over.ok());
     EXPECT_NE(over.violations.front().find("outside"),
               std::string::npos);
+}
+
+TEST(AnchorInvariants, DetectsAnchorKeyedAtForeignDistance)
+{
+    const MemoryMap map = shortRunMap();
+    PageTable table = buildAnchorPageTable(map, anchorDist);
+    MmuConfig cfg;
+    AnchorMmu mmu(cfg, table, anchorDist);
+
+    // Plant an anchor keyed at distance 32 in an MMU whose table was
+    // swept at 16: its cached contiguity was measured at a distance the
+    // region table never uses for that VPN.
+    SetAssocTlb &l2 = mmu.l2TlbForTest();
+    TlbEntry e = makeEntry(
+        EntryKind::Anchor,
+        AnchorMmu::anchorKey(anchorBase, AnchorDist::fromPages(32)).raw(),
+        0x5000);
+    e.aux = 16;
+    const unsigned set = static_cast<unsigned>(e.key.raw() % l2.numSets());
+    l2.entryAtForTest(set, 0) = e;
+    l2.setLastUseForTest(set, 0, 1);
+
+    const InvariantReport report = checkAnchorInvariants(mmu);
+    ASSERT_FALSE(report.ok());
+    EXPECT_NE(report.violations.front().find("keyed at distance"),
+              std::string::npos);
+}
+
+TEST(AnchorInvariants, RegionTableCleanStatePasses)
+{
+    // Fragments then big runs: the partition gives the two regimes
+    // different distances, so anchors of both keyings are cached.
+    ScenarioParams params;
+    params.footprint_pages = 1;
+    params.seed = 5;
+    const MemoryMap map = buildSegmentedScenario(
+        params, {{16384, 1, 16}, {131072, 4096, 16384}});
+    const RegionPartition partition = partitionAnchorRegions(map);
+    const PageTable table = buildRegionAnchorPageTable(map, partition);
+    MmuConfig cfg;
+    AnchorMmu mmu(cfg, table, partition);
+
+    Rng rng(5);
+    const Vpn lo = map.chunks().front().vpn;
+    const Vpn hi = map.chunks().back().vpnEnd();
+    for (int done = 0; done < 20000;) {
+        const Vpn vpn = lo + rng.nextBounded(hi - lo);
+        if (!map.mapped(vpn))
+            continue;
+        mmu.translate(vaOf(vpn));
+        ++done;
+    }
+    EXPECT_GT(mmu.anchorStats().anchor_fills, 0u);
+    const InvariantReport report = checkAnchorInvariants(mmu);
+    EXPECT_TRUE(report.ok()) << report.violations.front();
 }
 
 /** Host environment mapping exactly the GPAs of shortRunMap(). */

@@ -14,7 +14,6 @@
 #include "mmu/anchor_mmu.hh"
 #include "mmu/baseline_mmu.hh"
 #include "mmu/colt_mmu.hh"
-#include "mmu/region_anchor_mmu.hh"
 #include "os/distance_selector.hh"
 #include "os/region_partitioner.hh"
 #include "os/scenario.hh"
@@ -72,7 +71,7 @@ TEST_P(ExtensionProperty, RegionAnchorAlwaysCorrect)
     const RegionPartition partition = partitionAnchorRegions(map);
     const PageTable table = buildRegionAnchorPageTable(map, partition);
     MmuConfig cfg;
-    RegionAnchorMmu mmu(cfg, table, partition);
+    AnchorMmu mmu(cfg, table, partition);
     verify(mmu, map);
 }
 

@@ -232,8 +232,8 @@ TEST_F(AnchorMmuTest, AnchorEntriesSpreadAcrossSets)
     std::uint64_t resident = 0;
     for (std::uint64_t b = 0; b < 64; ++b) {
         if (mmu.l2Tlb().probe(EntryKind::Anchor,
-                                  AnchorDist::fromPages(d).keyOf(
-                                      baseVpn + b * d)))
+                              AnchorMmu::anchorKey(
+                                  baseVpn + b * d, AnchorDist::fromPages(d))))
             ++resident;
     }
     EXPECT_EQ(resident, 64u);

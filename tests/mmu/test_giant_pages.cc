@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "mmu/baseline_mmu.hh"
+#include "mmu/rmm_mmu.hh"
 #include "mmu_test_util.hh"
 #include "os/scenario.hh"
 #include "os/table_builder.hh"
@@ -93,6 +94,22 @@ TEST(GiantPages, MmuServesFromSeparate1GTlb)
     const TranslationResult r = mmu.translate(va(200000));
     EXPECT_EQ(r.level, HitLevel::L2Regular);
     EXPECT_EQ(r.ppn, m.translate(baseVpn + 200000));
+}
+
+TEST(GiantPages, RmmServesFromThe1GTlbItFills)
+{
+    const MemoryMap m = giantMap();
+    const PageTable t = buildPageTable(m, true, true);
+    MmuConfig cfg;
+    // No range is long enough for the range TLB: only the 1GB L2 can
+    // answer the second access.
+    cfg.rmm_min_range_pages = 8 * giantPages;
+    RmmMmu mmu(cfg, t, m);
+    mmu.translate(va(100));
+    const TranslationResult r = mmu.translate(va(200000));
+    EXPECT_EQ(r.level, HitLevel::L2Regular);
+    EXPECT_EQ(r.ppn, m.translate(baseVpn + 200000));
+    EXPECT_EQ(mmu.stats().page_walks, 1u);
 }
 
 TEST(GiantPages, FourEntriesCoverFourGigabytes)

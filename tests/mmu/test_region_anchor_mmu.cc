@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the multi-region anchor MMU (Section 4.2 extension).
+ * Tests for the anchor MMU with a region table (Section 4.2 extension).
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "mmu/anchor_mmu.hh"
-#include "mmu/region_anchor_mmu.hh"
 #include "mmu_test_util.hh"
 #include "os/scenario.hh"
 #include "os/table_builder.hh"
@@ -57,7 +56,7 @@ TEST_F(RegionAnchorMmuTest, PartitionHasTwoScales)
 
 TEST_F(RegionAnchorMmuTest, TranslationsAlwaysCorrect)
 {
-    RegionAnchorMmu mmu(cfg_, table_, partition_);
+    AnchorMmu mmu(cfg_, table_, partition_);
     Rng rng(17);
     const Vpn lo = map_.chunks().front().vpn;
     const Vpn hi = map_.chunks().back().vpnEnd();
@@ -72,7 +71,7 @@ TEST_F(RegionAnchorMmuTest, TranslationsAlwaysCorrect)
 
 TEST_F(RegionAnchorMmuTest, AnchorsServeBothRegions)
 {
-    RegionAnchorMmu mmu(cfg_, table_, partition_);
+    AnchorMmu mmu(cfg_, table_, partition_);
     // Sweep a stretch of each regime: interior pages must be served by
     // anchors filled at each region's own distance.
     const auto sweep = [&](const AnchorRegion &region) {
@@ -85,11 +84,11 @@ TEST_F(RegionAnchorMmuTest, AnchorsServeBothRegions)
         }
     };
     sweep(partition_.regions.front());
-    const std::uint64_t front_hits = mmu.regionStats().anchor_hits;
-    EXPECT_GT(mmu.regionStats().anchor_fills, 0u);
+    const std::uint64_t front_hits = mmu.anchorStats().anchor_hits;
+    EXPECT_GT(mmu.anchorStats().anchor_fills, 0u);
     EXPECT_GT(front_hits, 0u);
     sweep(partition_.regions.back());
-    EXPECT_GT(mmu.regionStats().anchor_hits, front_hits)
+    EXPECT_GT(mmu.anchorStats().anchor_hits, front_hits)
         << "big-run region saw no anchor hits";
 }
 
@@ -99,7 +98,7 @@ TEST_F(RegionAnchorMmuTest, BeatsSingleDistanceOnMixedMapping)
     PageTable single_table =
         buildAnchorPageTable(map_, partition_.default_distance);
     AnchorMmu single(cfg_, single_table, partition_.default_distance);
-    RegionAnchorMmu multi(cfg_, table_, partition_);
+    AnchorMmu multi(cfg_, table_, partition_);
 
     // Access both regimes evenly: uniform pages over each regime.
     Rng rng(23);
@@ -123,30 +122,35 @@ TEST_F(RegionAnchorMmuTest, CrossRegionAnchorsNeverUsed)
 {
     // A VPN near a region boundary whose anchor VPN (at this region's
     // distance) falls before the region start must not be served by an
-    // anchor — the slot belongs to the previous region.
-    RegionAnchorMmu mmu(cfg_, table_, partition_);
-    const AnchorRegion &runs = partition_.regions.back();
-    // First page of the big-run region whose aligned anchor VPN is
-    // below the region start.
-    Vpn probe = invalidVpn;
-    for (Vpn v = runs.begin; v < runs.begin + runs.distance.pages();
-         ++v) {
-        if (map_.mapped(v) &&
-            v.alignDown(runs.distance.pages()) < runs.begin) {
-            probe = v;
-            break;
-        }
-    }
-    if (probe == invalidVpn)
-        GTEST_SKIP() << "region start happens to be aligned";
-    const TranslationResult r = mmu.translate(vaOf(probe));
-    EXPECT_EQ(r.ppn, map_.translate(probe));
+    // anchor — the slot belongs to the previous region, whose sweep at
+    // its own distance wrote the contiguity found there.
+    MemoryMap map;
+    // PA not 2MB-congruent: every page is 4KB-mapped.
+    map.add(baseVpn, Ppn{0x100001}, PageCount{8192});
+    map.finalize();
+    RegionPartition partition;
+    partition.regions = {
+        {baseVpn, baseVpn + 100, AnchorDist::fromPages(256)},
+        {baseVpn + 100, baseVpn + 8192, AnchorDist::fromPages(1024)},
+    };
+    const PageTable table = buildRegionAnchorPageTable(map, partition);
+    AnchorMmu mmu(cfg_, table, partition);
+
+    // +150 lies in the second region; its anchor VPN at distance 1024
+    // is baseVpn, inside the first region.
+    const TranslationResult r = mmu.translate(vaOf(baseVpn + 150));
+    EXPECT_EQ(r.ppn, map.translate(baseVpn + 150));
     EXPECT_EQ(r.level, HitLevel::PageWalk);
+    EXPECT_EQ(mmu.anchorStats().anchor_fills, 0u);
+    EXPECT_EQ(mmu.l2Tlb().probe(EntryKind::Anchor,
+                                AnchorMmu::anchorKey(
+                                    baseVpn, AnchorDist::fromPages(1024))),
+              nullptr);
 }
 
 TEST_F(RegionAnchorMmuTest, FlushClearsState)
 {
-    RegionAnchorMmu mmu(cfg_, table_, partition_);
+    AnchorMmu mmu(cfg_, table_, partition_);
     mmu.translate(vaOf(partition_.regions.front().begin));
     EXPECT_GT(mmu.l2Tlb().validCount(), 0u);
     mmu.flushAll();
@@ -157,13 +161,13 @@ TEST_F(RegionAnchorMmuTest, RejectsOversizedRegionTable)
 {
     detail::setThrowOnError(true);
     RegionPartition big = partition_;
-    while (big.regions.size() <= RegionAnchorMmu::maxRegions) {
+    while (big.regions.size() <= AnchorMmu::maxRegions) {
         AnchorRegion r = big.regions.back();
         r.begin = r.end;
         r.end = r.begin + 1;
         big.regions.push_back(r);
     }
-    EXPECT_THROW(RegionAnchorMmu(cfg_, table_, big), std::logic_error);
+    EXPECT_THROW(AnchorMmu(cfg_, table_, big), std::logic_error);
     detail::setThrowOnError(false);
 }
 

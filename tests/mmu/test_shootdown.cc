@@ -20,7 +20,6 @@
 #include "mmu/baseline_mmu.hh"
 #include "mmu/cluster_mmu.hh"
 #include "mmu/colt_mmu.hh"
-#include "mmu/region_anchor_mmu.hh"
 #include "mmu/rmm_mmu.hh"
 #include "mmu_test_util.hh"
 #include "os/region_partitioner.hh"
@@ -382,7 +381,7 @@ TEST(ShootdownStorm, RegionAnchorFallbackNoStaleAcrossFourAsids)
         tables[i] = buildRegionAnchorPageTable(maps[i], parts[i]);
     }
     MmuConfig cfg;
-    RegionAnchorMmu mmu(cfg, tables[0], parts[0]);
+    AnchorMmu mmu(cfg, tables[0], parts[0]);
     const auto distFor = [&](int t, Vpn vpn) {
         for (const AnchorRegion &r : parts[t].regions)
             if (r.contains(vpn))

@@ -40,7 +40,6 @@
 #include "mmu/cluster_mmu.hh"
 #include "mmu/colt_mmu.hh"
 #include "mmu/mmu_test_util.hh"
-#include "mmu/region_anchor_mmu.hh"
 #include "mmu/rmm_mmu.hh"
 #include "os/distance_selector.hh"
 #include "os/region_partitioner.hh"
@@ -349,7 +348,7 @@ struct DifferentialRig
         add<ClusterMmu>("cluster", cfg, plain, false);
         add<RmmMmu>("rmm", cfg, thp, map);
         add<AnchorMmu>("anchor", cfg, anchored, AnchorDist::fromPages(32));
-        add<RegionAnchorMmu>("region-anchor", cfg, region, partition);
+        add<AnchorMmu>("region-anchor", cfg, region, partition);
     }
 
     template <class M, class... Args>

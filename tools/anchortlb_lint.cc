@@ -272,10 +272,10 @@ matchDelim(const std::vector<Token> &toks, std::size_t open)
 /**
  * Rule raw-u64-api: in headers, a function named translate/lookup/
  * insert — one of the shootdown crossings invalidatePage/
- * invalidateAsid — or one of the store/serve surface names store/
- * get/put/invalidate — whose parameter list mentions uint64_t must
- * use the strong types (CellKey for result-store APIs). Calls
- * (preceded by `.`, `->`) are skipped; declarations and inline
+ * invalidateL2/invalidateAsid — or one of the store/serve surface
+ * names store/get/put/invalidate — whose parameter list mentions
+ * uint64_t must use the strong types (CellKey for result-store APIs).
+ * Calls (preceded by `.`, `->`) are skipped; declarations and inline
  * definitions are checked.
  */
 void
@@ -286,7 +286,8 @@ checkRawU64Api(const std::string &path, const FileText &f,
     for (std::size_t i = 0; i + 1 < t.size(); ++i) {
         const std::string &name = t[i].text;
         if (name != "translate" && name != "lookup" && name != "insert" &&
-            name != "invalidatePage" && name != "invalidateAsid" &&
+            name != "invalidatePage" && name != "invalidateL2" &&
+            name != "invalidateAsid" &&
             name != "store" && name != "get" && name != "put" &&
             name != "invalidate")
             continue;
