@@ -4,11 +4,12 @@
  *
  * Runs one scenario's full workload x scheme grid twice through
  * ExperimentContext::runCells — once with threads = 1 and once with the
- * configured worker count — and reports wall-clock time and simulated
- * accesses per second for both, plus the speedup. A miss-count checksum
- * cross-checks that both runs produced identical results (the engine's
- * determinism guarantee). Results are written as machine-readable JSON to
- * BENCH_throughput.json in the working directory (or argv[1]).
+ * configured worker count — and reports wall-clock time and answered
+ * accesses per second for both, plus the speedup. Both runs must return
+ * every cell's result byte for byte (its encodeSimResult bytes, the
+ * engine's determinism guarantee). Results are written as
+ * machine-readable JSON to BENCH_throughput.json in the working
+ * directory (or argv[1]).
  *
  * Budget knobs: ANCHORTLB_ACCESSES (default 200k here, small enough for
  * a CI smoke run), ANCHORTLB_SCALE, ANCHORTLB_THREADS.
@@ -26,6 +27,7 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "os/distance_selector.hh"
+#include "serve/result_store.hh"
 #include "sim/parallel_runner.hh"
 #include "stats/json_writer.hh"
 #include "trace/workload.hh"
@@ -41,7 +43,7 @@ struct Measurement
     unsigned threads = 1;
     double seconds = 0.0;
     double accesses_per_sec = 0.0;
-    std::uint64_t miss_checksum = 0;
+    std::vector<std::string> results; //!< each cell's encodeSimResult
 };
 
 std::vector<CellJob>
@@ -54,9 +56,13 @@ throughputJobs(ScenarioKind scenario)
     return jobs;
 }
 
-/** Simulations actually run: an AnchorSweep cell runs every distance. */
+/**
+ * Accesses the grid answers for: an AnchorSweep cell stands for one
+ * full run per candidate distance, however early its sweep stops the
+ * losers.
+ */
 std::uint64_t
-simulatedAccesses(const std::vector<CellJob> &jobs, std::uint64_t per_cell)
+answeredAccesses(const std::vector<CellJob> &jobs, std::uint64_t per_cell)
 {
     const std::uint64_t fanout = candidateDistances().size();
     std::uint64_t leaves = 0;
@@ -84,10 +90,10 @@ measure(SimOptions opts, unsigned threads,
     m.threads = threads;
     m.seconds = std::chrono::duration<double>(stop - start).count();
     m.accesses_per_sec =
-        static_cast<double>(simulatedAccesses(jobs, opts.accesses)) /
+        static_cast<double>(answeredAccesses(jobs, opts.accesses)) /
         m.seconds;
     for (const SimResult &res : results)
-        m.miss_checksum += res.misses();
+        m.results.push_back(encodeSimResult(res));
     return m;
 }
 
@@ -125,8 +131,7 @@ emitJson(const std::string &path, const SimOptions &opts,
     emitMeasurement(json, "serial", serial);
     emitMeasurement(json, "parallel", parallel);
     json.field("speedup", serial.seconds / parallel.seconds);
-    json.field("results_identical",
-               serial.miss_checksum == parallel.miss_checksum);
+    json.field("results_identical", serial.results == parallel.results);
     json.endObject();
 }
 
@@ -155,9 +160,9 @@ main(int argc, char **argv)
     const Measurement serial = measure(opts, 1, jobs);
     const Measurement parallel = measure(opts, threads, jobs);
 
-    if (serial.miss_checksum != parallel.miss_checksum) {
+    if (serial.results != parallel.results) {
         ATLB_FATAL("parallel run diverged from serial run "
-                   "(miss checksums differ)");
+                   "(cell results differ)");
     }
 
     std::cout << "serial:   " << serial.seconds << " s, "

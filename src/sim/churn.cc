@@ -17,20 +17,11 @@ runMappingChurn(Scheme scheme, const std::vector<ChurnEpoch> &epochs,
 {
     ATLB_ASSERT(!epochs.empty(), "no churn epochs");
 
-    WorkloadSpec spec = findWorkload(options.workload);
-    spec.footprint_bytes = static_cast<std::uint64_t>(
-        static_cast<double>(spec.footprint_bytes) *
-        options.footprint_scale);
-    if (spec.footprint_bytes < pageBytes)
-        spec.footprint_bytes = pageBytes;
-
-    ScenarioParams params;
-    params.footprint_pages = spec.footprintPages();
-    params.demand_run_pages = spec.demand_run_pages;
-    params.eager_run_pages = spec.eager_run_pages;
-    params.demand_churn = spec.demand_churn;
-    params.map_tail_run_pages = spec.map_tail_run_pages;
-    params.map_tail_fraction = spec.map_tail_fraction;
+    SimOptions scaled;
+    scaled.footprint_scale = options.footprint_scale;
+    const WorkloadSpec spec = scaledCatalogSpec(scaled, options.workload);
+    // Each epoch maps with its own seed (set below).
+    ScenarioParams params = scenarioParamsFor(scaled, spec);
 
     // An AnchorSweep scheme runs as Anchor at the controller's
     // distance: the oracle sweep has no churn analogue.

@@ -238,6 +238,14 @@ scaledWorkloadSpec(const SimOptions &options, const std::string &workload)
     return *std::move(spec);
 }
 
+WorkloadSpec
+scaledCatalogSpec(const SimOptions &options, const std::string &workload)
+{
+    if (workload.rfind(traceWorkloadPrefix, 0) == 0)
+        ATLB_FATAL("unknown workload '{}'", workload);
+    return scaledWorkloadSpec(options, workload);
+}
+
 ScenarioParams
 scenarioParamsFor(const SimOptions &options, const WorkloadSpec &spec)
 {
@@ -308,13 +316,15 @@ SimResult
 runSchemeCell(const SimOptions &options, const WorkloadSpec &spec,
               ScenarioKind scenario, const MemoryMap &map,
               const PageTable &table, Scheme scheme,
-              std::uint64_t anchor_distance, TraceSource &trace)
+              std::uint64_t anchor_distance, TraceSource &trace,
+              std::uint64_t walk_limit)
 {
     const std::unique_ptr<Mmu> mmu =
         buildSchemeMmu(options.mmu, table, map, scheme, anchor_distance);
 
     SimResult res = runSimulation(*mmu, trace, spec.mem_per_instr,
-                                  options.translate_mode);
+                                  options.translate_mode, nullptr,
+                                  walk_limit);
     res.workload = spec.name;
     res.scenario = scenarioName(scenario);
     res.scheme = schemeName(scheme);
@@ -329,8 +339,17 @@ CellPairState::CellPairState(const SimOptions &options,
       seed_(options.seed), spec_(scaledWorkloadSpec(options, workload_)),
       map_(buildScenario(scenario_, scenarioParamsFor(options, spec_)))
 {
-    dynamic_distance_ =
-        selectAnchorDistance(map_.contiguityHistogram()).distance;
+    // Algorithm 1 lists every candidate with its cost in ascending
+    // distance order and selects the first cheapest; a stable sort by
+    // cost puts that one first and keeps ties in distance order.
+    std::vector<std::pair<std::uint64_t, double>> ranked =
+        selectAnchorDistance(map_.contiguityHistogram()).candidates;
+    std::stable_sort(
+        ranked.begin(), ranked.end(),
+        [](const auto &a, const auto &b) { return a.second < b.second; });
+    distances_by_cost_.reserve(ranked.size());
+    for (const auto &candidate : ranked)
+        distances_by_cost_.push_back(candidate.first);
 }
 
 const PageTable &

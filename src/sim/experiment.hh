@@ -104,6 +104,14 @@ WorkloadSpec scaledWorkloadSpec(const SimOptions &options,
                                 const std::string &workload);
 
 /**
+ * scaledWorkloadSpec for catalog workloads only: any other name,
+ * "trace:<path>" included, is fatal as an unknown workload. For the
+ * runners that generate their own streams (multiprocess, churn).
+ */
+WorkloadSpec scaledCatalogSpec(const SimOptions &options,
+                               const std::string &workload);
+
+/**
  * Accesses one cell of @p spec actually simulates: options.accesses,
  * clamped to the trace length for trace-driven workloads (a capture
  * cannot be extended).
@@ -119,7 +127,12 @@ std::unique_ptr<TraceSource> makeCellTrace(const SimOptions &options,
                                            const WorkloadSpec &spec,
                                            std::uint64_t num_accesses);
 
-/** Scenario-construction parameters for @p spec under @p options. */
+/**
+ * Scenario-construction parameters for @p spec under @p options: the
+ * spec's footprint and mapping fields, and a mapping seed derived from
+ * options.seed and the workload name (runners that remap per process
+ * or per epoch overwrite it).
+ */
 ScenarioParams scenarioParamsFor(const SimOptions &options,
                                  const WorkloadSpec &spec);
 
@@ -149,7 +162,9 @@ std::unique_ptr<Mmu> buildSchemeMmu(const MmuConfig &config,
 
 /**
  * Run one fully specified simulation: build @p scheme's MMU over the
- * prebuilt @p table and stream @p trace through it to exhaustion.
+ * prebuilt @p table and stream @p trace through it to exhaustion, or
+ * until its page walks reach @p walk_limit (runSimulation; a result
+ * stopped there is a prefix, only fit to be discarded).
  * @p table must have the scheme's layout (schemeRow(scheme).layout,
  * anchor-swept at @p anchor_distance for the anchored ones), and
  * @p trace is the cell's stream: makeCellTrace(options, spec,
@@ -161,7 +176,8 @@ std::unique_ptr<Mmu> buildSchemeMmu(const MmuConfig &config,
 SimResult runSchemeCell(const SimOptions &options, const WorkloadSpec &spec,
                         ScenarioKind scenario, const MemoryMap &map,
                         const PageTable &table, Scheme scheme,
-                        std::uint64_t anchor_distance, TraceSource &trace);
+                        std::uint64_t anchor_distance, TraceSource &trace,
+                        std::uint64_t walk_limit = noWalkLimit);
 
 /**
  * Longest cell stream a CellPairState keeps in memory: 2^18 accesses,
@@ -174,8 +190,9 @@ constexpr std::uint64_t sharedStreamAccesses = 1ULL << 18;
 /**
  * Immutable expensive state for one (workload, scenario) pair, safe to
  * share read-only across threads: the footprint-scaled spec, the
- * scenario mapping and its dynamically selected anchor distance are
- * built eagerly by the constructor; the plain/THP page-table flavours
+ * scenario mapping and Algorithm 1's ranking of the candidate anchor
+ * distances for it (its pick first) are built eagerly by the
+ * constructor; the plain/THP page-table flavours
  * and the access stream are built lazily on first use (std::call_once,
  * so concurrent readers share one build). Anchor-swept tables are
  * deliberately absent — the sweep mutates the table, so anchor jobs
@@ -203,8 +220,23 @@ class CellPairState
     const WorkloadSpec &spec() const { return spec_; }
     const MemoryMap &map() const { return map_; }
 
+    /**
+     * Every candidateDistances() entry, cheapest first by Algorithm 1's
+     * EntryCount cost for this pair's mapping. Ties keep ascending
+     * distance, so the first is the distance Algorithm 1 selects. The
+     * AnchorIdeal sweep (runCellJob) tries the candidates in this
+     * order.
+     */
+    const std::vector<std::uint64_t> &distancesByCost() const
+    {
+        return distances_by_cost_;
+    }
+
     /** Distance Algorithm 1 selects for this pair's mapping. */
-    std::uint64_t dynamicDistance() const { return dynamic_distance_; }
+    std::uint64_t dynamicDistance() const
+    {
+        return distances_by_cost_.front();
+    }
 
     /** All-4KB table (Base / Cluster); built on first call. */
     const PageTable &plainTable() const;
@@ -231,7 +263,7 @@ class CellPairState
     std::uint64_t seed_ = 0;
     WorkloadSpec spec_;
     MemoryMap map_;
-    std::uint64_t dynamic_distance_ = 0;
+    std::vector<std::uint64_t> distances_by_cost_;
     mutable std::once_flag plain_once_;
     mutable std::optional<PageTable> plain_table_;
     mutable std::once_flag thp_once_;
@@ -323,8 +355,10 @@ class ExperimentContext
     /**
      * Run one cell. For Scheme::Anchor the distance comes from the
      * dynamic selection algorithm unless @p distance_override is given;
-     * for Scheme::AnchorIdeal every candidate distance is swept and the
-     * best (fewest misses) run is returned.
+     * for Scheme::AnchorIdeal the result is the candidate distance with
+     * the fewest misses, the smallest such distance on a tie. Its sweep
+     * stops each losing candidate as soon as its walks show it cannot
+     * win (runCellJob), and runs the winner to the end.
      */
     SimResult run(const std::string &workload, ScenarioKind scenario,
                   Scheme scheme,

@@ -70,23 +70,14 @@ ProcessState
 buildProcess(Scheme scheme, const ProcessSpec &p,
              const MultiProcessOptions &options, std::uint64_t index)
 {
+    SimOptions scaled;
+    scaled.footprint_scale = options.footprint_scale;
     ProcessState state;
-    state.spec = findWorkload(p.workload);
+    state.spec = scaledCatalogSpec(scaled, p.workload);
     state.scenario = p.scenario;
     state.asid = Asid{index + 1};
-    state.spec.footprint_bytes = static_cast<std::uint64_t>(
-        static_cast<double>(state.spec.footprint_bytes) *
-        options.footprint_scale);
-    if (state.spec.footprint_bytes < pageBytes)
-        state.spec.footprint_bytes = pageBytes;
-
-    state.params.footprint_pages = state.spec.footprintPages();
+    state.params = scenarioParamsFor(scaled, state.spec);
     state.params.seed = options.seed + 1000 * (index + 1);
-    state.params.demand_run_pages = state.spec.demand_run_pages;
-    state.params.eager_run_pages = state.spec.eager_run_pages;
-    state.params.demand_churn = state.spec.demand_churn;
-    state.params.map_tail_run_pages = state.spec.map_tail_run_pages;
-    state.params.map_tail_fraction = state.spec.map_tail_fraction;
     buildMapping(state, scheme);
 
     state.trace = std::make_unique<PatternTrace>(

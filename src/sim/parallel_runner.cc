@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "os/distance_selector.hh"
 #include "os/table_builder.hh"
 
 namespace atlb
@@ -54,11 +54,12 @@ runCellJob(const SimOptions &options, const CellPairState &pair,
            const CellJob &job, const CellStream &stream)
 {
     const auto simulate = [&](const PageTable &table,
-                              std::uint64_t distance) {
+                              std::uint64_t distance,
+                              std::uint64_t walk_limit = noWalkLimit) {
         const std::unique_ptr<TraceSource> trace = stream();
         return runSchemeCell(options, pair.spec(), pair.scenario(),
                              pair.map(), table, job.scheme, distance,
-                             *trace);
+                             *trace, walk_limit);
     };
     const TableLayout layout = schemeRow(job.scheme).layout;
     switch (layout) {
@@ -75,25 +76,31 @@ runCellJob(const SimOptions &options, const CellPairState &pair,
         return simulate(table, distance);
       }
       case TableLayout::AnchorSweep: {
-        // Exhaustive sweep over every candidate distance; the first
-        // minimum in canonical candidate order wins. sweepAnchors
-        // rewrites every anchor entry, so one private THP table re-swept
-        // in place per candidate equals a fresh anchor table for each
-        // distance, at a fraction of the build cost.
-        const std::vector<std::uint64_t> distances = candidateDistances();
-        ATLB_ASSERT(!distances.empty(), "no candidate anchor distances");
+        // Branch and bound for the first minimum-miss candidate in
+        // canonical order, which is ascending distance. Candidates run
+        // in Algorithm 1's cost order, so a good one finishes early.
+        // Walks only grow during a run, so a candidate whose walks
+        // reach the best finished run's m* can no longer win, unless
+        // its distance is smaller: it wins a tie, so it stops at
+        // m* + 1. A run that ends below its bound was never stopped
+        // and is the new best, so the winner's result is a full run.
+        // sweepAnchors rewrites every anchor entry, so one private THP
+        // table re-swept in place per candidate equals a fresh anchor
+        // table for each distance, at a fraction of the build cost.
         PageTable table = buildPageTable(pair.map(), true);
-        SimResult best;
-        bool have_best = false;
-        for (const std::uint64_t distance : distances) {
+        std::optional<SimResult> best;
+        for (const std::uint64_t distance : pair.distancesByCost()) {
+            std::uint64_t bound = noWalkLimit;
+            if (best)
+                bound = best->misses() +
+                        (distance < best->anchor_distance ? 1U : 0U);
             table.sweepAnchors(pair.map(), AnchorDist::fromPages(distance));
-            SimResult res = simulate(table, distance);
-            if (!have_best || res.misses() < best.misses()) {
+            SimResult res = simulate(table, distance, bound);
+            if (res.misses() < bound)
                 best = std::move(res);
-                have_best = true;
-            }
         }
-        return best;
+        ATLB_ASSERT(best, "no candidate anchor distances");
+        return *std::move(best);
       }
     }
     ATLB_FATAL("unhandled table layout in cell job");

@@ -71,10 +71,14 @@ using CellStream = std::function<std::unique_ptr<TraceSource>()>;
  * scheme's TableLayout: Plain and Thp use the pair's tables, Anchor
  * builds a private table swept at the job's distance override or
  * Algorithm 1's pick, and AnchorSweep (the paper's static ideal)
- * builds one private THP table, re-sweeps its anchors in place for
- * each distance in candidateDistances() order and keeps the first
- * minimum-miss run. options.threads is not consulted. Safe for
- * concurrent calls sharing one @p pair.
+ * returns the first minimum-miss run in candidateDistances() order.
+ * The sweep builds one private THP table and re-sweeps its anchors in
+ * place for each candidate, trying them in Algorithm 1's cost order
+ * (CellPairState::distancesByCost). It is a branch and bound: a
+ * candidate stops once its walks show it cannot be that first minimum,
+ * and the winner always runs to the end, so the result is the
+ * exhaustive sweep's byte for byte. options.threads is not consulted.
+ * Safe for concurrent calls sharing one @p pair.
  */
 SimResult runCellJob(const SimOptions &options, const CellPairState &pair,
                      const CellJob &job, const CellStream &stream);

@@ -34,26 +34,33 @@ SimResult::l2MissFraction() const
 
 SimResult
 runSimulation(Mmu &mmu, TraceSource &trace, double mem_per_instr,
-              TranslateMode mode, BatchStats *batch_stats)
+              TranslateMode mode, BatchStats *batch_stats,
+              std::uint64_t walk_limit)
 {
     ATLB_ASSERT(mem_per_instr > 0.0, "mem_per_instr must be positive");
     // Pull accesses in chunks: one virtual fill() per batch instead of
     // one virtual next() per access keeps the generator's state hot and
     // lets the translate loop run branch-predictably. Batch mode then
     // hands the whole buffer to the batch kernel — one translateBatch
-    // call per 1024 accesses.
+    // call per 1024 accesses. Both modes read the walk count after
+    // every fill, so a walk limit stops them after the same one.
     constexpr std::size_t batch = 1024;
     MemAccess buffer[batch];
     if (mode == TranslateMode::Batch) {
         BatchStats bs;
-        while (const std::size_t n = trace.fill(buffer, batch))
+        while (const std::size_t n = trace.fill(buffer, batch)) {
             mmu.translateBatch(buffer, n, bs);
+            if (mmu.stats().page_walks >= walk_limit)
+                break;
+        }
         if (batch_stats)
             *batch_stats += bs;
     } else {
         while (const std::size_t n = trace.fill(buffer, batch)) {
             for (std::size_t i = 0; i < n; ++i)
                 mmu.translate(buffer[i].vaddr);
+            if (mmu.stats().page_walks >= walk_limit)
+                break;
         }
     }
 

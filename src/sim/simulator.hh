@@ -82,18 +82,32 @@ enum class TranslateMode : std::uint8_t
     PerAccess, //!< one translate() call per access
 };
 
+/** runSimulation's default walk limit: none, the run goes to the end. */
+constexpr std::uint64_t noWalkLimit = ~std::uint64_t{0};
+
 /**
- * Run @p trace through @p mmu to completion.
+ * Run @p trace through @p mmu to completion, or until its page walks
+ * reach @p walk_limit.
  *
  * @param mem_per_instr data accesses per instruction (CPI conversion)
  * @param mode          batch kernel (default) or per-access reference
  * @param batch_stats   if non-null, accumulates the replay's
  *                      BatchStats (batch mode only; untouched in
  *                      per-access mode)
+ * @param walk_limit    mmu.stats().page_walks is read after each
+ *                      1024-access fill, and the run stops once it has
+ *                      reached the limit. Both modes read it after the
+ *                      same fills, so they stop at the same access and
+ *                      stay counter-identical. A result whose misses()
+ *                      reached the limit covers only a prefix of the
+ *                      stream and exists only to be discarded: the
+ *                      AnchorIdeal sweep (runCellJob) uses it to stop a
+ *                      candidate that can no longer win.
  */
 SimResult runSimulation(Mmu &mmu, TraceSource &trace, double mem_per_instr,
                         TranslateMode mode = TranslateMode::Batch,
-                        BatchStats *batch_stats = nullptr);
+                        BatchStats *batch_stats = nullptr,
+                        std::uint64_t walk_limit = noWalkLimit);
 
 } // namespace atlb
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "common/logging.hh"
 #include "sim/churn.hh"
 
 namespace atlb
@@ -35,6 +38,23 @@ TEST(Churn, RunsAllEpochs)
     EXPECT_EQ(r.stats.accesses, 60'000u);
     for (const auto &e : r.epochs)
         EXPECT_EQ(e.accesses, 20'000u);
+}
+
+TEST(Churn, CatalogWorkloadsOnly)
+{
+    // The workload's stream is generated, so a trace-driven name is an
+    // unknown workload here.
+    ChurnOptions opts = quickOptions();
+    opts.workload = "trace:/nonexistent";
+    detail::setThrowOnError(true);
+    try {
+        runMappingChurn(Scheme::Base, {{ScenarioKind::MedContig, 1'000, 1}},
+                        opts);
+        ADD_FAILURE() << "a trace workload ran";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "fatal: unknown workload 'trace:/nonexistent'");
+    }
+    detail::setThrowOnError(false);
 }
 
 TEST(Churn, StableMappingKeepsDistance)

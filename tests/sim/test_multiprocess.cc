@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "common/logging.hh"
 #include "mmu/anchor_mmu.hh"
 #include "mmu/baseline_mmu.hh"
 #include "mmu/rmm_mmu.hh"
@@ -219,6 +222,22 @@ quickOptions()
     opts.quantum_accesses = 10'000;
     opts.footprint_scale = 0.02;
     return opts;
+}
+
+TEST(MultiProcess, CatalogWorkloadsOnly)
+{
+    // Each process generates its own stream, so a trace-driven name is
+    // an unknown workload here.
+    detail::setThrowOnError(true);
+    try {
+        runMultiProcess(Scheme::Base,
+                        {{"trace:/nonexistent", ScenarioKind::MedContig}},
+                        quickOptions());
+        ADD_FAILURE() << "a trace workload ran";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "fatal: unknown workload 'trace:/nonexistent'");
+    }
+    detail::setThrowOnError(false);
 }
 
 TEST(MultiProcess, CountsSwitchesAndAccesses)

@@ -4,7 +4,8 @@
  * ExperimentContext::runCells batch is identical — field for field — at
  * one worker and at eight, cell by cell to single-cell runs and to the
  * reference (runCellJob on a fresh pair); runCellJob's in-place
- * AnchorIdeal sweep matches fresh anchor tables; and a pair's shared
+ * AnchorIdeal sweep matches fresh anchor tables, and stops losing
+ * candidates without changing its result; and a pair's shared
  * stream, replayed at any cell length or first used by four workers at
  * once, matches cells streamed from their own source. This is the
  * guarantee that lets every figure bench run parallel by default.
@@ -170,6 +171,69 @@ TEST(ParallelRunner, AnchorIdealInPlaceSweepMatchesFreshTables)
             }
             best.scheme = ideal.scheme;
             expectSameResult(ideal, best);
+        }
+    }
+}
+
+/** Counts the accesses pulled through it from the stream it wraps. */
+class CountingSource : public TraceSource
+{
+  public:
+    CountingSource(std::unique_ptr<TraceSource> inner,
+                   std::uint64_t &pulled)
+        : inner_(std::move(inner)), pulled_(pulled)
+    {
+    }
+
+    bool next(MemAccess &out) override
+    {
+        if (!inner_->next(out))
+            return false;
+        ++pulled_;
+        return true;
+    }
+
+    std::size_t fill(MemAccess *out, std::size_t max) override
+    {
+        const std::size_t n = inner_->fill(out, max);
+        pulled_ += n;
+        return n;
+    }
+
+    void reset() override { inner_->reset(); }
+
+  private:
+    std::unique_ptr<TraceSource> inner_;
+    std::uint64_t &pulled_;
+};
+
+TEST(ParallelRunner, AnchorSweepStopsLosingCandidates)
+{
+    // The sweep stops each candidate once its walks show it cannot be
+    // the first minimum, so it pulls fewer accesses than 16 full runs,
+    // yet returns the exhaustive sweep over fresh tables byte for byte.
+    // Counts are deterministic at a fixed seed; low contiguity prunes
+    // least, and canneal at medium keeps well under half.
+    const SimOptions opts = quickOptions(1);
+    const std::uint64_t candidates = candidateDistances().size();
+    for (const char *workload : {"canneal", "gups", "sphinx3"}) {
+        for (const ScenarioKind scenario : allScenarios) {
+            const CellJob job{workload, scenario, Scheme::AnchorIdeal, {}};
+            SCOPED_TRACE(cellName(job));
+            const CellPairState pair(opts, workload, scenario);
+            std::uint64_t pulled = 0;
+            const SimResult result = runCellJob(opts, pair, job, [&] {
+                return std::make_unique<CountingSource>(
+                    pair.cellTrace(opts), pulled);
+            });
+            expectSameResult(result, streamedCellResult(opts, job));
+
+            const std::uint64_t n = cellAccesses(opts, pair.spec());
+            EXPECT_LT(pulled, candidates * n);
+            if (std::string(workload) == "canneal" &&
+                scenario == ScenarioKind::MedContig) {
+                EXPECT_LE(pulled, 8 * n);
+            }
         }
     }
 }

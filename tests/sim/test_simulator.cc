@@ -7,6 +7,7 @@
 
 #include "mmu/baseline_mmu.hh"
 #include "os/table_builder.hh"
+#include "sim/cell_reference.hh"
 #include "sim/simulator.hh"
 #include "trace/workload.hh"
 
@@ -125,6 +126,47 @@ TEST_F(SimulatorTest, PatternTraceDrivesSimulation)
     EXPECT_EQ(r.stats.accesses, 5000u);
     // Eight pages fit in L1: after at most 8 walks, everything hits.
     EXPECT_LE(r.misses(), 8u);
+}
+
+TEST(SimulatorWalkLimit, BothModesStopAfterTheSameFill)
+{
+    // One workload stream over a Base MMU, stopped at half the full
+    // run's walks. The limit is read after each 1024-access fill, so
+    // both modes stop after the same one with the same counters.
+    SimOptions opts;
+    opts.accesses = 20'000;
+    opts.footprint_scale = 0.02;
+    const WorkloadSpec spec = scaledWorkloadSpec(opts, "canneal");
+    const MemoryMap map = buildScenario(ScenarioKind::MedContig,
+                                        scenarioParamsFor(opts, spec));
+    const PageTable table = buildPageTable(map, false);
+    const MmuConfig cfg;
+    const auto run = [&](TranslateMode mode, std::uint64_t walk_limit) {
+        BaselineMmu mmu(cfg, table);
+        const std::unique_ptr<TraceSource> trace =
+            makeCellTrace(opts, spec, opts.accesses);
+        return runSimulation(mmu, *trace, spec.mem_per_instr, mode,
+                             nullptr, walk_limit);
+    };
+
+    BaselineMmu mmu(cfg, table);
+    const std::unique_ptr<TraceSource> trace =
+        makeCellTrace(opts, spec, opts.accesses);
+    const SimResult full = runSimulation(mmu, *trace, spec.mem_per_instr);
+    ASSERT_EQ(full.stats.accesses, opts.accesses);
+    // The default limit is no limit: a limit the run never reaches
+    // changes nothing.
+    expectSameResult(full, run(TranslateMode::Batch, full.misses() + 1));
+    expectSameResult(full, run(TranslateMode::PerAccess, noWalkLimit));
+
+    const std::uint64_t limit = full.misses() / 2;
+    ASSERT_GT(limit, 0u);
+    const SimResult batch = run(TranslateMode::Batch, limit);
+    const SimResult per_access = run(TranslateMode::PerAccess, limit);
+    expectSameResult(batch, per_access);
+    EXPECT_GE(batch.misses(), limit);
+    EXPECT_EQ(batch.stats.accesses % 1024, 0u);
+    EXPECT_LT(batch.stats.accesses, opts.accesses);
 }
 
 } // namespace

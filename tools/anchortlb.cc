@@ -301,8 +301,7 @@ cmdSweepDistance(const Args &args)
 std::unique_ptr<TraceSource>
 syntheticStream(const SimOptions &opts, const std::string &workload)
 {
-    findWorkload(workload); // catalog names only
-    return std::make_unique<PatternTrace>(scaledWorkloadSpec(opts, workload),
+    return std::make_unique<PatternTrace>(scaledCatalogSpec(opts, workload),
                                           traceBaseVa(), opts.accesses,
                                           opts.seed);
 }
