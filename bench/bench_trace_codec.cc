@@ -5,16 +5,14 @@
  * For a spread of paper workloads (tight loops through graph chasers)
  * materialises each access stream once, writes it as flat v1
  * (ATLBTRC1, 8 bytes/access) and as delta-varint v2 (ATLBTRC2), and
- * reports the size ratio plus encode/decode throughput for every
- * reader: the v1 ifstream reader, the v1 mmap reader, and the v2
- * block decoder. Results go to stdout as a table and to
- * BENCH_trace_codec.json (or argv[1]) for CI.
+ * reports the size ratio plus encode/decode throughput for each
+ * format's one reader: the v1 mmap reader and the v2 block decoder.
+ * Results go to stdout as a table and to BENCH_trace_codec.json (or
+ * argv[1]) for CI.
  *
  * The machine-independent payload is the compression column: the
  * declared target is v2 <= 60% of v1 on these streams (the JSON records
- * `all_within_target`). Throughput numbers are host-dependent; the one
- * portable claim — the mmap reader does not lose to the ifstream
- * reader — is recorded as `mmap_at_least_ifstream` per stream.
+ * `all_within_target`). Throughput numbers are host-dependent.
  *
  * The v2 decode column is measured twice when the process has a vector
  * SIMD level: once as built (whole-block SIMD unpack of packed blocks)
@@ -60,12 +58,11 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
-#include "ingest/mapped_trace.hh"
+#include "ingest/trace_v1.hh"
 #include "ingest/trace_v2.hh"
 #include "sim/experiment.hh"
 #include "stats/json_writer.hh"
 #include "stats/table.hh"
-#include "trace/trace_io.hh"
 #include "trace/workload.hh"
 
 namespace
@@ -86,7 +83,6 @@ struct StreamReport
     std::uint64_t v2_bytes = 0;
     double ratio = 0.0; //!< v2 / v1
     double encode_maccess_s = 0.0;
-    double v1_ifstream_maccess_s = 0.0;
     double v1_mmap_maccess_s = 0.0;
     double v2_maccess_s = 0.0;
     double v2_scalar_maccess_s = 0.0;
@@ -239,11 +235,6 @@ measureStream(const SimOptions &options, const std::string &workload,
                    static_cast<double>(report.v1_bytes);
 
     {
-        TraceFileSource src(v1_path);
-        report.v1_ifstream_maccess_s =
-            drainRate(src, stream.size()) / 1e6;
-    }
-    {
         MappedTraceSource src(v1_path);
         report.v1_mmap_maccess_s = drainRate(src, stream.size()) / 1e6;
     }
@@ -359,7 +350,7 @@ constexpr std::uint64_t kStreamRssSlackBytes = 64ull << 20;
 void
 emitJson(const std::string &path, const SimOptions &opts,
          const std::vector<StreamReport> &streams, double worst_ratio,
-         bool mmap_ok, const StreamedReport &stream_short,
+         const StreamedReport &stream_short,
          const StreamedReport &stream_long,
          const std::vector<UnpackReport> &unpacks)
 {
@@ -401,7 +392,6 @@ emitJson(const std::string &path, const SimOptions &opts,
         json.field("v2_bytes", s.v2_bytes);
         json.field("v2_over_v1", s.ratio);
         json.field("encode_maccess_per_s", s.encode_maccess_s);
-        json.field("v1_ifstream_maccess_per_s", s.v1_ifstream_maccess_s);
         json.field("v1_mmap_maccess_per_s", s.v1_mmap_maccess_s);
         json.field("v2_decode_maccess_per_s", s.v2_maccess_s);
         json.field("v2_decode_scalar_maccess_per_s",
@@ -410,8 +400,6 @@ emitJson(const std::string &path, const SimOptions &opts,
                    s.v2_scalar_maccess_s > 0.0
                        ? s.v2_maccess_s / s.v2_scalar_maccess_s
                        : 1.0);
-        json.field("mmap_at_least_ifstream",
-                   s.v1_mmap_maccess_s >= s.v1_ifstream_maccess_s);
         json.endObject();
     }
     json.endArray();
@@ -430,7 +418,6 @@ emitJson(const std::string &path, const SimOptions &opts,
     json.endArray();
     json.field("worst_v2_over_v1", worst_ratio);
     json.field("all_within_target", worst_ratio <= 0.60);
-    json.field("mmap_at_least_ifstream_everywhere", mmap_ok);
     // Worst width's kernel speedup; trivially 1.0 on scalar-only hosts.
     json.field("simd_unpack_speedup", min_unpack_speedup);
     json.field("simd_unpack_at_least_scalar", min_unpack_speedup >= 1.0);
@@ -491,24 +478,20 @@ main(int argc, char **argv)
 
     Table table("Codec comparison (sizes in MB, rates in Maccess/s)",
                 {"workload", "v1 MB", "v2 MB", "v2/v1", "encode",
-                 "v1 read", "v1 mmap", "v2 read", "v2 scalar"});
+                 "v1 mmap", "v2 read", "v2 scalar"});
 
     std::vector<StreamReport> streams;
     double worst_ratio = 0.0;
-    bool mmap_ok = true;
     for (const char *workload : kWorkloads) {
         const StreamReport r =
             measureStream(opts, workload, "bench_codec_tmp");
         worst_ratio = std::max(worst_ratio, r.ratio);
-        mmap_ok = mmap_ok &&
-                  r.v1_mmap_maccess_s >= r.v1_ifstream_maccess_s;
         table.beginRow();
         table.cell(r.workload);
         table.cell(r.v1_bytes / 1e6, 1);
         table.cell(r.v2_bytes / 1e6, 1);
         table.cell(r.ratio, 3);
         table.cell(r.encode_maccess_s, 1);
-        table.cell(r.v1_ifstream_maccess_s, 1);
         table.cell(r.v1_mmap_maccess_s, 1);
         table.cell(r.v2_maccess_s, 1);
         table.cell(r.v2_scalar_maccess_s, 1);
@@ -533,8 +516,8 @@ main(int argc, char **argv)
                                       : " (MISSES 0.60 target)")
               << "\n";
 
-    emitJson(json_path, opts, streams, worst_ratio, mmap_ok,
-             stream_short, stream_long, unpacks);
+    emitJson(json_path, opts, streams, worst_ratio, stream_short,
+             stream_long, unpacks);
     std::cout << "wrote " << json_path << "\n";
     return 0;
 }

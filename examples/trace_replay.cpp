@@ -3,23 +3,26 @@
  * Capturing and replaying trace files.
  *
  * Users with real traces (e.g. Pin captures converted to the format in
- * trace_io.hh) can drive the simulator from disk. This example
- * round-trips a generated trace through a file and shows that replay
- * reproduces the simulation exactly.
+ * ingest/trace_v1.hh) can drive the simulator from disk. This example
+ * round-trips a generated trace through a file, replays it through
+ * openTraceFile (which picks the reader for either trace format) and
+ * shows that replay reproduces the simulation exactly.
  *
  * Usage: trace_replay [path]
  */
 
 #include <cstdio>
 #include <iostream>
+#include <memory>
 #include <string>
 
+#include "ingest/trace_open.hh"
+#include "ingest/trace_v1.hh"
 #include "mmu/anchor_mmu.hh"
 #include "os/distance_selector.hh"
 #include "os/scenario.hh"
 #include "os/table_builder.hh"
 #include "sim/simulator.hh"
-#include "trace/trace_io.hh"
 #include "trace/workload.hh"
 
 int
@@ -63,9 +66,9 @@ main(int argc, char **argv)
 
     PageTable table_b = buildAnchorPageTable(map, distance);
     AnchorMmu mmu_b(hw, table_b, distance);
-    TraceFileSource replay(path);
+    const std::unique_ptr<TraceSource> replay = openTraceFile(path);
     const SimResult from_file =
-        runSimulation(mmu_b, replay, spec.mem_per_instr);
+        runSimulation(mmu_b, *replay, spec.mem_per_instr);
 
     std::cout << "live generator : " << from_live.misses()
               << " TLB misses, CPI " << from_live.translationCpi()

@@ -3,7 +3,12 @@
 #
 # usage: scripts/update_goldens.sh [build-dir]   (default: build)
 #
-# Uses the same pinned environment as the ctest checker
+# The goldens are the ctest tests named golden_* (atlb_add_golden_test
+# in tests/CMakeLists.txt), read from `ctest --show-only=json-v1`, so a
+# new golden is registered in one place. Each registered command is
+#   run_golden.sh [--threads=N] <binary> <golden> [args...]
+# and is regenerated as `<binary> [args...] > <golden>`, once per golden
+# file, under the same pinned environment as the checker
 # (tests/golden/golden_env.sh), so a regeneration followed by an
 # unchanged build always passes the golden tests. Review the diff of
 # the regenerated files before committing — every changed byte is a
@@ -12,7 +17,7 @@
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
-build="${1:-$repo/build}"
+build="$(cd "${1:-$repo/build}" && pwd)"
 golden_dir="$repo/tests/golden"
 
 # shellcheck source=../tests/golden/golden_env.sh
@@ -29,26 +34,37 @@ fi
     "$golden_dir/mini.atlbtrc2" --block-capacity=64 >/dev/null
 echo "regenerated tests/golden/mini.atlbtrc2"
 
-# Value = command line relative to the build tree; word-split on
-# purpose (no paths with spaces in this repo).
-declare -A benches=(
-    [bench_fig2.txt]="$build/bench/bench_fig2_prior_schemes"
-    [bench_fig9.txt]="$build/bench/bench_fig9_all_mappings"
-    [bench_context_switch.txt]="$build/bench/bench_ext_context_switch"
-    [bench_ext_churn.txt]="$build/bench/bench_ext_churn"
-    [trace_info_mini.txt]="$build/tools/anchortlb trace info \
-$golden_dir/mini.atlbtrc2 --profile"
-)
+# One tab-separated line per golden file: golden, binary, args. A
+# --threads=N run pins the same bytes as the pinned worker count.
+goldens="$(cd "$build" && ctest --show-only=json-v1 -R '^golden_' |
+    python3 -c '
+import json, sys
+seen = set()
+for test in json.load(sys.stdin)["tests"]:
+    cmd = test["command"][1:]  # after run_golden.sh
+    if cmd[0].startswith("--threads="):
+        cmd = cmd[1:]
+    binary, golden, args = cmd[0], cmd[1], cmd[2:]
+    if golden not in seen:
+        seen.add(golden)
+        print("\t".join([golden, binary] + args))
+')"
+if [ -z "$goldens" ]; then
+    echo "error: ctest in $build lists no golden_* tests" >&2
+    exit 1
+fi
 
-for golden in "${!benches[@]}"; do
-    # shellcheck disable=SC2206
-    cmd=(${benches[$golden]})
+while IFS=$'\t' read -r -a fields; do
+    golden="${fields[0]}"
+    cmd=("${fields[@]:1}")
     if [ ! -x "${cmd[0]}" ]; then
         echo "error: ${cmd[0]} not built (build first: cmake --build $build)" >&2
         exit 1
     fi
-    "${cmd[@]}" 2>/dev/null > "$golden_dir/$golden"
-    echo "regenerated tests/golden/$golden"
-done
+    # From the build tree, as ctest runs it: side files a bench writes
+    # (BENCH_*.json) must not overwrite the checked-in ones.
+    (cd "$build" && "${cmd[@]}" 2>/dev/null </dev/null >"$golden")
+    echo "regenerated ${golden#"$repo"/}"
+done <<<"$goldens"
 
 echo "done — review with: git diff tests/golden/"

@@ -6,7 +6,7 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "ingest/mapped_trace.hh"
+#include "ingest/trace_v1.hh"
 #include "ingest/trace_v2.hh"
 
 namespace atlb
@@ -45,7 +45,7 @@ tryTraceKind(const std::string &path, std::string &error)
         error = atlb::format("cannot open trace file '{}'", path);
     else if (!in.read(magic, 8))
         error = atlb::format("'{}' is too short to be a trace file", path);
-    else if (std::memcmp(magic, "ATLBTRC1", 8) == 0)
+    else if (std::memcmp(magic, traceV1Magic, 8) == 0)
         return TraceKind::V1;
     else if (std::memcmp(magic, "ATLBTRC2", 8) == 0)
         return TraceKind::V2;
@@ -118,17 +118,6 @@ ClampedTraceSource::ClampedTraceSource(std::unique_ptr<TraceSource> inner,
     : inner_(std::move(inner)), limit_(limit)
 {
     ATLB_ASSERT(inner_ != nullptr, "clamping a null trace source");
-}
-
-bool
-ClampedTraceSource::next(MemAccess &out)
-{
-    if (consumed_ >= limit_)
-        return false;
-    if (!inner_->next(out))
-        return false;
-    ++consumed_;
-    return true;
 }
 
 std::size_t

@@ -59,8 +59,8 @@ struct TraceFileInfo
 
 /**
  * Validate @p path and return its metadata. v2 answers from the
- * trailer; v1 stores no bounds, so the record words are scanned (one
- * sequential mmap pass, no decode into MemAccess).
+ * trailer; v1 stores no bounds, so its records are scanned (one
+ * sequential pass over the mapping).
  */
 TraceFileInfo inspectTraceFile(const std::string &path);
 
@@ -70,7 +70,7 @@ std::unique_ptr<TraceSource> openTraceFile(const std::string &path);
 /**
  * Limit an underlying source to its first @p limit accesses. The grid
  * replays trace prefixes when the requested cell accesses are fewer
- * than the trace length; next/fill/reset all respect the clamp.
+ * than the trace length; fill() and reset() respect the clamp.
  */
 class ClampedTraceSource : public TraceSource
 {
@@ -78,7 +78,6 @@ class ClampedTraceSource : public TraceSource
     ClampedTraceSource(std::unique_ptr<TraceSource> inner,
                        std::uint64_t limit);
 
-    bool next(MemAccess &out) override;
     std::size_t fill(MemAccess *out, std::size_t max) override;
     void reset() override;
 

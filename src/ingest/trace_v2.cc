@@ -469,12 +469,6 @@ TraceV2Source::blockStats(std::size_t b)
     return s;
 }
 
-bool
-TraceV2Source::next(MemAccess &out)
-{
-    return fill(&out, 1) == 1;
-}
-
 std::size_t
 TraceV2Source::fill(MemAccess *out, std::size_t max)
 {

@@ -2,7 +2,7 @@
  * @file
  * ATLBTRC2: block-based compressed, seekable on-disk trace format.
  *
- * The v1 format (trace_io.hh) spends a fixed 8 bytes per access, which
+ * The v1 format (trace_v1.hh) spends a fixed 8 bytes per access, which
  * makes real captured traces impractically large: a 2B-access stream is
  * 16GB. Real access streams are highly local — most accesses land on or
  * near the previous page — so v2 delta-encodes them:
@@ -144,8 +144,6 @@ class TraceV2Source : public TraceSource
   public:
     /** Open and validate @p path; fatal on any inconsistency. */
     explicit TraceV2Source(const std::string &path);
-
-    bool next(MemAccess &out) override;
 
     /** Streamed decode straight into @p out (no intermediate buffer). */
     std::size_t fill(MemAccess *out, std::size_t max) override;

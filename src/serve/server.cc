@@ -210,7 +210,7 @@ SweepServer::handleLine(const std::string &line)
         SweepResponse resp;
         resp.ok = false;
         resp.error = error.empty() ? "malformed request" : error;
-        appendCounters(resp);
+        resp.counters = counterRows();
         return encodeResponse(resp);
     }
     {
@@ -244,7 +244,7 @@ SweepServer::handleRequest(const SweepRequest &request)
         const std::lock_guard<std::mutex> lock(state_m_);
         counters_.request_wall_us.add(elapsedUsSince(start));
     }
-    appendCounters(resp);
+    resp.counters = counterRows();
     return resp;
 }
 
@@ -419,8 +419,8 @@ SweepServer::resolveCells(const SweepRequest &request,
     resp.ok = true;
 }
 
-void
-SweepServer::appendCounters(SweepResponse &resp) const
+std::vector<std::pair<std::string, std::uint64_t>>
+SweepServer::counterRows() const
 {
     ServerCounters c;
     {
@@ -428,81 +428,41 @@ SweepServer::appendCounters(SweepResponse &resp) const
         c = counters_;
     }
     const CellScheduler::Stats ss = scheduler_.stats();
-    resp.counters.emplace_back("connections", c.connections);
-    resp.counters.emplace_back("requests", c.requests);
-    resp.counters.emplace_back("bad_requests", c.bad_requests);
-    resp.counters.emplace_back("cells", c.cells);
-    resp.counters.emplace_back("hits", c.hits);
-    resp.counters.emplace_back("dedups", c.dedups);
-    resp.counters.emplace_back("simulations", c.simulations);
-    resp.counters.emplace_back("cell_errors", c.cell_errors);
-    resp.counters.emplace_back("queue_peak", ss.depth_peak);
-    resp.counters.emplace_back("admission_stalls", ss.admission_stalls);
-    resp.counters.emplace_back("sched_depth", ss.depth);
-    resp.counters.emplace_back("sched_running", ss.running);
-    resp.counters.emplace_back("sched_tickets_open", ss.tickets_open);
-    resp.counters.emplace_back("sched_pair_builds", ss.pair_builds);
-    resp.counters.emplace_back("sched_pair_reuses", ss.pair_reuses);
-    resp.counters.emplace_back("sched_pairs_cached", ss.pairs_cached);
-    resp.counters.emplace_back("request_wall_us_count",
-                               c.request_wall_us.samples());
-    resp.counters.emplace_back("request_wall_us_p50",
-                               c.request_wall_us.quantile(0.5));
-    resp.counters.emplace_back("request_wall_us_p99",
-                               c.request_wall_us.quantile(0.99));
-    resp.counters.emplace_back("request_wall_us_max",
-                               c.request_wall_us.maxValue());
-    resp.counters.emplace_back("queue_wait_us_count",
-                               c.queue_wait_us.samples());
-    resp.counters.emplace_back("queue_wait_us_p50",
-                               c.queue_wait_us.quantile(0.5));
-    resp.counters.emplace_back("queue_wait_us_p99",
-                               c.queue_wait_us.quantile(0.99));
-    resp.counters.emplace_back("queue_wait_us_max",
-                               c.queue_wait_us.maxValue());
-
     const ResultStore::Counters sc = store_.counters();
-    resp.counters.emplace_back("store_lookups", sc.lookups);
-    resp.counters.emplace_back("store_hits", sc.hits);
-    resp.counters.emplace_back("store_appends", sc.appends);
-    resp.counters.emplace_back("store_corrupt_dropped",
-                               sc.corrupt_dropped);
     const ResultStore::Info si = store_.info();
-    resp.counters.emplace_back("store_live_cells", si.live_cells);
-    resp.counters.emplace_back("store_records", si.records);
-    resp.counters.emplace_back("store_file_bytes", si.file_bytes);
-}
-
-ServerCounters
-SweepServer::counters() const
-{
-    ServerCounters c;
-    {
-        const std::lock_guard<std::mutex> lock(state_m_);
-        c = counters_;
-    }
-    const CellScheduler::Stats ss = scheduler_.stats();
-    c.queue_peak = ss.depth_peak;
-    c.admission_stalls = ss.admission_stalls;
-    return c;
-}
-
-CellScheduler::Stats
-SweepServer::schedulerStats() const
-{
-    return scheduler_.stats();
-}
-
-ResultStore::Counters
-SweepServer::storeCounters() const
-{
-    return store_.counters();
-}
-
-ResultStore::Info
-SweepServer::storeInfo() const
-{
-    return store_.info();
+    return {
+        {"connections", c.connections},
+        {"requests", c.requests},
+        {"bad_requests", c.bad_requests},
+        {"cells", c.cells},
+        {"hits", c.hits},
+        {"dedups", c.dedups},
+        {"simulations", c.simulations},
+        {"cell_errors", c.cell_errors},
+        {"queue_peak", ss.depth_peak},
+        {"admission_stalls", ss.admission_stalls},
+        {"sched_depth", ss.depth},
+        {"sched_running", ss.running},
+        {"sched_tickets_open", ss.tickets_open},
+        {"sched_pair_builds", ss.pair_builds},
+        {"sched_pair_reuses", ss.pair_reuses},
+        {"sched_pairs_cached", ss.pairs_cached},
+        {"request_wall_us_count", c.request_wall_us.samples()},
+        {"request_wall_us_p50", c.request_wall_us.quantile(0.5)},
+        {"request_wall_us_p99", c.request_wall_us.quantile(0.99)},
+        {"request_wall_us_max", c.request_wall_us.maxValue()},
+        {"queue_wait_us_count", c.queue_wait_us.samples()},
+        {"queue_wait_us_p50", c.queue_wait_us.quantile(0.5)},
+        {"queue_wait_us_p99", c.queue_wait_us.quantile(0.99)},
+        {"queue_wait_us_max", c.queue_wait_us.maxValue()},
+        {"store_lookups", sc.lookups},
+        {"store_hits", sc.hits},
+        {"store_appends", sc.appends},
+        {"store_corrupt_dropped", sc.corrupt_dropped},
+        {"store_live_cells", si.live_cells},
+        {"store_records", si.records},
+        {"store_file_bytes", si.file_bytes},
+    };
 }
 
 } // namespace atlb

@@ -44,6 +44,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "serve/result_store.hh"
@@ -79,9 +80,6 @@ struct ServerCounters
     std::uint64_t dedups = 0;      //!< cells that joined an in-flight run
     std::uint64_t simulations = 0; //!< cells actually simulated
     std::uint64_t cell_errors = 0; //!< invalid cells refused
-    std::uint64_t queue_peak = 0;  //!< scheduler depth high-water mark
-    /** submit() calls that blocked on the bounded admission queue. */
-    std::uint64_t admission_stalls = 0;
     /** Per-request wall time, microseconds (every decoded request). */
     Log2Histogram request_wall_us{33};
     /** Per-cell queue wait, microseconds (claimed cells only). */
@@ -121,10 +119,11 @@ class SweepServer
         stop_flag_ = flag;
     }
 
-    ServerCounters counters() const;
-    ResultStore::Counters storeCounters() const;
-    ResultStore::Info storeInfo() const;
-    CellScheduler::Stats schedulerStats() const;
+    /**
+     * The counter rows of every reply, in wire order: these counters,
+     * the scheduler's and the store's. `serve` prints them on exit.
+     */
+    std::vector<std::pair<std::string, std::uint64_t>> counterRows() const;
 
   private:
     /** A computation another request can wait on. */
@@ -140,7 +139,6 @@ class SweepServer
     std::string handleLine(const std::string &line);
     SweepResponse handleRequest(const SweepRequest &request);
     void resolveCells(const SweepRequest &request, SweepResponse &resp);
-    void appendCounters(SweepResponse &resp) const;
 
     bool stopping() const
     {

@@ -9,6 +9,7 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "ingest/trace_open.hh"
+#include "ingest/trace_v1.hh"
 #include "mmu/anchor_mmu.hh"
 #include "mmu/baseline_mmu.hh"
 #include "mmu/cluster_mmu.hh"
@@ -51,14 +52,6 @@ class ReplayTrace : public TraceSource
     {
     }
 
-    bool next(MemAccess &out) override
-    {
-        if (pos_ == length_)
-            return false;
-        out = accesses_[pos_++];
-        return true;
-    }
-
     std::size_t fill(MemAccess *out, std::size_t max) override
     {
         const std::size_t n = static_cast<std::size_t>(
@@ -89,7 +82,8 @@ std::optional<WorkloadSpec>
 traceWorkloadSpec(const std::string &workload, const std::string &path,
                   std::string &error)
 {
-    if (!tryTraceKind(path, error))
+    const std::optional<TraceKind> kind = tryTraceKind(path, error);
+    if (!kind || (*kind == TraceKind::V1 && !traceV1Count(path, error)))
         return std::nullopt;
     const TraceFileInfo info = inspectTraceFile(path);
     if (info.accesses == 0) {

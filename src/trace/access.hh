@@ -5,8 +5,9 @@
  * The paper drives its TLB simulator with Pin-captured traces of 12B
  * instructions. We drive ours with TraceSource implementations: either
  * synthetic pattern generators (workload.hh) standing in for the Pin
- * traces, or binary trace files (trace_io.hh) for users who bring their
- * own captures.
+ * traces, or binary trace files (ingest/trace_v1.hh, ingest/trace_v2.hh,
+ * opened by ingest/trace_open.hh) for users who bring their own
+ * captures.
  */
 
 #ifndef ANCHORTLB_TRACE_ACCESS_HH
@@ -32,32 +33,28 @@ struct MemAccess
 static_assert(sizeof(MemAccess) == 16 &&
               std::is_trivially_copyable_v<MemAccess>);
 
-/** Pull-based stream of memory accesses. */
+/**
+ * Pull-based stream of memory accesses. fill() is every source's one
+ * read path: the stream never depends on how a reader chunks it.
+ */
 class TraceSource
 {
   public:
     virtual ~TraceSource() = default;
 
     /**
-     * Produce the next access.
-     * @return false when the trace is exhausted (@p out untouched).
+     * Produce up to @p max accesses into @p out and return how many
+     * were written: 0 only when the trace is exhausted, while a short
+     * chunk is not the end. One virtual call per chunk, so the
+     * dispatch is amortised over the chunk.
      */
-    virtual bool next(MemAccess &out) = 0;
+    virtual std::size_t fill(MemAccess *out, std::size_t max) = 0;
 
     /**
-     * Produce up to @p max accesses into @p out and return how many
-     * were written (0 only when the trace is exhausted). The batched
-     * stream is identical to repeated next() calls; the base
-     * implementation simply loops, while hot generators override it to
-     * amortise the virtual dispatch across a whole chunk.
+     * Produce the next access: a fill() of one.
+     * @return false when the trace is exhausted (@p out untouched).
      */
-    virtual std::size_t fill(MemAccess *out, std::size_t max)
-    {
-        std::size_t n = 0;
-        while (n < max && next(out[n]))
-            ++n;
-        return n;
-    }
+    virtual bool next(MemAccess &out) { return fill(&out, 1) == 1; }
 
     /** Rewind to the beginning of the stream. */
     virtual void reset() = 0;

@@ -138,28 +138,6 @@ PatternTrace::generate()
     return va_base_ + offset;
 }
 
-void
-PatternTrace::produceOne(MemAccess &out)
-{
-    if (last_page_va_ != VirtAddr{} && rng_.nextBool(spec_.page_reuse)) {
-        out.vaddr = last_page_va_ + rng_.nextBounded(pageBytes / 8) * 8;
-    } else {
-        out.vaddr = generate();
-        last_page_va_ = VirtAddr{out.vaddr.raw() & ~(pageBytes - 1)};
-    }
-    out.write = rng_.nextBool(spec_.write_fraction);
-}
-
-bool
-PatternTrace::next(MemAccess &out)
-{
-    if (produced_ >= num_accesses_)
-        return false;
-    ++produced_;
-    produceOne(out);
-    return true;
-}
-
 std::size_t
 PatternTrace::fill(MemAccess *out, std::size_t max)
 {
@@ -167,8 +145,17 @@ PatternTrace::fill(MemAccess *out, std::size_t max)
     const std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(max, left));
     produced_ += n;
-    for (std::size_t i = 0; i < n; ++i)
-        produceOne(out[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+        MemAccess &a = out[i];
+        if (last_page_va_ != VirtAddr{} &&
+            rng_.nextBool(spec_.page_reuse)) {
+            a.vaddr = last_page_va_ + rng_.nextBounded(pageBytes / 8) * 8;
+        } else {
+            a.vaddr = generate();
+            last_page_va_ = VirtAddr{a.vaddr.raw() & ~(pageBytes - 1)};
+        }
+        a.write = rng_.nextBool(spec_.write_fraction);
+    }
     return n;
 }
 

@@ -143,12 +143,9 @@ class PatternTrace : public TraceSource
     PatternTrace(const WorkloadSpec &spec, VirtAddr va_base,
                  std::uint64_t num_accesses, std::uint64_t seed);
 
-    bool next(MemAccess &out) override;
-
     /**
-     * Batched generation: one virtual call per chunk instead of one per
-     * access. Produces exactly the stream next() would (the two paths
-     * share produceOne(); tests/trace/test_trace_fill.cc enforces it).
+     * Generate the next accesses; the stream does not depend on the
+     * chunk sizes (tests/trace/test_trace_fill.cc).
      */
     std::size_t fill(MemAccess *out, std::size_t max) override;
 
@@ -184,8 +181,6 @@ class PatternTrace : public TraceSource
     void pickPhase();
     std::uint64_t hotPages(double fraction) const;
     VirtAddr generate();
-    /** Shared body of next()/fill(): one access, no exhaustion check. */
-    void produceOne(MemAccess &out);
 };
 
 } // namespace atlb

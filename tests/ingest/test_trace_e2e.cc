@@ -20,11 +20,11 @@
 #include "common/logging.hh"
 #include "ingest/text_importer.hh"
 #include "ingest/trace_open.hh"
+#include "ingest/trace_v1.hh"
 #include "ingest/trace_v2.hh"
 #include "os/distance_selector.hh"
 #include "os/table_builder.hh"
 #include "sim/experiment.hh"
-#include "trace/trace_io.hh"
 
 namespace atlb
 {

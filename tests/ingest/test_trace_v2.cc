@@ -18,8 +18,8 @@
 
 #include "common/logging.hh"
 #include "common/simd_test_util.hh"
+#include "ingest/trace_v1.hh"
 #include "ingest/trace_v2.hh"
-#include "trace/trace_io.hh"
 
 namespace atlb
 {
@@ -312,14 +312,14 @@ TEST_F(TraceV2Test, ConvertFromV1IsStreamEqual)
             w.append(a);
     }
     {
-        TraceFileSource v1(v1_path);
+        MappedTraceSource v1(v1_path);
         TraceV2Writer w(path_, 256);
         MemAccess a;
         while (v1.next(a))
             w.append(a);
         w.close();
     }
-    TraceFileSource v1(v1_path);
+    MappedTraceSource v1(v1_path);
     TraceV2Source v2(path_);
     MemAccess a, b;
     std::size_t i = 0;

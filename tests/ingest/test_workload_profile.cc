@@ -129,13 +129,12 @@ TEST(WorkloadProfile, ConsumeDrainsASource)
     {
       public:
         explicit CountedSource(std::uint64_t n) : n_(n) {}
-        bool next(MemAccess &out) override
+        std::size_t fill(MemAccess *out, std::size_t max) override
         {
-            if (i_ >= n_)
-                return false;
-            out = {vaOf(Vpn{0x7f0000000ULL} + i_), false};
-            ++i_;
-            return true;
+            std::size_t k = 0;
+            for (; k < max && i_ < n_; ++k, ++i_)
+                out[k] = {vaOf(Vpn{0x7f0000000ULL} + i_), false};
+            return k;
         }
         void reset() override { i_ = 0; }
 

@@ -304,6 +304,8 @@ TEST(ServeServer, UnusableTraceFileIsACellError)
     const std::string text = prefix + ".txt";
     const std::string below_base = prefix + "_low.atlbtrc1";
     const std::string empty = prefix + "_empty.atlbtrc1";
+    const std::string truncated = prefix + "_truncated.atlbtrc1";
+    const std::string padded = prefix + "_padded.atlbtrc1";
     {
         std::ofstream out(text);
         out << "0x7f0000000000 R\n";
@@ -315,10 +317,19 @@ TEST(ServeServer, UnusableTraceFileIsACellError)
     {
         TraceWriter writer(empty);
     }
+    for (const std::string &path : {truncated, padded}) {
+        TraceWriter writer(path);
+        for (std::uint64_t i = 0; i < 4; ++i)
+            writer.append(MemAccess{traceBaseVa() + i * pageBytes, false});
+    }
+    std::filesystem::resize_file(truncated, 16 + 4 * 8 - 4);
+    std::filesystem::resize_file(padded, 16 + 4 * 8 + 4);
+    const std::vector<std::string> paths = {text,      below_base, empty,
+                                            truncated, padded};
 
     SweepRequest req;
     req.op = WireOp::Submit;
-    for (const std::string &path : {text, below_base, empty}) {
+    for (const std::string &path : paths) {
         req.cells.push_back(CellRequest{"trace:" + path,
                                         ScenarioKind::MedContig,
                                         Scheme::Base,
@@ -329,26 +340,28 @@ TEST(ServeServer, UnusableTraceFileIsACellError)
 
     const SweepResponse resp = roundTrip(ts, req);
     ASSERT_TRUE(resp.ok) << resp.error;
-    ASSERT_EQ(resp.cells.size(), 4u);
+    ASSERT_EQ(resp.cells.size(), paths.size() + 1);
     const char *const messages[] = {
         "is neither an ATLBTRC1 nor an ATLBTRC2 trace file",
         "touches vaddr 4096 below the simulated region base",
         "is empty; nothing to simulate",
+        "header counts 4 accesses but the file holds 44 bytes",
+        "header counts 4 accesses but the file holds 52 bytes",
     };
-    for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t i = 0; i < paths.size(); ++i) {
         SCOPED_TRACE(req.cells[i].workload);
         EXPECT_EQ(resp.cells[i].status, CellStatus::Error);
         EXPECT_NE(resp.cells[i].error.find(messages[i]), std::string::npos)
             << resp.cells[i].error;
     }
-    EXPECT_EQ(resp.cells[3].status, CellStatus::Computed);
-    EXPECT_EQ(counterValue(resp, "cell_errors"), 3u);
+    EXPECT_EQ(resp.cells.back().status, CellStatus::Computed);
+    EXPECT_EQ(counterValue(resp, "cell_errors"), paths.size());
 
     // The server is still up.
     SweepRequest stats;
     stats.op = WireOp::Stats;
     EXPECT_TRUE(roundTrip(ts, stats).ok);
-    for (const std::string &path : {text, below_base, empty})
+    for (const std::string &path : paths)
         std::remove(path.c_str());
 }
 

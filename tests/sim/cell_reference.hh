@@ -18,10 +18,10 @@
 #include <string>
 #include <utility>
 
+#include "ingest/trace_v1.hh"
 #include "os/distance_selector.hh"
 #include "os/table_builder.hh"
 #include "sim/parallel_runner.hh"
-#include "trace/trace_io.hh"
 
 namespace atlb
 {

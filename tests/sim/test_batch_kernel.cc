@@ -5,11 +5,12 @@
  * The contract under test (mmu.hh translateBatch): the batch entry
  * point is counter-identical to calling translate() on every element,
  * for every scheme, every trace source the grid can replay (synthetic
- * pattern, v1 ifstream, v1 mmap, v2 block codec), with the L0
- * same-page filter engaged, through whichever kernel instantiation the
- * MMU chose at construction (the vector one, or the scalar one under a
- * forced scalar level). The per-access pipeline is always the
- * reference; nothing here encodes expected absolute counts.
+ * pattern, v1 mmap, v2 block codec) and a source that fills short
+ * chunks, with the L0 same-page filter engaged, through whichever
+ * kernel instantiation the MMU chose at construction (the vector one,
+ * or the scalar one under a forced scalar level). The per-access
+ * pipeline is always the reference; nothing here encodes expected
+ * absolute counts.
  *
  * Also covered: the L0 filter invalidation contract (flushAll /
  * invalidatePage / switchProcess / interleaved per-access probes must
@@ -23,17 +24,20 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/simd_test_util.hh"
 #include "ingest/trace_open.hh"
+#include "ingest/trace_v1.hh"
 #include "ingest/trace_v2.hh"
 #include "mmu/anchor_mmu.hh"
 #include "mmu/baseline_mmu.hh"
@@ -46,7 +50,6 @@
 #include "os/table_builder.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
-#include "trace/trace_io.hh"
 #include "trace/workload.hh"
 
 namespace atlb
@@ -274,11 +277,33 @@ TEST_F(BatchTraceTest, ContainerCellsMatchPerAccess)
     }
 }
 
-TEST_F(BatchTraceTest, IfstreamSourceMatchesPerAccess)
+/** Hands back 1 to 7 accesses per fill(), however many were asked. */
+class ShortFillSource final : public TraceSource
 {
-    // The v1 ifstream reader is not what openTraceFile picks, but
-    // runSimulation must be mode-agnostic for any TraceSource. Drive it
-    // directly for a hit-heavy and a coalescing scheme.
+  public:
+    explicit ShortFillSource(std::unique_ptr<TraceSource> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    std::size_t fill(MemAccess *out, std::size_t max) override
+    {
+        chunk_ = chunk_ % 7 + 1;
+        return inner_->fill(out, std::min(max, chunk_));
+    }
+
+    void reset() override { inner_->reset(); }
+
+  private:
+    std::unique_ptr<TraceSource> inner_;
+    std::size_t chunk_ = 0;
+};
+
+TEST_F(BatchTraceTest, ShortFillSourceMatchesPerAccess)
+{
+    // runSimulation must be mode-agnostic for any TraceSource, one
+    // whose fill() returns short chunks included. Drive it directly for
+    // a hit-heavy and a coalescing scheme.
     const SimOptions opts = quickOptions();
     const CellFixture base_cell(opts, "trace:" + v1_,
                                 ScenarioKind::MedContig, Scheme::Base);
@@ -300,12 +325,12 @@ TEST_F(BatchTraceTest, IfstreamSourceMatchesPerAccess)
             opts.mmu, c.cell->table, c.cell->map, c.scheme,
             c.cell->distance);
 
-        TraceFileSource batch_src(v1_);
+        ShortFillSource batch_src(openTraceFile(v1_));
         const SimResult batch =
             runSimulation(*batch_mmu, batch_src,
                           c.cell->spec.mem_per_instr,
                           TranslateMode::Batch);
-        TraceFileSource ref_src(v1_);
+        ShortFillSource ref_src(openTraceFile(v1_));
         const SimResult ref =
             runSimulation(*ref_mmu, ref_src, c.cell->spec.mem_per_instr,
                           TranslateMode::PerAccess);

@@ -185,14 +185,6 @@ class CountingSource : public TraceSource
     {
     }
 
-    bool next(MemAccess &out) override
-    {
-        if (!inner_->next(out))
-            return false;
-        ++pulled_;
-        return true;
-    }
-
     std::size_t fill(MemAccess *out, std::size_t max) override
     {
         const std::size_t n = inner_->fill(out, max);

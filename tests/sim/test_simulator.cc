@@ -29,14 +29,13 @@ class ListTrace : public TraceSource
     {
     }
 
-    bool
-    next(MemAccess &out) override
+    std::size_t
+    fill(MemAccess *out, std::size_t max) override
     {
-        if (pos_ >= offsets_.size())
-            return false;
-        out.vaddr = vaOf(baseVpn + offsets_[pos_++]);
-        out.write = false;
-        return true;
+        std::size_t n = 0;
+        for (; n < max && pos_ < offsets_.size(); ++n)
+            out[n] = {vaOf(baseVpn + offsets_[pos_++]), false};
+        return n;
     }
 
     void reset() override { pos_ = 0; }

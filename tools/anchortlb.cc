@@ -35,6 +35,7 @@
 #include "common/logging.hh"
 #include "ingest/text_importer.hh"
 #include "ingest/trace_open.hh"
+#include "ingest/trace_v1.hh"
 #include "ingest/trace_v2.hh"
 #include "ingest/workload_profile.hh"
 #include "os/mapping_io.hh"
@@ -48,7 +49,6 @@
 #include "sim/parallel_runner.hh"
 #include "stats/histogram.hh"
 #include "stats/table.hh"
-#include "trace/trace_io.hh"
 #include "trace/workload.hh"
 
 namespace
@@ -844,61 +844,6 @@ printCounters(const std::string &title,
     emit(table, csv);
 }
 
-/** Append @p hist's summary + nonzero buckets as "<name>_*" rows. */
-void
-appendHistogramCounters(
-    std::vector<std::pair<std::string, std::uint64_t>> &rows,
-    const std::string &name, const Log2Histogram &hist)
-{
-    rows.emplace_back(name + "_count", hist.samples());
-    rows.emplace_back(name + "_sum", hist.sum());
-    rows.emplace_back(name + "_p50", hist.quantile(0.5));
-    rows.emplace_back(name + "_p99", hist.quantile(0.99));
-    rows.emplace_back(name + "_max", hist.maxValue());
-    for (unsigned i = 0; i < hist.numBuckets(); ++i) {
-        if (hist.bucket(i) == 0)
-            continue;
-        rows.emplace_back(name + "_le_" +
-                              std::to_string(hist.bucketUpperBound(i)),
-                          hist.bucket(i));
-    }
-}
-
-std::vector<std::pair<std::string, std::uint64_t>>
-serveSummaryCounters(const SweepServer &server)
-{
-    const ServerCounters c = server.counters();
-    const CellScheduler::Stats ss = server.schedulerStats();
-    const ResultStore::Counters sc = server.storeCounters();
-    const ResultStore::Info si = server.storeInfo();
-    std::vector<std::pair<std::string, std::uint64_t>> rows = {
-        {"connections", c.connections},
-        {"requests", c.requests},
-        {"bad_requests", c.bad_requests},
-        {"cells", c.cells},
-        {"hits", c.hits},
-        {"dedups", c.dedups},
-        {"simulations", c.simulations},
-        {"cell_errors", c.cell_errors},
-        {"queue_peak", c.queue_peak},
-        {"admission_stalls", c.admission_stalls},
-        {"sched_jobs", ss.enqueued},
-        {"sched_pair_builds", ss.pair_builds},
-        {"sched_pair_reuses", ss.pair_reuses},
-        {"sched_pairs_cached", ss.pairs_cached},
-        {"store_lookups", sc.lookups},
-        {"store_hits", sc.hits},
-        {"store_appends", sc.appends},
-        {"store_corrupt_dropped", sc.corrupt_dropped},
-        {"store_live_cells", si.live_cells},
-        {"store_records", si.records},
-        {"store_file_bytes", si.file_bytes},
-    };
-    appendHistogramCounters(rows, "request_wall_us", c.request_wall_us);
-    appendHistogramCounters(rows, "queue_wait_us", c.queue_wait_us);
-    return rows;
-}
-
 int
 cmdServeStop(const Args &args)
 {
@@ -952,8 +897,7 @@ cmdServe(const Args &args)
               << ", store " << options.store_path << "\n"
               << std::flush;
     server.run();
-    printCounters("serve summary", serveSummaryCounters(server),
-                  args.has("csv"));
+    printCounters("serve summary", server.counterRows(), args.has("csv"));
     return 0;
 }
 
