@@ -2,7 +2,9 @@
  * @file
  * Microbenchmarks (google-benchmark) for the simulator's hot paths:
  * TLB lookups, MMU translation pipelines, buddy allocation, page-table
- * walks and anchor sweeps, trace generation, and distance selection.
+ * walks and anchor sweeps, trace generation, and distance selection;
+ * and for the pair-build layer at paper footprints: scenario mappings,
+ * plain and THP tables, and anchor tables.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,6 +16,7 @@
 #include "os/distance_selector.hh"
 #include "os/scenario.hh"
 #include "os/table_builder.hh"
+#include "sim/experiment.hh"
 #include "tlb/set_assoc_tlb.hh"
 #include "trace/workload.hh"
 
@@ -190,6 +193,74 @@ BM_ScenarioBuild(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ScenarioBuild);
+
+/**
+ * The mapping the engine builds for (@p workload, @p kind) at the
+ * paper's footprint (scale 1.0) and seed 42.
+ */
+MemoryMap
+paperMap(const char *workload, ScenarioKind kind)
+{
+    SimOptions options;
+    options.footprint_scale = 1.0;
+    options.seed = 42;
+    const WorkloadSpec spec = scaledWorkloadSpec(options, workload);
+    return buildScenario(kind, scenarioParamsFor(options, spec));
+}
+
+void
+BM_BuildScenario(benchmark::State &state, const char *workload,
+                 ScenarioKind kind)
+{
+    SimOptions options;
+    options.footprint_scale = 1.0;
+    options.seed = 42;
+    const WorkloadSpec spec = scaledWorkloadSpec(options, workload);
+    const ScenarioParams params = scenarioParamsFor(options, spec);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(buildScenario(kind, params));
+}
+BENCHMARK_CAPTURE(BM_BuildScenario, soplex_pds_demand, "soplex_pds",
+                  ScenarioKind::Demand)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BuildScenario, soplex_pds_eager, "soplex_pds",
+                  ScenarioKind::Eager)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BuildScenario, gups_demand, "gups",
+                  ScenarioKind::Demand)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BuildScenario, gups_eager, "gups",
+                  ScenarioKind::Eager)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_BuildPageTable(benchmark::State &state, bool use_thp)
+{
+    const MemoryMap map = paperMap("gups", ScenarioKind::MedContig);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(buildPageTable(map, use_thp).nodeCount());
+}
+BENCHMARK_CAPTURE(BM_BuildPageTable, gups_medium_plain, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BuildPageTable, gups_medium_thp, true)
+    ->Unit(benchmark::kMillisecond);
+
+/** An anchor job's private table: THP build plus one sweep. */
+void
+BM_AnchorTable(benchmark::State &state)
+{
+    const MemoryMap map = paperMap("gups", ScenarioKind::MedContig);
+    const AnchorDist distance =
+        AnchorDist::fromPages(static_cast<std::uint64_t>(state.range(0)));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            buildAnchorPageTable(map, distance).nodeCount());
+}
+BENCHMARK(BM_AnchorTable)
+    ->Arg(2)
+    ->Arg(64)
+    ->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

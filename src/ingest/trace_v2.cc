@@ -222,42 +222,54 @@ TraceV2Writer::close()
     out_.close();
 }
 
-TraceV2Source::TraceV2Source(const std::string &path)
-    : in_(path, std::ios::binary), path_(path),
-      unpack_fn_(simdBlockUnpackFn(simdLevel()))
+namespace
 {
-    if (!in_)
-        ATLB_FATAL("cannot open trace file '{}'", path);
-    in_.seekg(0, std::ios::end);
-    const std::uint64_t file_bytes =
-        static_cast<std::uint64_t>(in_.tellg());
-    if (file_bytes < headerBytes + trailerBytes)
-        ATLB_FATAL("'{}': too short for an ATLBTRC2 file ({} bytes)",
-                   path, file_bytes);
 
+/** traceV2Layout() over @p in, open on @p path. */
+std::optional<TraceV2Layout>
+readLayout(std::istream &in, const std::string &path, std::string &error)
+{
+    in.seekg(0, std::ios::end);
+    const std::uint64_t file_bytes = static_cast<std::uint64_t>(in.tellg());
+    if (file_bytes < headerBytes + trailerBytes) {
+        error = atlb::format("'{}': too short for an ATLBTRC2 file ({} "
+                             "bytes)",
+                             path, file_bytes);
+        return std::nullopt;
+    }
+
+    TraceV2Layout layout;
     std::array<unsigned char, headerBytes> head;
-    in_.seekg(0, std::ios::beg);
-    if (!in_.read(reinterpret_cast<char *>(head.data()), head.size()) ||
-        std::memcmp(head.data(), magicHead, 8) != 0)
-        ATLB_FATAL("'{}' is not an ATLBTRC2 trace file", path);
-    block_capacity_ = readU64(head.data() + 8);
-    if (block_capacity_ == 0)
-        ATLB_FATAL("'{}': zero block capacity in header", path);
+    in.seekg(0, std::ios::beg);
+    if (!in.read(reinterpret_cast<char *>(head.data()), head.size()) ||
+        std::memcmp(head.data(), magicHead, 8) != 0) {
+        error = atlb::format("'{}' is not an ATLBTRC2 trace file", path);
+        return std::nullopt;
+    }
+    layout.block_capacity = readU64(head.data() + 8);
+    if (layout.block_capacity == 0) {
+        error = atlb::format("'{}': zero block capacity in header", path);
+        return std::nullopt;
+    }
 
     std::array<unsigned char, trailerBytes> tail;
-    in_.seekg(static_cast<std::streamoff>(file_bytes - trailerBytes),
-              std::ios::beg);
-    if (!in_.read(reinterpret_cast<char *>(tail.data()), tail.size()))
-        ATLB_FATAL("'{}': truncated ATLBTRC2 trailer", path);
-    if (std::memcmp(tail.data() + 56, magicTail, 8) != 0)
-        ATLB_FATAL("'{}': bad ATLBTRC2 trailer magic (corrupt or "
-                   "truncated file)",
-                   path);
+    in.seekg(static_cast<std::streamoff>(file_bytes - trailerBytes),
+             std::ios::beg);
+    if (!in.read(reinterpret_cast<char *>(tail.data()), tail.size())) {
+        error = atlb::format("'{}': truncated ATLBTRC2 trailer", path);
+        return std::nullopt;
+    }
+    if (std::memcmp(tail.data() + 56, magicTail, 8) != 0) {
+        error = atlb::format("'{}': bad ATLBTRC2 trailer magic (corrupt "
+                             "or truncated file)",
+                             path);
+        return std::nullopt;
+    }
     const std::uint64_t index_offset = readU64(tail.data());
     const std::uint64_t block_count = readU64(tail.data() + 8);
-    total_ = readU64(tail.data() + 16);
-    min_vaddr_ = readU64(tail.data() + 24);
-    max_vaddr_ = readU64(tail.data() + 32);
+    layout.total = readU64(tail.data() + 16);
+    layout.min_vaddr = readU64(tail.data() + 24);
+    layout.max_vaddr = readU64(tail.data() + 32);
     const std::uint64_t index_fnv = readU64(tail.data() + 40);
 
     // Bound block_count by division before any multiplication: a
@@ -266,55 +278,104 @@ TraceV2Source::TraceV2Source(const std::string &path)
     if (block_count >
             (file_bytes - headerBytes - trailerBytes) / indexEntryBytes ||
         index_offset !=
-            file_bytes - trailerBytes - block_count * indexEntryBytes)
-        ATLB_FATAL("'{}': ATLBTRC2 index geometry disagrees with the "
-                   "file size (truncated or oversized file)",
-                   path);
+            file_bytes - trailerBytes - block_count * indexEntryBytes) {
+        error = atlb::format("'{}': ATLBTRC2 index geometry disagrees "
+                             "with the file size (truncated or oversized "
+                             "file)",
+                             path);
+        return std::nullopt;
+    }
 
     std::vector<unsigned char> raw(
         static_cast<std::size_t>(block_count * indexEntryBytes));
-    in_.seekg(static_cast<std::streamoff>(index_offset), std::ios::beg);
+    in.seekg(static_cast<std::streamoff>(index_offset), std::ios::beg);
     if (!raw.empty() &&
-        !in_.read(reinterpret_cast<char *>(raw.data()),
-                  static_cast<std::streamsize>(raw.size())))
-        ATLB_FATAL("'{}': truncated ATLBTRC2 block index", path);
-    if (fnv1a64(raw.data(), raw.size()) != index_fnv)
-        ATLB_FATAL("'{}': ATLBTRC2 block index fails its checksum "
-                   "(corrupt footer)",
-                   path);
+        !in.read(reinterpret_cast<char *>(raw.data()),
+                 static_cast<std::streamsize>(raw.size()))) {
+        error = atlb::format("'{}': truncated ATLBTRC2 block index", path);
+        return std::nullopt;
+    }
+    if (fnv1a64(raw.data(), raw.size()) != index_fnv) {
+        error = atlb::format("'{}': ATLBTRC2 block index fails its "
+                             "checksum (corrupt footer)",
+                             path);
+        return std::nullopt;
+    }
 
-    index_.resize(static_cast<std::size_t>(block_count));
+    layout.index.resize(static_cast<std::size_t>(block_count));
     std::uint64_t counted = 0;
     std::uint64_t expect_offset = headerBytes;
-    for (std::size_t b = 0; b < index_.size(); ++b) {
+    for (std::size_t b = 0; b < layout.index.size(); ++b) {
+        TraceV2Layout::Block &block = layout.index[b];
         const unsigned char *p = raw.data() + b * indexEntryBytes;
-        index_[b].offset = readU64(p);
-        index_[b].bytes = readU64(p + 8);
-        index_[b].count = readU64(p + 16);
-        index_[b].fnv = readU64(p + 24);
-        if (index_[b].offset != expect_offset ||
-            index_[b].offset + index_[b].bytes > index_offset)
-            ATLB_FATAL("'{}': ATLBTRC2 block {} lies outside the "
-                       "payload region",
-                       path, b);
-        expect_offset += index_[b].bytes;
-        const bool last = b + 1 == index_.size();
-        if (index_[b].count == 0 ||
-            (!last && index_[b].count != block_capacity_) ||
-            (last && index_[b].count > block_capacity_))
-            ATLB_FATAL("'{}': ATLBTRC2 block {} holds {} accesses "
-                       "(capacity {})",
-                       path, b, index_[b].count, block_capacity_);
-        counted += index_[b].count;
+        block.offset = readU64(p);
+        block.bytes = readU64(p + 8);
+        block.count = readU64(p + 16);
+        block.fnv = readU64(p + 24);
+        if (block.offset != expect_offset ||
+            block.offset + block.bytes > index_offset) {
+            error = atlb::format("'{}': ATLBTRC2 block {} lies outside "
+                                 "the payload region",
+                                 path, b);
+            return std::nullopt;
+        }
+        expect_offset += block.bytes;
+        const bool last = b + 1 == layout.index.size();
+        if (block.count == 0 ||
+            (!last && block.count != layout.block_capacity) ||
+            (last && block.count > layout.block_capacity)) {
+            error = atlb::format("'{}': ATLBTRC2 block {} holds {} "
+                                 "accesses (capacity {})",
+                                 path, b, block.count,
+                                 layout.block_capacity);
+            return std::nullopt;
+        }
+        counted += block.count;
     }
-    if (expect_offset != index_offset)
-        ATLB_FATAL("'{}': ATLBTRC2 payload ends at byte {} but the "
-                   "block index starts at byte {} (gap or overlap)",
-                   path, expect_offset, index_offset);
-    if (counted != total_)
-        ATLB_FATAL("'{}': ATLBTRC2 blocks hold {} accesses but the "
-                   "trailer says {}",
-                   path, counted, total_);
+    if (expect_offset != index_offset) {
+        error = atlb::format("'{}': ATLBTRC2 payload ends at byte {} but "
+                             "the block index starts at byte {} (gap or "
+                             "overlap)",
+                             path, expect_offset, index_offset);
+        return std::nullopt;
+    }
+    if (counted != layout.total) {
+        error = atlb::format("'{}': ATLBTRC2 blocks hold {} accesses but "
+                             "the trailer says {}",
+                             path, counted, layout.total);
+        return std::nullopt;
+    }
+    return layout;
+}
+
+} // namespace
+
+std::optional<TraceV2Layout>
+traceV2Layout(const std::string &path, std::string &error)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        error = atlb::format("cannot open trace file '{}'", path);
+        return std::nullopt;
+    }
+    return readLayout(in, path, error);
+}
+
+TraceV2Source::TraceV2Source(const std::string &path)
+    : in_(path, std::ios::binary), path_(path),
+      unpack_fn_(simdBlockUnpackFn(simdLevel()))
+{
+    if (!in_)
+        ATLB_FATAL("cannot open trace file '{}'", path);
+    std::string error;
+    std::optional<TraceV2Layout> layout = readLayout(in_, path, error);
+    if (!layout)
+        ATLB_FATAL("{}", error);
+    block_capacity_ = layout->block_capacity;
+    total_ = layout->total;
+    min_vaddr_ = layout->min_vaddr;
+    max_vaddr_ = layout->max_vaddr;
+    index_ = std::move(layout->index);
 }
 
 void

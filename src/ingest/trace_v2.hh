@@ -49,6 +49,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -129,6 +130,36 @@ struct TraceV2BlockStats
     std::uint8_t packed_width = 0; //!< delta bit width (packed only)
 };
 
+/** What an ATLBTRC2 file's header, trailer and block index declare. */
+struct TraceV2Layout
+{
+    /** One block index entry. */
+    struct Block
+    {
+        std::uint64_t offset = 0;
+        std::uint64_t bytes = 0;
+        std::uint64_t count = 0;
+        std::uint64_t fnv = 0;
+    };
+
+    std::uint64_t block_capacity = 0;
+    std::uint64_t total = 0;     //!< accesses, from the trailer
+    std::uint64_t min_vaddr = 0; //!< smallest vaddr, from the trailer
+    std::uint64_t max_vaddr = 0; //!< largest vaddr, from the trailer
+    std::vector<Block> index;
+};
+
+/**
+ * Check @p path's ATLBTRC2 header, trailer and block index against the
+ * file and each other: its size, both magics, the block capacity, the
+ * index geometry and checksum, and every index entry. Returns what they
+ * declare, or nullopt with the reason in @p error. A workload check uses
+ * it to refuse a file without dying; TraceV2Source makes the same checks
+ * fatal. Block bodies are checked only as they are decoded.
+ */
+std::optional<TraceV2Layout> traceV2Layout(const std::string &path,
+                                           std::string &error);
+
 /**
  * TraceSource replaying an ATLBTRC2 file.
  *
@@ -142,7 +173,7 @@ struct TraceV2BlockStats
 class TraceV2Source : public TraceSource
 {
   public:
-    /** Open and validate @p path; fatal on any inconsistency. */
+    /** Open @p path; fatal on anything traceV2Layout() refuses. */
     explicit TraceV2Source(const std::string &path);
 
     /** Streamed decode straight into @p out (no intermediate buffer). */
@@ -165,13 +196,7 @@ class TraceV2Source : public TraceSource
     TraceV2BlockStats blockStats(std::size_t b);
 
   private:
-    struct BlockEntry
-    {
-        std::uint64_t offset = 0;
-        std::uint64_t bytes = 0;
-        std::uint64_t count = 0;
-        std::uint64_t fnv = 0;
-    };
+    using BlockEntry = TraceV2Layout::Block;
 
     /** Read + checksum block @p b's compressed body into raw_. */
     void loadBlockRaw(std::size_t b);

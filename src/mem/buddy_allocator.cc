@@ -1,7 +1,7 @@
 #include "buddy_allocator.hh"
 
 #include <algorithm>
-#include <utility>
+#include <bit>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -9,11 +9,27 @@
 namespace atlb
 {
 
+namespace
+{
+
+constexpr unsigned wordShift = 6;
+/** Blocks per bitmap word. */
+constexpr unsigned wordBits = 1U << wordShift;
+
+/** Bits 0, 2, 4, ...: the low block of every buddy pair in a word. */
+constexpr std::uint64_t lowBuddies = 0x5555555555555555ULL;
+
+} // namespace
+
 BuddyAllocator::BuddyAllocator(std::uint64_t total_pages, unsigned max_order)
-    : total_pages_(total_pages), max_order_(max_order),
-      free_lists_(max_order + 1)
+    : total_pages_(total_pages), max_order_(max_order)
 {
     ATLB_ASSERT(max_order < 40, "absurd max order {}", max_order);
+    orders_.resize(max_order_ + 1);
+    for (unsigned order = 0; order <= max_order_; ++order) {
+        const std::uint64_t blocks = total_pages >> order;
+        orders_[order].words.assign((blocks + wordBits - 1) / wordBits, 0);
+    }
     // Seed the pool greedily with the largest aligned blocks that fit.
     Ppn base{0};
     std::uint64_t remaining = total_pages;
@@ -22,11 +38,61 @@ BuddyAllocator::BuddyAllocator(std::uint64_t total_pages, unsigned max_order)
         while (order > 0 &&
                ((1ULL << order) > remaining || !base.isAligned(1ULL << order)))
             --order;
-        free_lists_[order].insert(base);
+        markFree(base.raw() >> order, order);
         free_pages_ += 1ULL << order;
         base += 1ULL << order;
         remaining -= 1ULL << order;
     }
+}
+
+inline bool
+BuddyAllocator::isFree(std::uint64_t block, unsigned order) const
+{
+    const std::vector<std::uint64_t> &words = orders_[order].words;
+    const std::uint64_t word = block / wordBits;
+    return word < words.size() && ((words[word] >> (block % wordBits)) & 1);
+}
+
+inline void
+BuddyAllocator::markFree(std::uint64_t block, unsigned order)
+{
+    OrderMap &m = orders_[order];
+    const std::size_t word = block / wordBits;
+    m.words[word] |= 1ULL << (block % wordBits);
+    ++m.count;
+    m.hint = std::min(m.hint, word);
+    nonempty_ |= 1ULL << order;
+}
+
+inline void
+BuddyAllocator::markUsed(std::uint64_t block, unsigned order)
+{
+    OrderMap &m = orders_[order];
+    m.words[block / wordBits] &= ~(1ULL << (block % wordBits));
+    if (--m.count == 0)
+        nonempty_ &= ~(1ULL << order);
+}
+
+inline bool
+BuddyAllocator::lowestFreeBelow(unsigned order, std::uint64_t below,
+                                std::uint64_t &block)
+{
+    OrderMap &m = orders_[order];
+    // Words holding blocks that start below @p below; the scan never
+    // passes them, so a far-off lone block costs nothing while a nearer
+    // one exists. One word spans 2^(order + wordShift) frames.
+    const unsigned span_shift = order + wordShift;
+    const std::uint64_t covering =
+        (below >> span_shift) + ((below & ((1ULL << span_shift) - 1)) != 0);
+    const std::size_t end = static_cast<std::size_t>(
+        std::min<std::uint64_t>(m.words.size(), covering));
+    while (m.hint < end && m.words[m.hint] == 0)
+        ++m.hint;
+    if (m.hint >= end)
+        return false;
+    block = m.hint * wordBits +
+            static_cast<unsigned>(std::countr_zero(m.words[m.hint]));
+    return (block << order) < below;
 }
 
 Ppn
@@ -38,28 +104,30 @@ BuddyAllocator::allocate(unsigned order)
     // lowest-address one. This makes sequential allocations walk free
     // runs in address order, so consecutive faults land on consecutive
     // frames whenever the pool permits — the behaviour that gives
-    // demand/eager paging their mapping contiguity.
+    // demand/eager paging their mapping contiguity. Each non-empty order
+    // is only searched below the best block found so far, since nothing
+    // above it can win.
     unsigned avail = max_order_ + 1;
-    Ppn best = invalidPpn;
-    for (unsigned o = order; o <= max_order_; ++o) {
-        if (free_lists_[o].empty())
-            continue;
-        const Ppn base = *free_lists_[o].begin();
-        if (base < best) {
-            best = base;
+    std::uint64_t best_base = ~0ULL;
+    for (std::uint64_t orders = nonempty_ & (~0ULL << order); orders != 0;
+         orders &= orders - 1) {
+        const unsigned o = static_cast<unsigned>(std::countr_zero(orders));
+        std::uint64_t block = 0;
+        if (lowestFreeBelow(o, best_base, block)) {
+            best_base = block << o;
             avail = o;
         }
     }
     if (avail > max_order_)
         return invalidPpn;
 
-    const Ppn base = best;
-    free_lists_[avail].erase(free_lists_[avail].begin());
+    const Ppn base{best_base};
+    markUsed(best_base >> avail, avail);
     // Split down to the requested order, returning the low half each time
     // and freeing the high half (buddy) at each level.
     while (avail > order) {
         --avail;
-        free_lists_[avail].insert(base + (1ULL << avail));
+        markFree((best_base >> avail) + 1, avail);
     }
     free_pages_ -= 1ULL << order;
     return base;
@@ -70,15 +138,17 @@ BuddyAllocator::allocateLargest(unsigned max_order_wanted, unsigned &got_order)
 {
     if (max_order_wanted > max_order_)
         max_order_wanted = max_order_;
-    for (int order = static_cast<int>(max_order_wanted); order >= 0;
-         --order) {
-        if (!free_lists_[order].empty()) {
-            got_order = static_cast<unsigned>(order);
-            const Ppn base = *free_lists_[order].begin();
-            free_lists_[order].erase(free_lists_[order].begin());
-            free_pages_ -= 1ULL << got_order;
-            return base;
-        }
+    const std::uint64_t fitting =
+        nonempty_ & ((2ULL << max_order_wanted) - 1);
+    if (fitting != 0) {
+        const unsigned o = static_cast<unsigned>(std::bit_width(fitting)) - 1;
+        std::uint64_t block = 0;
+        const bool found = lowestFreeBelow(o, ~0ULL, block);
+        ATLB_ASSERT(found, "order {} counted a free block it lacks", o);
+        got_order = o;
+        markUsed(block, o);
+        free_pages_ -= 1ULL << o;
+        return Ppn{block << o};
     }
     // No block <= wanted size free: fall back to splitting a larger one.
     const Ppn base = allocate(max_order_wanted);
@@ -98,34 +168,28 @@ BuddyAllocator::free(Ppn base, unsigned order)
                 "free past end of pool");
     free_pages_ += 1ULL << order;
     // Coalesce with the buddy while it is free, up to max order.
-    while (order < max_order_) {
-        const Ppn buddy{base.raw() ^ (1ULL << order)};
-        auto &list = free_lists_[order];
-        const auto it = list.find(buddy);
-        if (it == list.end())
-            break;
-        list.erase(it);
-        base = std::min(base, buddy);
+    std::uint64_t block = base.raw() >> order;
+    while (order < max_order_ && isFree(block ^ 1, order)) {
+        markUsed(block ^ 1, order);
+        block >>= 1;
         ++order;
     }
-    const bool inserted = free_lists_[order].insert(base).second;
-    ATLB_ASSERT(inserted, "double free of block {} order {}", base, order);
+    ATLB_ASSERT(!isFree(block, order), "double free of block {} order {}",
+                Ppn{block << order}, order);
+    markFree(block, order);
 }
 
 std::uint64_t
 BuddyAllocator::freeBlocksAt(unsigned order) const
 {
     ATLB_ASSERT(order <= max_order_, "order out of range");
-    return free_lists_[order].size();
+    return orders_[order].count;
 }
 
 int
 BuddyAllocator::largestFreeOrder() const
 {
-    for (int order = static_cast<int>(max_order_); order >= 0; --order)
-        if (!free_lists_[order].empty())
-            return order;
-    return -1;
+    return static_cast<int>(std::bit_width(nonempty_)) - 1;
 }
 
 Histogram
@@ -133,8 +197,8 @@ BuddyAllocator::freeBlockHistogram() const
 {
     Histogram h;
     for (unsigned order = 0; order <= max_order_; ++order) {
-        if (!free_lists_[order].empty())
-            h.add(1ULL << order, free_lists_[order].size());
+        if (orders_[order].count > 0)
+            h.add(1ULL << order, orders_[order].count);
     }
     return h;
 }
@@ -142,13 +206,23 @@ BuddyAllocator::freeBlockHistogram() const
 std::vector<BuddyAllocator::FreeBlock>
 BuddyAllocator::freeBlockList() const
 {
-    std::vector<FreeBlock> blocks;
-    for (unsigned order = 0; order <= max_order_; ++order)
-        for (const Ppn base : free_lists_[order])
-            blocks.push_back({base, order});
+    std::vector<FreeBlock> blocks = stray_;
+    for (unsigned order = 0; order <= max_order_; ++order) {
+        const std::vector<std::uint64_t> &words = orders_[order].words;
+        for (std::size_t w = 0; w < words.size(); ++w) {
+            for (std::uint64_t bits = words[w]; bits != 0;
+                 bits &= bits - 1) {
+                const std::uint64_t block =
+                    w * wordBits +
+                    static_cast<unsigned>(std::countr_zero(bits));
+                blocks.push_back({Ppn{block << order}, order});
+            }
+        }
+    }
     std::sort(blocks.begin(), blocks.end(),
               [](const FreeBlock &a, const FreeBlock &b) {
-                  return a.base < b.base;
+                  return a.base != b.base ? a.base < b.base
+                                          : a.order < b.order;
               });
     return blocks;
 }
@@ -156,45 +230,47 @@ BuddyAllocator::freeBlockList() const
 void
 BuddyAllocator::plantFreeBlockForTest(Ppn base, unsigned order)
 {
-    free_lists_[order].insert(base);
     free_pages_ += 1ULL << order;
-}
-
-bool
-BuddyAllocator::isFree(Ppn base, unsigned order) const
-{
-    return free_lists_[order].count(base) > 0;
+    if (order > max_order_ || !base.isAligned(1ULL << order) ||
+        base.raw() + (1ULL << order) > total_pages_) {
+        stray_.push_back({base, order});
+        return;
+    }
+    if (!isFree(base.raw() >> order, order))
+        markFree(base.raw() >> order, order);
 }
 
 bool
 BuddyAllocator::checkInvariants() const
 {
+    if (!stray_.empty())
+        return false; // misaligned or past the pool end
     std::uint64_t counted = 0;
-    Ppn prev_end{0};
-    bool first = true;
-    // Collect all (base, order) and verify alignment and disjointness.
-    std::vector<std::pair<Ppn, unsigned>> blocks;
     for (unsigned order = 0; order <= max_order_; ++order) {
-        for (const Ppn base : free_lists_[order]) {
-            if (!base.isAligned(1ULL << order))
+        const OrderMap &m = orders_[order];
+        std::uint64_t set = 0;
+        for (std::size_t w = 0; w < m.words.size(); ++w) {
+            if (m.words[w] != 0 && w < m.hint)
+                return false; // the scan would skip this word
+            set += static_cast<std::uint64_t>(std::popcount(m.words[w]));
+            // A free block must not have a free buddy (should have
+            // coalesced), unless it is already at max order.
+            if (order < max_order_ &&
+                (m.words[w] & (m.words[w] >> 1) & lowBuddies) != 0)
                 return false;
-            blocks.emplace_back(base, order);
-            counted += 1ULL << order;
         }
+        if (set != m.count || ((nonempty_ >> order) & 1) != (set > 0))
+            return false;
+        counted += set << order;
     }
     if (counted != free_pages_)
         return false;
-    std::sort(blocks.begin(), blocks.end());
-    for (const auto &[base, order] : blocks) {
-        if (!first && base < prev_end)
+    Ppn prev_end{0};
+    for (const FreeBlock &b : freeBlockList()) {
+        if (b.base < prev_end)
             return false; // overlap
-        prev_end = base + (1ULL << order);
-        first = false;
+        prev_end = b.base + (1ULL << b.order);
         if (prev_end.raw() > total_pages_)
-            return false;
-        // A free block must not have a free buddy (should have coalesced),
-        // unless it is already at max order.
-        if (order < max_order_ && isFree(Ppn{base.raw() ^ (1ULL << order)}, order))
             return false;
     }
     return true;

@@ -13,13 +13,19 @@
  * allocations likely to be physically adjacent, so virtual-address-
  * sequential faults can merge into contiguity runs larger than any single
  * buddy block.
+ *
+ * The free lists are one bitmap per order: bit i of order k is set
+ * exactly when block [i * 2^k, (i + 1) * 2^k) is free. The lowest free
+ * block of an order is its lowest set bit, found by scanning words
+ * upward from a per-order hint below which every word is zero, so the
+ * address-ordered policy costs a few word reads per call.
  */
 
 #ifndef ANCHORTLB_MEM_BUDDY_ALLOCATOR_HH
 #define ANCHORTLB_MEM_BUDDY_ALLOCATOR_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "common/types.hh"
@@ -100,18 +106,42 @@ class BuddyAllocator
      * Insert a block on a free list unchecked, bypassing free()'s
      * assertions and coalescing (the counter is kept consistent).
      * Corruption-injection tests use this to plant states the checked
-     * mutators refuse to create.
+     * mutators refuse to create. A block no bitmap can hold (misaligned,
+     * or past the pool end) is kept aside, where only the inspection
+     * calls (freeBlockList, checkInvariants) see it.
      */
     void plantFreeBlockForTest(Ppn base, unsigned order);
 
   private:
+    /** The free blocks of one order. */
+    struct OrderMap
+    {
+        /** Bit i set: block i of this order is free. */
+        std::vector<std::uint64_t> words;
+        /** Set bits in @c words. */
+        std::uint64_t count = 0;
+        /** Every word below this index is zero. */
+        std::size_t hint = 0;
+    };
+
     std::uint64_t total_pages_;
     unsigned max_order_;
     std::uint64_t free_pages_ = 0;
-    /** Per-order ordered free lists; ordered => deterministic policy. */
-    std::vector<std::set<Ppn>> free_lists_;
+    std::vector<OrderMap> orders_;
+    /** Bit k set: order k has a free block. */
+    std::uint64_t nonempty_ = 0;
+    /** Planted blocks that no bitmap can represent. */
+    std::vector<FreeBlock> stray_;
 
-    bool isFree(Ppn base, unsigned order) const;
+    bool isFree(std::uint64_t block, unsigned order) const;
+    void markFree(std::uint64_t block, unsigned order);
+    void markUsed(std::uint64_t block, unsigned order);
+    /**
+     * Find the lowest free block of @p order that starts below frame
+     * @p below; false if there is none.
+     */
+    bool lowestFreeBelow(unsigned order, std::uint64_t below,
+                         std::uint64_t &block);
 };
 
 } // namespace atlb

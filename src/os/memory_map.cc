@@ -13,16 +13,30 @@ MemoryMap::add(Vpn vpn, Ppn ppn, PageCount pages)
 {
     ATLB_ASSERT(!finalized_, "add() after finalize()");
     ATLB_ASSERT(pages > 0, "empty mapping");
-    chunks_.push_back(Chunk{vpn, ppn, pages});
     mapped_pages_ += pages;
+    // Extend the last run when this one continues it in both spaces,
+    // as finalize() would merge them: a builder that maps page by page
+    // then stores runs, not pages.
+    if (!chunks_.empty()) {
+        Chunk &last = chunks_.back();
+        if (last.vpnEnd() == vpn && last.ppn + last.pages == ppn) {
+            last.pages += pages;
+            return;
+        }
+    }
+    chunks_.push_back(Chunk{vpn, ppn, pages});
 }
 
 void
 MemoryMap::finalize()
 {
     ATLB_ASSERT(!finalized_, "finalize() called twice");
-    std::sort(chunks_.begin(), chunks_.end(),
-              [](const Chunk &a, const Chunk &b) { return a.vpn < b.vpn; });
+    const auto by_vpn = [](const Chunk &a, const Chunk &b) {
+        return a.vpn < b.vpn;
+    };
+    // Builders add in VA order; only sort what arrived out of order.
+    if (!std::is_sorted(chunks_.begin(), chunks_.end(), by_vpn))
+        std::sort(chunks_.begin(), chunks_.end(), by_vpn);
     // Verify disjointness and merge VA- and PA-adjacent runs.
     std::vector<Chunk> merged;
     merged.reserve(chunks_.size());

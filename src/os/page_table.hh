@@ -2,10 +2,18 @@
  * @file
  * x86-64-style 4-level radix page table with anchor entries.
  *
- * The table stores 4KB leaf PTEs at the PT level and 2MB leaf entries
- * (PS bit) at the PD level, mirroring x86-64. Anchor support follows the
- * paper's Figure 4: the entry whose VPN is aligned to the process's
- * anchor distance additionally carries a contiguity count in spare bits.
+ * The table stores 4KB leaf PTEs at the PT level, 2MB leaf entries (PS
+ * bit) at the PD level and 1GB leaves at the PDPT level, mirroring
+ * x86-64. Every node is one 4KB page of 512 entries, and all of a
+ * table's nodes live in one arena whose first node is the root. An
+ * interior entry names its child the way an x86 PML4E, PDPTE or PDE
+ * names the next table: the present and write bits plus the child's
+ * byte offset in the arena in the frame field, so `e & pte::pfnMask`
+ * locates it. A walk therefore reads one entry per level.
+ *
+ * Anchor support follows the paper's Figure 4: the entry whose VPN is
+ * aligned to the process's anchor distance additionally carries a
+ * contiguity count in spare bits.
  *
  * For a 4KB anchor PTE, values that do not fit in one entry's ignored
  * bits are distributed across the *next* PTE of the same 64B cache line
@@ -34,8 +42,9 @@
 #define ANCHORTLB_OS_PAGE_TABLE_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "common/types.hh"
 
@@ -149,8 +158,21 @@ class PageTable
     PageTable(PageTable &&) noexcept;
     PageTable &operator=(PageTable &&) noexcept;
 
+    /**
+     * Reserve room for @p nodes nodes in all. A build that sizes the
+     * arena up front never re-copies it while mapping.
+     */
+    void reserveNodes(std::uint64_t nodes);
+
     /** Map one 4KB page. Must not already be mapped. */
-    void map4K(Vpn vpn, Ppn ppn);
+    void map4K(Vpn vpn, Ppn ppn) { map4KRun(vpn, ppn, PageCount{1}); }
+
+    /**
+     * Map @p pages 4KB pages, virtually and physically contiguous from
+     * (@p vpn, @p ppn). None may already be mapped. Descends once per
+     * leaf node, then fills its entries in one loop.
+     */
+    void map4KRun(Vpn vpn, Ppn ppn, PageCount pages);
 
     /**
      * Map one 2MB page; @p vpn and @p ppn must be 512-page aligned and
@@ -247,30 +269,56 @@ class PageTable
     std::uint64_t mapped1G() const { return mapped_1g_; }
 
     /** Total interior + leaf nodes allocated (memory footprint proxy). */
-    std::uint64_t nodeCount() const { return node_count_; }
+    std::uint64_t nodeCount() const { return arena_.size(); }
 
   private:
-    struct Node;
-    std::unique_ptr<Node> root_;
+    /** One radix node: a 4KB page of 512 entries. */
+    struct alignas(pageBytes) Node
+    {
+        std::array<std::uint64_t, fanout> ents{};
+    };
+    static_assert(sizeof(Node) == pageBytes);
+
+    /**
+     * Every node of the table; node 0 is the root. Nodes are named by
+     * index, never by pointer, across anything that allocates one: a
+     * new node may move the arena.
+     */
+    std::vector<Node> arena_;
     std::uint64_t mapped_4k_ = 0;
     std::uint64_t mapped_2m_ = 0;
     std::uint64_t mapped_1g_ = 0;
-    std::uint64_t node_count_ = 0;
     /** Anchor distance of the most recent sweep (none() = never). */
     AnchorDist swept_distance_{};
 
-    Node *ensurePath(Vpn vpn, unsigned leaf_level);
+    /**
+     * Index of the level-@p leaf_level node on @p vpn's path, made (with
+     * any missing node above it) when missing.
+     */
+    std::size_t ensurePath(Vpn vpn, unsigned leaf_level);
     const std::uint64_t *findLeaf(Vpn vpn, unsigned leaf_level) const;
     std::uint64_t *findLeaf(Vpn vpn, unsigned leaf_level);
 
     /**
-     * Locate the leaf entry that can hold an anchor for @p avpn: the PD
-     * leaf when @p avpn starts a huge mapping, else the 4KB PTE slot.
-     * Returns nullptr when @p avpn lies strictly inside a huge page or
-     * no PT node exists.
+     * Locate the leaf entry that can hold an anchor for @p avpn, given
+     * the PD entry @p pde on its path (nullptr: no PD node): the PD leaf
+     * when @p avpn starts a huge mapping, else the 4KB PTE slot. Returns
+     * nullptr when @p avpn lies strictly inside a huge page or no PT
+     * node exists.
      */
+    std::uint64_t *anchorSlot(std::uint64_t *pde, Vpn avpn, bool &is_huge);
     std::uint64_t *findAnchorSlot(Vpn avpn, bool &is_huge);
     const std::uint64_t *findAnchorSlot(Vpn avpn, bool &is_huge) const;
+
+    /**
+     * Call fn(chunk, avpn, slot, is_huge) for every @p distance-aligned
+     * anchor VPN of @p map inside [begin, end), in VA order, with its
+     * anchorSlot(). Anchors in one 2MB block share its PD entry, which
+     * is looked up once per block.
+     */
+    template <typename Fn>
+    void forEachAnchorSlot(const MemoryMap &map, AnchorDist distance,
+                           Vpn begin, Vpn end, Fn &&fn);
 };
 
 } // namespace atlb

@@ -10,6 +10,7 @@
 #include "common/logging.hh"
 #include "ingest/trace_open.hh"
 #include "ingest/trace_v1.hh"
+#include "ingest/trace_v2.hh"
 #include "mmu/anchor_mmu.hh"
 #include "mmu/baseline_mmu.hh"
 #include "mmu/cluster_mmu.hh"
@@ -83,7 +84,8 @@ traceWorkloadSpec(const std::string &workload, const std::string &path,
                   std::string &error)
 {
     const std::optional<TraceKind> kind = tryTraceKind(path, error);
-    if (!kind || (*kind == TraceKind::V1 && !traceV1Count(path, error)))
+    if (!kind || (*kind == TraceKind::V1 && !traceV1Count(path, error)) ||
+        (*kind == TraceKind::V2 && !traceV2Layout(path, error)))
         return std::nullopt;
     const TraceFileInfo info = inspectTraceFile(path);
     if (info.accesses == 0) {

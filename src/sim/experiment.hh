@@ -92,8 +92,9 @@ constexpr bool validFootprintScale(double scale)
  * traceBaseVa() (import with --rebase to guarantee this), spanning at
  * most 128GB. Its footprint is taken from the trace's vaddr bounds —
  * footprint_scale deliberately does not apply, since the addresses are
- * fixed by the capture. A file with a trace magic but a corrupt header
- * or index is still fatal, inside the ingest readers.
+ * fixed by the capture. A file whose header, ATLBTRC2 trailer or block
+ * index does not hold up is refused here too; only a corrupt ATLBTRC2
+ * block body is still fatal, when the decoder reaches it.
  */
 std::optional<WorkloadSpec> tryScaledWorkloadSpec(const SimOptions &options,
                                                   const std::string &workload,

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 #include <vector>
 
 #include "common/rng.hh"
 #include "mem/buddy_allocator.hh"
+#include "mem/buddy_reference.hh"
 
 namespace atlb
 {
@@ -195,6 +197,97 @@ TEST_P(BuddyTorture, RandomOpsPreserveInvariants)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BuddyTorture,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+/** The two allocators agree on every free list, order by order. */
+void
+expectSameFreeState(const BuddyAllocator &b,
+                    const buddy_reference::SetBuddyAllocator &ref,
+                    int step)
+{
+    ASSERT_EQ(b.freePages(), ref.freePages()) << "step " << step;
+    ASSERT_EQ(b.largestFreeOrder(), ref.largestFreeOrder())
+        << "step " << step;
+    for (unsigned order = 0; order <= b.maxOrder(); ++order)
+        ASSERT_EQ(b.freeBlocksAt(order), ref.freeBlocksAt(order))
+            << "step " << step << " order " << order;
+}
+
+TEST(Buddy, MatchesSetReference)
+{
+    // Random allocate / allocateLargest / free against the std::set
+    // allocator the bitmaps replaced: same policy, so the same block
+    // comes back at every step, and the free lists stay equal.
+    struct Pool
+    {
+        std::uint64_t pages;
+        unsigned max_order;
+    };
+    const Pool pools[] = {
+        {1, 4},        {7, 4},         {1000, 6},       {4096 + 3, 9},
+        {1 << 14, 12}, {(1 << 16) - 5, 10}, {1 << 16, 16},
+        {3 * (1 << 16) + 7, 16},
+    };
+    constexpr int totalSteps = 100000;
+    constexpr int stepsPerPool =
+        totalSteps / static_cast<int>(std::size(pools));
+    Rng rng(2017);
+    for (const Pool &pool : pools) {
+        SCOPED_TRACE(::testing::Message()
+                     << "pool " << pool.pages << " max order "
+                     << pool.max_order);
+        BuddyAllocator b(pool.pages, pool.max_order);
+        buddy_reference::SetBuddyAllocator ref(pool.pages,
+                                               pool.max_order);
+        std::vector<std::pair<Ppn, unsigned>> held;
+        for (int step = 0; step < stepsPerPool; ++step) {
+            // Alternate allocation-heavy and free-heavy stretches, so
+            // the pool both fills up and fragments.
+            const double alloc_share = (step / 1024) % 2 == 0 ? 0.7 : 0.3;
+            if (held.empty() || rng.nextBool(alloc_share)) {
+                const unsigned wanted =
+                    static_cast<unsigned>(rng.nextBounded(pool.max_order + 2));
+                Ppn got{0};
+                Ppn want{0};
+                unsigned order = wanted;
+                if (rng.nextBool(0.75)) {
+                    got = b.allocate(wanted);
+                    want = ref.allocate(wanted);
+                } else {
+                    unsigned ref_order = 0;
+                    got = b.allocateLargest(wanted, order);
+                    want = ref.allocateLargest(wanted, ref_order);
+                    if (want != invalidPpn) {
+                        ASSERT_EQ(order, ref_order) << "step " << step;
+                    }
+                }
+                ASSERT_EQ(got, want) << "step " << step << " order "
+                                     << wanted;
+                if (got != invalidPpn)
+                    held.emplace_back(got, order);
+            } else {
+                const std::size_t idx = rng.nextBounded(held.size());
+                const auto [base, order] = held[idx];
+                held[idx] = held.back();
+                held.pop_back();
+                b.free(base, order);
+                ref.free(base, order);
+            }
+            expectSameFreeState(b, ref, step);
+            if (step % 64 == 0) {
+                const auto mine = b.freeBlockList();
+                const auto theirs = ref.freeBlockList();
+                ASSERT_EQ(mine.size(), theirs.size()) << "step " << step;
+                for (std::size_t i = 0; i < mine.size(); ++i) {
+                    ASSERT_EQ(mine[i].base, theirs[i].base)
+                        << "step " << step << " block " << i;
+                    ASSERT_EQ(mine[i].order, theirs[i].order)
+                        << "step " << step << " block " << i;
+                }
+            }
+        }
+        EXPECT_TRUE(b.checkInvariants());
+    }
+}
 
 } // namespace
 } // namespace atlb

@@ -5,12 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "os/memory_map.hh"
 #include "os/page_table.hh"
+#include "os/scenario.hh"
 #include "os/table_builder.hh"
+#include "sim/experiment.hh"
+#include "trace/workload.hh"
 
 namespace atlb
 {
@@ -267,6 +273,132 @@ TEST(PageTableAnchor, SweepCountGrowsWithSmallerDistance)
     PageTable t2 = buildPageTable(m, false);
     const std::uint64_t small = t2.sweepAnchors(m, dist(8));
     EXPECT_GT(small, big * 32);
+}
+
+/** How a table built with (@p use_thp, @p use_1g) must map @p vpn. */
+void
+expectWalkMatchesMap(const PageTable &table, const MemoryMap &map,
+                     bool use_thp, bool use_1g, Vpn vpn)
+{
+    const WalkResult w = table.walk(vpn);
+    ASSERT_EQ(w.present, map.mapped(vpn)) << "vpn " << vpn;
+    if (!w.present)
+        return;
+    EXPECT_EQ(w.ppn, map.translate(vpn)) << "vpn " << vpn;
+    PageSize size = PageSize::Base4K;
+    unsigned levels = 4;
+    if (use_1g && map.giantEligible(vpn)) {
+        size = PageSize::Giant1G;
+        levels = 2;
+    } else if (use_thp && map.hugeEligible(vpn)) {
+        size = PageSize::Huge2M;
+        levels = 3;
+    }
+    EXPECT_EQ(w.size, size) << "vpn " << vpn;
+    EXPECT_EQ(w.levels, levels) << "vpn " << vpn;
+}
+
+/**
+ * Build @p map's plain, THP and THP+1GB tables and walk each chunk's
+ * first, last and one-past-end page plus 64 seeded pages of each.
+ */
+void
+expectTablesMatchMap(const MemoryMap &map, std::uint64_t seed)
+{
+    struct Layout
+    {
+        bool use_thp;
+        bool use_1g;
+    };
+    const Layout layouts[] = {{false, false}, {true, false}, {true, true}};
+    const Vpn lo = map.chunks().front().vpn;
+    const Vpn hi = map.chunks().back().vpnEnd();
+    for (const Layout &layout : layouts) {
+        SCOPED_TRACE(::testing::Message() << "thp " << layout.use_thp
+                                          << " 1g " << layout.use_1g);
+        const PageTable table =
+            buildPageTable(map, layout.use_thp, layout.use_1g);
+        for (const Chunk &c : map.chunks()) {
+            for (const Vpn vpn : {c.vpn, c.vpnEnd() - 1, c.vpnEnd()}) {
+                expectWalkMatchesMap(table, map, layout.use_thp,
+                                     layout.use_1g, vpn);
+            }
+        }
+        Rng rng(seed);
+        for (int i = 0; i < 64; ++i) {
+            // Mostly inside the mapping, sometimes just past it.
+            const Vpn vpn = lo + rng.nextBounded((hi - lo) + hugePages);
+            expectWalkMatchesMap(table, map, layout.use_thp, layout.use_1g,
+                                 vpn);
+        }
+        EXPECT_EQ(table.mapped4K() + table.mapped2M() * hugePages +
+                      table.mapped1G() * giantPages,
+                  map.mappedPages());
+    }
+}
+
+/**
+ * After a sweep at @p distance, every aligned anchor of @p map holds
+ * what the map implies: min(run, distance, 2^16) at a 4KB entry and at
+ * a 2MB leaf's start when the distance reaches a huge page; 0 at a 2MB
+ * leaf's start for shorter distances and inside a huge page.
+ */
+void
+expectAnchorsMatchMap(const PageTable &table, const MemoryMap &map,
+                      AnchorDist distance)
+{
+    for (const Chunk &c : map.chunks()) {
+        for (Vpn avpn = c.vpn.alignUp(distance.pages()); avpn < c.vpnEnd();
+             avpn += distance.pages()) {
+            const std::uint64_t contig =
+                std::min({std::uint64_t{c.vpnEnd() - avpn}, distance.pages(),
+                          PageTable::maxContiguity});
+            std::uint64_t expected = contig;
+            if (map.hugeEligible(avpn)) {
+                const bool leaf_start = avpn.isAligned(hugePages);
+                expected =
+                    leaf_start && distance.pages() >= hugePages ? contig : 0;
+            }
+            ASSERT_EQ(table.anchorContiguity(avpn, distance), expected)
+                << "distance " << distance << " anchor " << avpn;
+        }
+    }
+}
+
+TEST(PageTable, BuildAgreesWithTheMap)
+{
+    // Every catalog pair, as the engine builds it at a small footprint.
+    SimOptions options;
+    options.footprint_scale = 0.02;
+    options.seed = 42;
+    std::uint64_t seed = 1;
+    for (const std::string &name : paperWorkloadNames()) {
+        for (const ScenarioKind kind : allScenarios) {
+            SCOPED_TRACE(name + "/" + scenarioName(kind));
+            const CellPairState pair(options, name, kind);
+            expectTablesMatchMap(pair.map(), seed++);
+
+            // One THP table re-swept through every candidate, in the
+            // order the AnchorIdeal sweep tries them.
+            PageTable table = buildPageTable(pair.map(), true);
+            for (const std::uint64_t d : pair.distancesByCost()) {
+                const AnchorDist distance = AnchorDist::fromPages(d);
+                table.sweepAnchors(pair.map(), distance);
+                expectAnchorsMatchMap(table, pair.map(), distance);
+            }
+        }
+    }
+
+    // A 1GB-eligible run with 4KB and 2MB pieces on both sides of its
+    // 1GB block, so every leaf size exists.
+    MemoryMap giant;
+    const Vpn giant_base = Vpn{giantPages * 0x1fc} - 700;
+    giant.add(giant_base, Ppn{giantPages * 3} - 700,
+              PageCount{giantPages + 1300});
+    giant.finalize();
+    ASSERT_TRUE(giant.giantEligible(Vpn{giantPages * 0x1fc}));
+    expectTablesMatchMap(giant, seed);
+    EXPECT_EQ(buildPageTable(giant, true, true).mapped1G(), 1u);
 }
 
 class PageTableErrors : public ::testing::Test

@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "common/bitops.hh"
+#include "common/hash.hh"
 #include "os/scenario.hh"
+#include "sim/experiment.hh"
+#include "trace/workload.hh"
 
 namespace atlb
 {
@@ -235,6 +241,67 @@ TEST(Scenario, SyntheticTranslationsAreSane)
             ASSERT_TRUE(disjoint)
                 << "chunks alias in physical memory";
         }
+    }
+}
+
+/**
+ * FNV-1a over every chunk's (vpn, ppn, pages) of the 84 catalog pairs
+ * (14 paper workloads x 6 scenarios), each built the way the engine
+ * builds it, at one footprint scale and seed. Each pair's own digest
+ * goes to @p per_pair, one line each, so a failing pin names the pair.
+ */
+std::uint64_t
+catalogMappingDigest(double scale, std::uint64_t seed,
+                     std::string &per_pair)
+{
+    SimOptions options;
+    options.footprint_scale = scale;
+    options.seed = seed;
+    std::ostringstream lines;
+    Fnv1a all;
+    for (const std::string &name : paperWorkloadNames()) {
+        const WorkloadSpec spec = scaledWorkloadSpec(options, name);
+        for (const ScenarioKind kind : allScenarios) {
+            const MemoryMap m =
+                buildScenario(kind, scenarioParamsFor(options, spec));
+            Fnv1a pair;
+            for (const Chunk &c : m.chunks())
+                pair.addU64(c.vpn.raw()).addU64(c.ppn.raw()).addU64(c.pages);
+            all.addU64(pair.digest());
+            lines << name << '/' << scenarioName(kind) << ' ' << std::hex
+                  << pair.digest() << std::dec << '\n';
+        }
+    }
+    per_pair = lines.str();
+    return all.digest();
+}
+
+TEST(Scenario, CatalogMappingsArePinned)
+{
+    // Every demand/eager mapping runs the buddy allocator and the
+    // fragmenter, so these literals pin both byte for byte: a change to
+    // either that moves one frame of one pair shows here.
+    struct Pin
+    {
+        double scale;
+        std::uint64_t seed;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {0.02, 42, 0xeca2373293d202baULL},
+        {0.02, 7, 0xae46de635a00b087ULL},
+        {0.1, 42, 0xc8cb39a85b471384ULL},
+        {0.1, 7, 0x9585e1bae1ff2343ULL},
+    };
+    for (const Pin &pin : pins) {
+        std::string per_pair;
+        const std::uint64_t digest =
+            catalogMappingDigest(pin.scale, pin.seed, per_pair);
+        EXPECT_EQ(digest, pin.digest)
+            << "scale " << pin.scale << " seed " << pin.seed
+            << ": digest 0x" << std::hex << digest << std::dec
+            << "; per pair:\n"
+            << per_pair;
     }
 }
 

@@ -29,6 +29,8 @@
 #include <thread>
 #include <vector>
 
+#include "ingest/trace_v1.hh"
+#include "ingest/trace_v2.hh"
 #include "serve/client.hh"
 #include "serve/result_store.hh"
 #include "serve/server.hh"
@@ -324,8 +326,29 @@ TEST(ServeServer, UnusableTraceFileIsACellError)
     }
     std::filesystem::resize_file(truncated, 16 + 4 * 8 - 4);
     std::filesystem::resize_file(padded, 16 + 4 * 8 + 4);
-    const std::vector<std::string> paths = {text,      below_base, empty,
-                                            truncated, padded};
+    // ATLBTRC2 files whose trailer or block index does not hold up.
+    const std::string v2_magic = prefix + "_magic.atlbtrc2";
+    const std::string v2_index = prefix + "_index.atlbtrc2";
+    const std::string v2_cut = prefix + "_cut.atlbtrc2";
+    for (const std::string &path : {v2_magic, v2_index, v2_cut}) {
+        TraceV2Writer writer(path, 2);
+        for (std::uint64_t i = 0; i < 5; ++i)
+            writer.append(MemAccess{traceBaseVa() + i * pageBytes, false});
+    }
+    const auto flipByte = [](const std::string &path, std::uint64_t from_end) {
+        std::fstream io(path, std::ios::in | std::ios::out | std::ios::binary);
+        io.seekg(-static_cast<std::streamoff>(from_end), std::ios::end);
+        const char byte = static_cast<char>(io.get() ^ 0x20);
+        io.seekp(-static_cast<std::streamoff>(from_end), std::ios::end);
+        io.put(byte);
+    };
+    flipByte(v2_magic, 1);       // last byte of the trailer magic
+    flipByte(v2_index, 64 - 40); // first byte of the index checksum
+    std::filesystem::resize_file(v2_cut,
+                                 std::filesystem::file_size(v2_cut) - 1);
+    const std::vector<std::string> paths = {
+        text,   below_base, empty,    truncated,
+        padded, v2_magic,   v2_index, v2_cut};
 
     SweepRequest req;
     req.op = WireOp::Submit;
@@ -347,6 +370,9 @@ TEST(ServeServer, UnusableTraceFileIsACellError)
         "is empty; nothing to simulate",
         "header counts 4 accesses but the file holds 44 bytes",
         "header counts 4 accesses but the file holds 52 bytes",
+        "bad ATLBTRC2 trailer magic",
+        "ATLBTRC2 block index fails its checksum",
+        "bad ATLBTRC2 trailer magic",
     };
     for (std::size_t i = 0; i < paths.size(); ++i) {
         SCOPED_TRACE(req.cells[i].workload);
