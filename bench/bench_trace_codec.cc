@@ -15,10 +15,11 @@
  * `all_within_target`). Throughput numbers are host-dependent.
  *
  * The v2 decode column is measured twice when the process has a vector
- * SIMD level: once as built (whole-block SIMD unpack of packed blocks)
- * and once with the scalar level forced around TraceV2Source
- * construction (per-delta getBits). A separate unpack phase times the
- * raw bit-unpack kernels — scalarUnpackBits vs the dispatched kernel —
+ * SIMD level: once as built (packed blocks unpacked by the level's
+ * kernel) and once with the scalar level forced around TraceV2Source
+ * construction (the same whole-block decode through the scalar block
+ * unpack, scalarUnpackBits). A separate unpack phase times the raw
+ * bit-unpack kernels — scalarUnpackBits vs the dispatched kernel —
  * over packed buffers at a width sweep, isolated from I/O, checksums
  * and delta accumulation; `simd_unpack_at_least_scalar` gates the
  * sweep at >= 1.0 in CI and `simd_unpack_speedup` records the honest
@@ -308,7 +309,10 @@ measureUnpack(unsigned width, std::size_t count, unsigned reps)
         const double secs = secondsSince(start);
         r.scalar_melem_s = static_cast<double>(count) * reps / secs / 1e6;
     }
-    if (const SimdUnpackFn fn = simdBlockUnpackFn(simdLevel())) {
+    // The Scalar and NEON kernel is scalarUnpackBits itself: nothing
+    // else to time.
+    if (const SimdUnpackFn fn = simdBlockUnpackFn(simdLevel());
+        fn != &scalarUnpackBits) {
         const auto start = std::chrono::steady_clock::now();
         for (unsigned rep = 0; rep < reps; ++rep) {
             fn(packed.data(), packed.size(), width, out.data(), count);
@@ -339,10 +343,11 @@ unpackWidths()
 
 /**
  * Allowed peak-RSS growth between the short and 8x-longer streamed
- * run. The decoder holds one compressed block plus O(1)-per-block
- * index entries (~50KB at 100M accesses), so the honest delta is well
- * under 1MB; the slack absorbs allocator and page-cache jitter while
- * still catching any O(n) stage (even 1 byte/access at the default
+ * run. The decoder holds one compressed block, one decoded block
+ * (512KB at the default capacity) and O(1)-per-block index entries
+ * (~50KB at 100M accesses), so the honest delta is well under 1MB;
+ * the slack absorbs allocator and page-cache jitter while still
+ * catching any O(n) stage (even 1 byte/access at the default
  * 100M-access length costs ~87MB, beyond the slack).
  */
 constexpr std::uint64_t kStreamRssSlackBytes = 64ull << 20;

@@ -137,12 +137,9 @@ simdBlockUnpackFn(SimdLevel level)
     if (level == SimdLevel::Avx2)
         return &simd_avx2::unpackBits;
 #endif
-    // NEON: no 64-bit gather — block-at-a-time decode still pays, so
-    // the "vector" form is the shared scalar unpack over the block.
-    if (level == SimdLevel::Neon)
-        return &scalarUnpackBits;
+    // Scalar, and NEON (no 64-bit gather): the shared scalar unpack.
     (void)level;
-    return nullptr;
+    return &scalarUnpackBits;
 }
 
 SimdVpnEqFn

@@ -86,9 +86,11 @@ using SimdFindU64Fn = int (*)(const std::uint64_t *words, unsigned count,
 /**
  * Unpack @p count little-endian bit fields of @p width bits (0..64)
  * starting at bit 0 of @p base into @p out, exactly as repeated
- * getBits calls would. @p bytes_avail is the number of readable bytes
- * at @p base; kernels may load up to 8 bytes at once and must fall
- * back to byte-at-a-time reads near the end of the buffer.
+ * getBits calls would. The ATLBTRC2 decoder calls it once per packed
+ * block with @p bytes_avail the exact payload size, which holds at
+ * least ceil(count * width / 8) bytes. A kernel reads nothing outside
+ * [base, base + bytes_avail): it may load up to 8 bytes at once only
+ * where they fit, and reads byte at a time near the end.
  */
 using SimdUnpackFn = void (*)(const std::uint8_t *base,
                               std::size_t bytes_avail, unsigned width,
@@ -110,17 +112,16 @@ using SimdVpnEqFn = void (*)(const std::uint8_t *accesses,
 SimdFindU64Fn simdFindU64Fn(SimdLevel level);
 
 /**
- * Whole-block unpack kernel for @p level; nullptr at Scalar (the
- * decoder then unpacks per element, the reference path). NEON has no
- * 64-bit gather, so its "vector" decode is the whole-block scalar
- * unpack — the block-at-a-time amortisation without the AVX2 kernel.
+ * Whole-block unpack kernel for @p level, never nullptr: the
+ * width-specialised gather kernel at AVX2, and scalarUnpackBits at
+ * Scalar and at NEON, which has no 64-bit gather.
  */
 SimdUnpackFn simdBlockUnpackFn(SimdLevel level);
 
 /** VPN/same-page pre-pass kernel for @p level; nullptr at Scalar. */
 SimdVpnEqFn simdVpnEqFn(SimdLevel level);
 
-/** Reference unpack: getBits per element (also the NEON block form). */
+/** Reference unpack: getBits per element (the Scalar and NEON kernel). */
 void scalarUnpackBits(const std::uint8_t *base, std::size_t bytes_avail,
                       unsigned width, std::uint64_t *out,
                       std::size_t count);

@@ -12,20 +12,6 @@
 namespace atlb
 {
 
-namespace
-{
-
-std::uint64_t
-fileBytes(std::ifstream &in)
-{
-    in.seekg(0, std::ios::end);
-    const std::uint64_t bytes = static_cast<std::uint64_t>(in.tellg());
-    in.seekg(0, std::ios::beg);
-    return bytes;
-}
-
-} // namespace
-
 const char *
 traceKindName(TraceKind kind)
 {
@@ -65,27 +51,34 @@ sniffTraceKind(const std::string &path)
     return *kind;
 }
 
-TraceFileInfo
-inspectTraceFile(const std::string &path)
+std::optional<TraceFileInfo>
+tryInspectTraceFile(const std::string &path, std::string &error)
 {
+    const std::optional<TraceKind> kind = tryTraceKind(path, error);
+    if (!kind)
+        return std::nullopt;
     TraceFileInfo info;
-    info.kind = sniffTraceKind(path);
-    {
-        std::ifstream in(path, std::ios::binary);
-        info.file_bytes = fileBytes(in);
-    }
+    info.kind = *kind;
     if (info.kind == TraceKind::V2) {
-        TraceV2Source src(path);
-        info.accesses = src.length();
-        info.min_vaddr = src.length() > 0 ? src.minVaddr() : 0;
-        info.max_vaddr = src.length() > 0 ? src.maxVaddr() : 0;
-        info.block_capacity = src.blockCapacity();
-        info.blocks = src.blockCount();
+        const std::optional<TraceV2Layout> layout =
+            traceV2Layout(path, error);
+        if (!layout)
+            return std::nullopt;
+        info.file_bytes = layout->file_bytes;
+        info.accesses = layout->total;
+        info.min_vaddr = info.accesses > 0 ? layout->min_vaddr : 0;
+        info.max_vaddr = info.accesses > 0 ? layout->max_vaddr : 0;
+        info.block_capacity = layout->block_capacity;
+        info.blocks = layout->index.size();
         return info;
     }
+    const std::optional<std::uint64_t> count = traceV1Count(path, error);
+    if (!count)
+        return std::nullopt;
+    info.file_bytes = 16 + *count * 8; // the size traceV1Count checked
+    info.accesses = *count;
     // v1 stores no bounds; one sequential pass over the mapping.
     MappedTraceSource src(path);
-    info.accesses = src.length();
     std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t hi = 0;
     MemAccess batch[1024];
@@ -99,6 +92,17 @@ inspectTraceFile(const std::string &path)
     info.min_vaddr = info.accesses > 0 ? lo : 0;
     info.max_vaddr = info.accesses > 0 ? hi : 0;
     return info;
+}
+
+TraceFileInfo
+inspectTraceFile(const std::string &path)
+{
+    std::string error;
+    const std::optional<TraceFileInfo> info =
+        tryInspectTraceFile(path, error);
+    if (!info)
+        ATLB_FATAL("{}", error);
+    return *info;
 }
 
 std::unique_ptr<TraceSource>

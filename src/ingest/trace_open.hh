@@ -58,10 +58,16 @@ struct TraceFileInfo
 };
 
 /**
- * Validate @p path and return its metadata. v2 answers from the
- * trailer; v1 stores no bounds, so its records are scanned (one
- * sequential pass over the mapping).
+ * Validate @p path and return its metadata, or nullopt with the reason
+ * in @p error. v2 answers from traceV2Layout() (header, trailer and
+ * index; no block is read); v1 from traceV1Count() plus one sequential
+ * scan of its records, since it stores no bounds. A workload check
+ * uses it to refuse a file without dying.
  */
+std::optional<TraceFileInfo> tryInspectTraceFile(const std::string &path,
+                                                 std::string &error);
+
+/** tryInspectTraceFile(), fatal on error. */
 TraceFileInfo inspectTraceFile(const std::string &path);
 
 /** Open @p path with the reader matching its format; fatal on error. */

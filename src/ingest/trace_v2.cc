@@ -61,6 +61,34 @@ putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
     out.push_back(static_cast<std::uint8_t>(v));
 }
 
+/**
+ * One LEB128 varint at @p p, advancing it: false when it runs into
+ * @p end or past 64 bits.
+ */
+bool
+readVarint(const std::uint8_t *&p, const std::uint8_t *end,
+           std::uint64_t &z)
+{
+    z = 0;
+    for (unsigned shift = 0; p != end && shift < 64; shift += 7) {
+        const std::uint8_t byte = *p++;
+        z |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+        if ((byte & 0x80) == 0)
+            return true;
+    }
+    return false;
+}
+
+/** Why readVarint() failed at @p p, for access @p access. */
+std::string
+varintError(const std::uint8_t *p, const std::uint8_t *end,
+            std::uint64_t access)
+{
+    return p == end ? atlb::format("truncated inside access {}", access)
+                    : atlb::format("holds an over-long varint at access {}",
+                                   access);
+}
+
 std::size_t
 varintBytes(std::uint64_t v)
 {
@@ -83,24 +111,18 @@ bitWidth(std::uint64_t v)
     return w;
 }
 
-// putBits/getBits live in common/bitpack.hh now, shared with the SIMD
-// unpack kernels and the width-exhaustive round-trip tests.
-
-/** Block-body encodings (the body's first byte). */
-constexpr std::uint8_t encodingVarint = traceV2EncodingVarint;
-constexpr std::uint8_t encodingPacked = traceV2EncodingPacked;
-
 } // namespace
 
 TraceV2Writer::TraceV2Writer(const std::string &path,
                              std::uint64_t block_capacity)
-    : out_(path, std::ios::binary), path_(path),
-      block_capacity_(block_capacity), cursor_(headerBytes)
+    : path_(path), block_capacity_(block_capacity), cursor_(headerBytes)
 {
+    if (block_capacity_ == 0 || block_capacity_ > traceV2MaxBlockCapacity)
+        ATLB_FATAL("ATLBTRC2 block capacity {} is outside [1, {}]",
+                   block_capacity_, traceV2MaxBlockCapacity);
+    out_.open(path, std::ios::binary);
     if (!out_)
         ATLB_FATAL("cannot open trace file '{}' for writing", path);
-    if (block_capacity_ == 0)
-        ATLB_FATAL("ATLBTRC2 block capacity must be positive");
     out_.write(magicHead, sizeof(magicHead));
     putU64(out_, block_capacity_);
 }
@@ -156,7 +178,7 @@ TraceV2Writer::flushBlock()
     body_.clear();
     if (packed_bytes < varint_bytes) {
         body_.reserve(packed_bytes);
-        body_.push_back(encodingPacked);
+        body_.push_back(traceV2EncodingPacked);
         body_.push_back(static_cast<std::uint8_t>(width));
         putVarint(body_, deltas_.front());
         const std::size_t payload = body_.size();
@@ -168,7 +190,7 @@ TraceV2Writer::flushBlock()
         }
     } else {
         body_.reserve(varint_bytes);
-        body_.push_back(encodingVarint);
+        body_.push_back(traceV2EncodingVarint);
         for (const std::uint64_t z : deltas_)
             putVarint(body_, z);
     }
@@ -246,9 +268,14 @@ readLayout(std::istream &in, const std::string &path, std::string &error)
         error = atlb::format("'{}' is not an ATLBTRC2 trace file", path);
         return std::nullopt;
     }
+    layout.file_bytes = file_bytes;
     layout.block_capacity = readU64(head.data() + 8);
-    if (layout.block_capacity == 0) {
-        error = atlb::format("'{}': zero block capacity in header", path);
+    if (layout.block_capacity == 0 ||
+        layout.block_capacity > traceV2MaxBlockCapacity) {
+        error = atlb::format("'{}': ATLBTRC2 block capacity {} in header "
+                             "is outside [1, {}]",
+                             path, layout.block_capacity,
+                             traceV2MaxBlockCapacity);
         return std::nullopt;
     }
 
@@ -361,9 +388,90 @@ traceV2Layout(const std::string &path, std::string &error)
     return readLayout(in, path, error);
 }
 
+bool
+decodeTraceV2Block(const std::uint8_t *body, std::size_t bytes,
+                   std::uint64_t count, SimdUnpackFn unpack,
+                   std::vector<std::uint64_t> &words, std::string &error)
+{
+    if (count == 0 || count > traceV2MaxBlockCapacity) {
+        error = atlb::format("holds {} accesses (outside [1, {}])", count,
+                             traceV2MaxBlockCapacity);
+        return false;
+    }
+    if (bytes == 0) {
+        error = "has an empty body";
+        return false;
+    }
+    const std::uint8_t *const end = body + bytes;
+    const std::uint8_t *p = body + 1;
+    if (body[0] == traceV2EncodingVarint) {
+        // Every varint takes a byte at least: refuse a body too short
+        // for its count before sizing words to it.
+        if (count > bytes - 1) {
+            error = atlb::format("is too short for {} varint accesses",
+                                 count);
+            return false;
+        }
+        words.resize(static_cast<std::size_t>(count));
+        std::uint64_t *const out = words.data();
+        std::uint64_t word = 0;
+        for (std::size_t i = 0; i < words.size(); ++i) {
+            std::uint64_t z = 0;
+            if (!readVarint(p, end, z)) {
+                error = varintError(p, end, i);
+                return false;
+            }
+            word += static_cast<std::uint64_t>(unzigzag(z));
+            out[i] = word;
+        }
+        if (p != end) {
+            error = atlb::format("carries {} trailing bytes", end - p);
+            return false;
+        }
+        return true;
+    }
+    if (body[0] != traceV2EncodingPacked) {
+        error = atlb::format("uses unknown encoding {}",
+                             static_cast<unsigned>(body[0]));
+        return false;
+    }
+    if (bytes < 2) {
+        error = "too short for a packed header";
+        return false;
+    }
+    const unsigned width = body[1];
+    if (width > 64) {
+        error = atlb::format("declares packed width {} > 64", width);
+        return false;
+    }
+    p = body + 2;
+    std::uint64_t first = 0;
+    if (!readVarint(p, end, first)) {
+        error = varintError(p, end, 0);
+        return false;
+    }
+    // The remaining count-1 deltas must fill the payload exactly.
+    // Divide before multiplying, so no count can wrap the product.
+    const std::uint64_t deltas = count - 1;
+    const std::uint64_t payload = static_cast<std::uint64_t>(end - p);
+    if ((width != 0 && deltas > payload * 8 / width) ||
+        (deltas * width + 7) / 8 != payload) {
+        error = "packed payload size disagrees with its access count";
+        return false;
+    }
+    words.resize(static_cast<std::size_t>(count));
+    words[0] = static_cast<std::uint64_t>(unzigzag(first));
+    unpack(p, static_cast<std::size_t>(payload), width, words.data() + 1,
+           static_cast<std::size_t>(deltas));
+    for (std::size_t i = 1; i < words.size(); ++i)
+        words[i] = words[i - 1] +
+                   static_cast<std::uint64_t>(unzigzag(words[i]));
+    return true;
+}
+
 TraceV2Source::TraceV2Source(const std::string &path)
     : in_(path, std::ios::binary), path_(path),
-      unpack_fn_(simdBlockUnpackFn(simdLevel()))
+      unpack_(simdBlockUnpackFn(simdLevel()))
 {
     if (!in_)
         ATLB_FATAL("cannot open trace file '{}'", path);
@@ -371,17 +479,14 @@ TraceV2Source::TraceV2Source(const std::string &path)
     std::optional<TraceV2Layout> layout = readLayout(in_, path, error);
     if (!layout)
         ATLB_FATAL("{}", error);
-    block_capacity_ = layout->block_capacity;
-    total_ = layout->total;
-    min_vaddr_ = layout->min_vaddr;
-    max_vaddr_ = layout->max_vaddr;
-    index_ = std::move(layout->index);
+    layout_ = std::move(*layout);
 }
 
 void
-TraceV2Source::loadBlockRaw(std::size_t b)
+TraceV2Source::loadBlock(std::size_t b)
 {
-    const BlockEntry &entry = index_[b];
+    const TraceV2Layout::Block &entry = layout_.index[b];
+    loaded_block_ = ~std::size_t{0}; // until block b decodes whole
     raw_.resize(static_cast<std::size_t>(entry.bytes));
     in_.clear();
     in_.seekg(static_cast<std::streamoff>(entry.offset), std::ios::beg);
@@ -393,166 +498,53 @@ TraceV2Source::loadBlockRaw(std::size_t b)
         ATLB_FATAL("'{}': ATLBTRC2 block {} fails its checksum "
                    "(corrupt block body)",
                    path_, b);
-    if (raw_.empty())
-        ATLB_FATAL("'{}': ATLBTRC2 block {} has an empty body", path_, b);
+    std::string error;
+    if (!decodeTraceV2Block(raw_.data(), raw_.size(), entry.count, unpack_,
+                            words_, error))
+        ATLB_FATAL("'{}': ATLBTRC2 block {} {}", path_, b, error);
     loaded_block_ = b;
-    block_unpacked_ = false;
-    restartBlockDecode();
-}
-
-void
-TraceV2Source::restartBlockDecode()
-{
-    const std::size_t b = loaded_block_;
-    emitted_ = 0;
-    word_ = 0;
-    encoding_ = raw_[0];
-    if (encoding_ == encodingVarint) {
-        pos_ = 1;
-    } else if (encoding_ == encodingPacked) {
-        if (raw_.size() < 2)
-            ATLB_FATAL("'{}': ATLBTRC2 block {} too short for a packed "
-                       "header",
-                       path_, b);
-        width_ = raw_[1];
-        if (width_ > 64)
-            ATLB_FATAL("'{}': ATLBTRC2 block {} declares packed width "
-                       "{} > 64",
-                       path_, b, width_);
-        pos_ = 2;
-    } else {
-        ATLB_FATAL("'{}': ATLBTRC2 block {} uses unknown encoding {}",
-                   path_, b, encoding_);
-    }
-}
-
-std::uint64_t
-TraceV2Source::readVarintAt()
-{
-    std::uint64_t z = 0;
-    unsigned shift = 0;
-    while (true) {
-        if (pos_ >= raw_.size())
-            ATLB_FATAL("'{}': ATLBTRC2 block {} truncated inside "
-                       "access {}",
-                       path_, loaded_block_, emitted_);
-        const std::uint8_t byte = raw_[pos_++];
-        z |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0)
-            break;
-        shift += 7;
-        if (shift >= 64)
-            ATLB_FATAL("'{}': ATLBTRC2 block {} holds an over-long "
-                       "varint at access {}",
-                       path_, loaded_block_, emitted_);
-    }
-    return z;
-}
-
-void
-TraceV2Source::decodeNext()
-{
-    const BlockEntry &entry = index_[loaded_block_];
-    std::uint64_t z;
-    if (encoding_ == encodingVarint) {
-        z = readVarintAt();
-        // Exactly at block end the byte cursor must land on the last
-        // byte — same trailing-bytes check the one-shot decoder made,
-        // deferred to the moment the block completes.
-        if (emitted_ + 1 == entry.count && pos_ != raw_.size())
-            ATLB_FATAL("'{}': ATLBTRC2 block {} carries {} trailing "
-                       "bytes",
-                       path_, loaded_block_, raw_.size() - pos_);
-    } else if (emitted_ == 0) {
-        // Packed block: the base word is one varint; the remaining
-        // count-1 deltas follow bit-packed, so the geometry can only
-        // be validated once the varint's width is known.
-        z = readVarintAt();
-        packed_base_ = pos_;
-        if (packed_base_ + ((entry.count - 1) * width_ + 7) / 8 !=
-            raw_.size())
-            ATLB_FATAL("'{}': ATLBTRC2 block {} packed payload size "
-                       "disagrees with its access count",
-                       path_, loaded_block_);
-        // Vectorised path: unpack the whole block's deltas once (and
-        // only once — a restartBlockDecode over the same cached block
-        // reuses the buffer). Byte-identical to per-delta getBits; the
-        // tests pin that per width.
-        if (unpack_fn_ != nullptr && !block_unpacked_ &&
-            entry.count > 1) {
-            unpacked_.resize(
-                static_cast<std::size_t>(entry.count - 1));
-            unpack_fn_(raw_.data() + packed_base_,
-                       raw_.size() - packed_base_, width_,
-                       unpacked_.data(), unpacked_.size());
-            block_unpacked_ = true;
-        }
-    } else if (block_unpacked_) {
-        z = unpacked_[static_cast<std::size_t>(emitted_ - 1)];
-    } else {
-        z = getBits(raw_.data() + packed_base_, (emitted_ - 1) * width_,
-                    width_);
-    }
-    word_ += static_cast<std::uint64_t>(unzigzag(z));
-    ++emitted_;
 }
 
 TraceV2BlockStats
 TraceV2Source::blockStats(std::size_t b)
 {
-    ATLB_ASSERT(b < index_.size(), "'{}': block {} out of range", path_,
-                b);
-    TraceV2BlockStats s;
-    s.count = index_[b].count;
-    s.bytes = index_[b].bytes;
-    // The loaded block's body is already in memory; otherwise peek the
-    // 1-2 header bytes without disturbing the replay cursor.
+    ATLB_ASSERT(b < layout_.index.size(), "'{}': block {} out of range",
+                path_, b);
+    const TraceV2Layout::Block &entry = layout_.index[b];
+    // Peek the 1-2 header bytes; fill() serves the loaded block from
+    // words_ and loadBlock() seeks for itself, so replay is undisturbed.
     std::uint8_t head[2] = {0, 0};
-    if (b == loaded_block_) {
-        head[0] = raw_[0];
-        if (raw_.size() > 1)
-            head[1] = raw_[1];
-    } else {
-        in_.clear();
-        in_.seekg(static_cast<std::streamoff>(index_[b].offset),
-                  std::ios::beg);
-        const std::streamsize want =
-            static_cast<std::streamsize>(std::min<std::uint64_t>(
-                2, index_[b].bytes));
-        if (want == 0 ||
-            !in_.read(reinterpret_cast<char *>(head), want))
-            ATLB_FATAL("'{}': short read of ATLBTRC2 block {} header",
-                       path_, b);
-    }
-    s.encoding = head[0];
-    if (s.encoding == encodingPacked)
-        s.packed_width = head[1];
-    return s;
+    in_.clear();
+    in_.seekg(static_cast<std::streamoff>(entry.offset), std::ios::beg);
+    const auto want = static_cast<std::streamsize>(
+        std::min<std::uint64_t>(2, entry.bytes));
+    if (want == 0 || !in_.read(reinterpret_cast<char *>(head), want))
+        ATLB_FATAL("'{}': short read of ATLBTRC2 block {} header", path_,
+                   b);
+    const bool packed = head[0] == traceV2EncodingPacked;
+    return {entry.count, entry.bytes, head[0],
+            packed ? head[1] : std::uint8_t{0}};
 }
 
 std::size_t
 TraceV2Source::fill(MemAccess *out, std::size_t max)
 {
     std::size_t produced = 0;
-    while (produced < max && consumed_ < total_) {
+    while (produced < max && consumed_ < layout_.total) {
         const std::size_t block =
-            static_cast<std::size_t>(consumed_ / block_capacity_);
+            static_cast<std::size_t>(consumed_ / layout_.block_capacity);
         if (block != loaded_block_)
-            loadBlockRaw(block);
-        const std::uint64_t target = consumed_ % block_capacity_;
-        if (emitted_ > target) {
-            // reset() back into the cached block: the delta chain only
-            // runs forward, restart it.
-            restartBlockDecode();
+            loadBlock(block);
+        const std::size_t at =
+            static_cast<std::size_t>(consumed_ % layout_.block_capacity);
+        const std::size_t run =
+            std::min(max - produced, words_.size() - at);
+        for (std::size_t i = 0; i < run; ++i) {
+            const std::uint64_t word = words_[at + i];
+            out[produced + i].vaddr = VirtAddr{word >> 1};
+            out[produced + i].write = (word & 1) != 0;
         }
-        const std::uint64_t run = std::min<std::uint64_t>(
-            max - produced, index_[block].count - target);
-        for (std::uint64_t i = 0; i < run; ++i) {
-            decodeNext();
-            out[produced].vaddr = VirtAddr{word_ >> 1};
-            out[produced].write = (word_ & 1) != 0;
-            ++produced;
-        }
+        produced += run;
         consumed_ += run;
     }
     return produced;

@@ -8,7 +8,8 @@
  * near the previous page — so v2 delta-encodes them:
  *
  *   [0..8)   magic "ATLBTRC2"
- *   [8..16)  little-endian block capacity (accesses per full block)
+ *   [8..16)  little-endian block capacity (accesses per full block,
+ *            1 to traceV2MaxBlockCapacity)
  *   blocks   back to back; block i holds exactly `capacity` accesses
  *            (the last block holds the remainder)
  *   index    one 32-byte entry per block:
@@ -42,6 +43,11 @@
  *  - Delta coding brings paper-style streams to ~2-3 bytes/access and
  *    caps pathological random streams near 4.5 (bench_trace_codec
  *    records the measured ratio against v1).
+ *
+ * Where the checks live: traceV2Layout() checks the header, trailer
+ * and index, decodeTraceV2Block() checks a block body. A reader
+ * decodes one block whole, into 8 bytes per access, so the capacity
+ * cap bounds what any file can make it hold.
  */
 
 #ifndef ANCHORTLB_INGEST_TRACE_V2_HH
@@ -63,6 +69,13 @@ namespace atlb
 /** Accesses per full block; 64Ki keeps blocks ~100-200KB encoded. */
 constexpr std::uint64_t traceV2DefaultBlockCapacity = 64 * 1024;
 
+/**
+ * Largest block capacity a file may declare: a reader holds one decoded
+ * block, 8 MiB of words at this cap. traceV2Layout() refuses a larger
+ * header and TraceV2Writer refuses to write one.
+ */
+constexpr std::uint64_t traceV2MaxBlockCapacity = std::uint64_t{1} << 20;
+
 /** Block-body encoding tags (the body's first byte). */
 constexpr std::uint8_t traceV2EncodingVarint = 0;
 constexpr std::uint8_t traceV2EncodingPacked = 1;
@@ -75,6 +88,7 @@ class TraceV2Writer
      * Open @p path for writing; fatal on failure.
      * @param block_capacity accesses per block — the seek granularity;
      *        tests shrink it to force multi-block files on tiny streams.
+     *        Fatal outside [1, traceV2MaxBlockCapacity].
      */
     explicit TraceV2Writer(
         const std::string &path,
@@ -142,6 +156,7 @@ struct TraceV2Layout
         std::uint64_t fnv = 0;
     };
 
+    std::uint64_t file_bytes = 0; //!< the file's size
     std::uint64_t block_capacity = 0;
     std::uint64_t total = 0;     //!< accesses, from the trailer
     std::uint64_t min_vaddr = 0; //!< smallest vaddr, from the trailer
@@ -151,24 +166,39 @@ struct TraceV2Layout
 
 /**
  * Check @p path's ATLBTRC2 header, trailer and block index against the
- * file and each other: its size, both magics, the block capacity, the
- * index geometry and checksum, and every index entry. Returns what they
- * declare, or nullopt with the reason in @p error. A workload check uses
- * it to refuse a file without dying; TraceV2Source makes the same checks
- * fatal. Block bodies are checked only as they are decoded.
+ * file and each other: its size, both magics, the block capacity (at
+ * most traceV2MaxBlockCapacity), the index geometry and checksum, and
+ * every index entry. Returns what they declare, or nullopt with the
+ * reason in @p error. A workload check uses it to refuse a file without
+ * dying; TraceV2Source makes the same checks fatal. Block bodies are
+ * checked only as they are decoded (decodeTraceV2Block).
  */
 std::optional<TraceV2Layout> traceV2Layout(const std::string &path,
                                            std::string &error);
 
 /**
- * TraceSource replaying an ATLBTRC2 file.
- *
- * The decoder is *streamed*: fill() runs the delta decode directly into
- * the caller's buffer, so the only per-source allocation is one block's
- * compressed body (raw_). There is no decoded std::vector<MemAccess>
- * stage anywhere — replaying a 2B-access capture holds O(block) bytes,
- * independent of trace length (asserted by bench_trace_codec's
- * peak-RSS phase).
+ * Decode one whole block body, @p bytes bytes at @p body holding
+ * @p count accesses, into @p words: one `vaddr << 1 | write` word per
+ * access. Packed deltas go through @p unpack (simdBlockUnpackFn). Every
+ * body check is here: @p count in [1, traceV2MaxBlockCapacity], the
+ * tag, a packed width of at most 64, truncated or over-long varints,
+ * trailing bytes and the packed payload size. Reads nothing outside
+ * [body, body + bytes) and sizes @p words only once the body can hold
+ * @p count accesses. Returns false with the reason in @p error.
+ */
+bool decodeTraceV2Block(const std::uint8_t *body, std::size_t bytes,
+                        std::uint64_t count, SimdUnpackFn unpack,
+                        std::vector<std::uint64_t> &words,
+                        std::string &error);
+
+/**
+ * TraceSource replaying an ATLBTRC2 file, one block at a time: loading
+ * a block reads and checksums its body, then decodeTraceV2Block turns
+ * it into words with the unpack kernel of the SIMD level at
+ * construction. fill() copies out of the loaded block's words, so a
+ * reset() back into that block costs nothing. The reader holds one
+ * compressed body and one block of words, O(block) bytes however long
+ * the trace (asserted by bench_trace_codec's peak-RSS phase).
  */
 class TraceV2Source : public TraceSource
 {
@@ -176,68 +206,36 @@ class TraceV2Source : public TraceSource
     /** Open @p path; fatal on anything traceV2Layout() refuses. */
     explicit TraceV2Source(const std::string &path);
 
-    /** Streamed decode straight into @p out (no intermediate buffer). */
+    /** Copy up to @p max accesses; fatal on a corrupt block. */
     std::size_t fill(MemAccess *out, std::size_t max) override;
 
     void reset() override;
 
-    std::uint64_t length() const { return total_; }
-    std::uint64_t blockCapacity() const { return block_capacity_; }
-    std::uint64_t blockCount() const { return index_.size(); }
+    std::uint64_t length() const { return layout_.total; }
+    std::uint64_t blockCapacity() const { return layout_.block_capacity; }
+    std::uint64_t blockCount() const { return layout_.index.size(); }
     /** Smallest/largest vaddr in the stream (from the trailer). */
-    std::uint64_t minVaddr() const { return min_vaddr_; }
-    std::uint64_t maxVaddr() const { return max_vaddr_; }
+    std::uint64_t minVaddr() const { return layout_.min_vaddr; }
+    std::uint64_t maxVaddr() const { return layout_.max_vaddr; }
 
     /**
      * Encoding facts of block @p b for `trace info` reports. Reads at
      * most two bytes from the block head; does not disturb the replay
-     * cursor (the loaded block's body stays cached).
+     * cursor (the loaded block stays decoded).
      */
     TraceV2BlockStats blockStats(std::size_t b);
 
   private:
-    using BlockEntry = TraceV2Layout::Block;
-
-    /** Read + checksum block @p b's compressed body into raw_. */
-    void loadBlockRaw(std::size_t b);
-    /** Restart the incremental decoder at the loaded block's head. */
-    void restartBlockDecode();
-    /** Decode the loaded block's next word into word_. */
-    void decodeNext();
-    /** One bounds-checked LEB128 varint at pos_. */
-    std::uint64_t readVarintAt();
+    /** Read, checksum and decode block @p b into words_. */
+    void loadBlock(std::size_t b);
 
     std::ifstream in_;
     std::string path_;
-    std::uint64_t block_capacity_ = 0;
-    std::uint64_t total_ = 0;
-    std::uint64_t min_vaddr_ = ~0ULL;
-    std::uint64_t max_vaddr_ = 0;
-    std::vector<BlockEntry> index_;
-
-    /** Compressed body of the loaded block (the only block storage). */
-    std::vector<std::uint8_t> raw_;
-    /**
-     * Vectorised decode (construction-time SIMD level != scalar): a
-     * packed block's count-1 deltas are unpacked once, here, by
-     * unpack_fn_ — width-specialised AVX2 kernels, or the shared
-     * scalar unpack on NEON. Sized by one block, so the O(block)
-     * peak-RSS contract of the streamed decoder is unchanged. The
-     * scalar reference path (unpack_fn_ == nullptr) extracts each
-     * delta on demand with getBits and never touches this buffer.
-     */
-    std::vector<std::uint64_t> unpacked_;
-    bool block_unpacked_ = false; //!< unpacked_ matches loaded_block_
-    SimdUnpackFn unpack_fn_ = nullptr;
+    TraceV2Layout layout_;
+    SimdUnpackFn unpack_;
+    std::vector<std::uint8_t> raw_;    //!< the loaded block's body
+    std::vector<std::uint64_t> words_; //!< the loaded block, decoded
     std::size_t loaded_block_ = ~std::size_t{0};
-    /** Incremental decode cursor within the loaded block. */
-    std::uint64_t emitted_ = 0;     //!< words decoded so far
-    std::uint64_t word_ = 0;        //!< running delta accumulator
-    std::size_t pos_ = 0;           //!< byte cursor (varints)
-    std::size_t packed_base_ = 0;   //!< first byte of the packed bits
-    std::uint8_t encoding_ = 0;
-    unsigned width_ = 0;            //!< packed delta width
-
     std::uint64_t consumed_ = 0;
 };
 

@@ -9,8 +9,6 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "ingest/trace_open.hh"
-#include "ingest/trace_v1.hh"
-#include "ingest/trace_v2.hh"
 #include "mmu/anchor_mmu.hh"
 #include "mmu/baseline_mmu.hh"
 #include "mmu/cluster_mmu.hh"
@@ -83,28 +81,27 @@ std::optional<WorkloadSpec>
 traceWorkloadSpec(const std::string &workload, const std::string &path,
                   std::string &error)
 {
-    const std::optional<TraceKind> kind = tryTraceKind(path, error);
-    if (!kind || (*kind == TraceKind::V1 && !traceV1Count(path, error)) ||
-        (*kind == TraceKind::V2 && !traceV2Layout(path, error)))
+    const std::optional<TraceFileInfo> info =
+        tryInspectTraceFile(path, error);
+    if (!info)
         return std::nullopt;
-    const TraceFileInfo info = inspectTraceFile(path);
-    if (info.accesses == 0) {
+    if (info->accesses == 0) {
         error = atlb::format("trace '{}' is empty; nothing to simulate",
                              path);
         return std::nullopt;
     }
-    if (info.min_vaddr < traceBaseVa().raw()) {
+    if (info->min_vaddr < traceBaseVa().raw()) {
         error = atlb::format("trace '{}' touches vaddr {} below the "
                              "simulated region base {}; re-import it "
                              "with --rebase",
-                             path, info.min_vaddr, traceBaseVa());
+                             path, info->min_vaddr, traceBaseVa());
         return std::nullopt;
     }
     WorkloadSpec spec;
     spec.name = workload;
     spec.trace_path = path;
-    spec.trace_accesses = info.accesses;
-    spec.footprint_bytes = info.max_vaddr + 1 - traceBaseVa().raw();
+    spec.trace_accesses = info->accesses;
+    spec.footprint_bytes = info->max_vaddr + 1 - traceBaseVa().raw();
     if (spec.footprintPages() > maxTraceFootprintPages) {
         error = atlb::format("trace '{}' spans {} pages from the region "
                              "base (cap {}); re-import it with --rebase "

@@ -39,11 +39,14 @@ TEST(SimdDispatch, LevelNames)
 
 TEST(SimdDispatch, ScalarLevelHasNoKernelPointers)
 {
-    // nullptr is the scalar contract: call sites keep their inline
-    // reference loops instead of an indirect call.
+    // nullptr is the scalar contract for the per-access kernels: call
+    // sites keep their inline reference loops instead of an indirect
+    // call. The block unpack runs once per block, so the decoder takes
+    // one path at every level and the scalar level's kernel is the
+    // reference unpack itself.
     EXPECT_EQ(simdFindU64Fn(SimdLevel::Scalar), nullptr);
     EXPECT_EQ(simdVpnEqFn(SimdLevel::Scalar), nullptr);
-    EXPECT_EQ(simdBlockUnpackFn(SimdLevel::Scalar), nullptr);
+    EXPECT_EQ(simdBlockUnpackFn(SimdLevel::Scalar), &scalarUnpackBits);
 }
 
 TEST(SimdDispatch, DetectedVectorLevelProvidesAllKernels)
@@ -53,9 +56,8 @@ TEST(SimdDispatch, DetectedVectorLevelProvidesAllKernels)
         GTEST_SKIP() << "no vector level on this host";
     EXPECT_NE(simdFindU64Fn(d), nullptr);
     EXPECT_NE(simdVpnEqFn(d), nullptr);
-    // NEON's block unpack is the shared scalar routine on purpose
-    // (whole-block amortisation without a 64-bit gather); it is still
-    // non-null so the decoder takes the block path.
+    // NEON's block unpack is the shared scalar routine on purpose: it
+    // has no 64-bit gather.
     EXPECT_NE(simdBlockUnpackFn(d), nullptr);
 }
 
@@ -171,8 +173,6 @@ TEST(SimdUnpack, WidthExhaustiveRoundTrip)
                     << "scalar w=" << width << " n=" << count
                     << " i=" << i;
 
-            if (fn == nullptr)
-                continue;
             std::vector<std::uint64_t> simd(count + 1, 0x5a5a);
             fn(buf.data(), buf.size(), width, simd.data(), count);
             for (std::size_t i = 0; i < count; ++i)
@@ -186,11 +186,10 @@ TEST(SimdUnpack, WidthExhaustiveRoundTrip)
 TEST(SimdUnpack, SlackBufferTakesTheVectorPathAllTheWay)
 {
     // With >= 8 trailing slack bytes every field is gather-safe, so
-    // the vector loop covers the whole run — the configuration the
-    // codec presents (a block body is followed by the next block).
-    const SimdUnpackFn fn = simdBlockUnpackFn(detectedSimdLevel());
-    if (fn == nullptr)
+    // the vector loop covers the whole run.
+    if (detectedSimdLevel() == SimdLevel::Scalar)
         GTEST_SKIP() << "no vector level on this host";
+    const SimdUnpackFn fn = simdBlockUnpackFn(detectedSimdLevel());
     Rng rng(0xf00d);
     for (const unsigned width : {1u, 13u, 33u, 52u, 57u}) {
         const std::uint64_t mask = (std::uint64_t{1} << width) - 1;

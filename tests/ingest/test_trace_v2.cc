@@ -20,6 +20,7 @@
 #include "common/simd_test_util.hh"
 #include "ingest/trace_v1.hh"
 #include "ingest/trace_v2.hh"
+#include "ingest/trace_v2_crafted.hh"
 
 namespace atlb
 {
@@ -220,10 +221,9 @@ TEST_F(TraceV2Test, FillMatchesNext)
 
 TEST_F(TraceV2Test, BackwardRepositionWithinTheLoadedBlock)
 {
-    // The streamed decoder caches only the compressed body of the
-    // loaded block; a reset() back into it must restart the
-    // incremental decode rather than re-read the file or serve stale
-    // words.
+    // The reader keeps the loaded block decoded; a reset() back into
+    // it must serve that block's words from the start rather than
+    // re-read the file or serve stale words.
     const std::vector<MemAccess> in = randomStream(500, 41);
     write(in, 256);
     TraceV2Source src(path_);
@@ -430,6 +430,57 @@ TEST_F(TraceV2Test, PayloadIndexGapIsFatalAtOpen)
     EXPECT_THROW(TraceV2Source src(path_), std::runtime_error);
 }
 
+TEST_F(TraceV2Test, OversizedBlockCapacityIsRefusedAtOpen)
+{
+    // One packed block of 2^58 + 1 accesses at width 64 under a header
+    // of the same capacity. (count - 1) * 64 wraps to 0, so a payload
+    // check that multiplies first takes the 9-byte body as whole, and a
+    // reader then asks for exabytes of words or reads past the body.
+    // The capacity cap refuses the file before any block is read.
+    test::writeOversizedPackedBlockTrace(path_, 0x7f0000000000ULL);
+    const std::vector<char> file = slurp(path_);
+    ASSERT_EQ(file.size(), 121u);
+    std::string error;
+    EXPECT_FALSE(traceV2Layout(path_, error));
+    EXPECT_NE(error.find("ATLBTRC2 block capacity 288230376151711745 in "
+                         "header is outside [1, 1048576]"),
+              std::string::npos)
+        << error;
+    EXPECT_THROW(TraceV2Source src(path_), std::runtime_error);
+
+    // The body itself, with the count its index declares.
+    std::vector<std::uint64_t> words;
+    EXPECT_FALSE(decodeTraceV2Block(
+        reinterpret_cast<const std::uint8_t *>(file.data()) + 16, 9,
+        test::oversizedBlockCount, simdBlockUnpackFn(simdLevel()), words,
+        error));
+    EXPECT_EQ(error, "holds 288230376151711745 accesses (outside [1, "
+                     "1048576])");
+}
+
+TEST_F(TraceV2Test, WidthZeroBlocksStopAtTheCap)
+{
+    // A width-0 packed block has an empty payload for any count, so
+    // only the cap bounds the words it decodes to.
+    const std::uint8_t body[] = {traceV2EncodingPacked, 0, 0x02};
+    std::vector<std::uint64_t> words;
+    std::string error;
+    ASSERT_TRUE(decodeTraceV2Block(body, sizeof(body),
+                                   traceV2MaxBlockCapacity,
+                                   simdBlockUnpackFn(simdLevel()), words,
+                                   error))
+        << error;
+    ASSERT_EQ(words.size(), traceV2MaxBlockCapacity);
+    EXPECT_EQ(words.front(), 1u);
+    EXPECT_EQ(words.back(), 1u);
+    EXPECT_FALSE(decodeTraceV2Block(body, sizeof(body),
+                                    traceV2MaxBlockCapacity + 1,
+                                    simdBlockUnpackFn(simdLevel()), words,
+                                    error));
+    EXPECT_THROW(TraceV2Writer(path_, traceV2MaxBlockCapacity + 1),
+                 std::runtime_error);
+}
+
 TEST_F(TraceV2Test, BadMagicIsFatal)
 {
     {
@@ -445,7 +496,7 @@ TEST_F(TraceV2Test, BadMagicIsFatal)
 /**
  * The decoder captures its unpack kernel at construction, so a source
  * built inside a ScopedSimdLevel(Scalar) scope replays the whole file
- * through the per-delta getBits reference even after the scope ends.
+ * through the scalar block unpack even after the scope ends.
  */
 class TraceV2SimdTest : public TraceV2Test
 {
@@ -525,8 +576,8 @@ TEST_F(TraceV2SimdTest, MixedEncodingStreamDecodesIdentically)
     // block-aligned segments: tiny deltas with one far jump per block
     // (varint wins — packed would pay the jump's width on every
     // delta) and uniform scatter (packed wins — every delta is wide
-    // anyway). The vector decoder must flip between the per-block
-    // unpack cache and the plain varint path on every block boundary.
+    // anyway). The decoder must flip between the packed and the varint
+    // block decode on every block boundary.
     constexpr std::size_t cap = 256;
     std::mt19937_64 rng(11);
     std::vector<MemAccess> stream;
@@ -565,10 +616,10 @@ TEST_F(TraceV2SimdTest, ResetRereadsDecodeIdentically)
         scalar = std::make_unique<TraceV2Source>(path_);
     }
     // Each pass reads the first `stop` accesses (block capacity 512),
-    // so the next reset() either restarts the decode over the cached,
-    // already unpacked block 0 (after stops 1 and 511) or reloads it
-    // (after 513 and 1029): every re-read must go through the same
-    // unpack flavour as the first read.
+    // so the next reset() either lands in the loaded, already decoded
+    // block 0 (after stops 1 and 511) or reloads it (after 513 and
+    // 1029): every re-read must go through the same unpack kernel as
+    // the first read.
     for (const std::size_t stop : {1u, 511u, 513u, 1'029u, 3'000u}) {
         vec.reset();
         scalar->reset();

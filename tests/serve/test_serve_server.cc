@@ -31,6 +31,7 @@
 
 #include "ingest/trace_v1.hh"
 #include "ingest/trace_v2.hh"
+#include "ingest/trace_v2_crafted.hh"
 #include "serve/client.hh"
 #include "serve/result_store.hh"
 #include "serve/server.hh"
@@ -346,9 +347,14 @@ TEST(ServeServer, UnusableTraceFileIsACellError)
     flipByte(v2_index, 64 - 40); // first byte of the index checksum
     std::filesystem::resize_file(v2_cut,
                                  std::filesystem::file_size(v2_cut) - 1);
+    // A block of 2^58 + 1 accesses whose header, trailer and index all
+    // agree: its decode once ended the server.
+    const std::string v2_huge = prefix + "_huge.atlbtrc2";
+    test::writeOversizedPackedBlockTrace(v2_huge, traceBaseVa().raw());
     const std::vector<std::string> paths = {
         text,   below_base, empty,    truncated,
-        padded, v2_magic,   v2_index, v2_cut};
+        padded, v2_magic,   v2_index, v2_cut,
+        v2_huge};
 
     SweepRequest req;
     req.op = WireOp::Submit;
@@ -373,6 +379,7 @@ TEST(ServeServer, UnusableTraceFileIsACellError)
         "bad ATLBTRC2 trailer magic",
         "ATLBTRC2 block index fails its checksum",
         "bad ATLBTRC2 trailer magic",
+        "ATLBTRC2 block capacity 288230376151711745 in header is outside",
     };
     for (std::size_t i = 0; i < paths.size(); ++i) {
         SCOPED_TRACE(req.cells[i].workload);
@@ -383,7 +390,7 @@ TEST(ServeServer, UnusableTraceFileIsACellError)
     EXPECT_EQ(resp.cells.back().status, CellStatus::Computed);
     EXPECT_EQ(counterValue(resp, "cell_errors"), paths.size());
 
-    // The server is still up.
+    // The server is still up and answers the next request.
     SweepRequest stats;
     stats.op = WireOp::Stats;
     EXPECT_TRUE(roundTrip(ts, stats).ok);
