@@ -11,6 +11,7 @@
  */
 
 #include <iostream>
+#include <vector>
 
 #include "bench_util.hh"
 #include "common/bitops.hh"
@@ -45,13 +46,15 @@ mapWith(std::uint64_t chunk_pages, std::uint64_t congruence)
     return m;
 }
 
-std::uint64_t
-missesOf(Mmu &mmu, std::uint64_t accesses)
+/** Uniformly random accesses over the 4GB footprint. */
+std::vector<MemAccess>
+randomStream(std::uint64_t accesses)
 {
     Rng rng(5);
-    for (std::uint64_t i = 0; i < accesses; ++i)
-        mmu.translate(vaOf(base + rng.nextBounded(4 * giantPages)));
-    return mmu.stats().page_walks;
+    std::vector<MemAccess> stream(accesses);
+    for (MemAccess &a : stream)
+        a.vaddr = vaOf(base + rng.nextBounded(4 * giantPages));
+    return stream;
 }
 
 } // namespace
@@ -65,6 +68,7 @@ main()
 
     const SimOptions opts = bench::figureOptions();
     const std::uint64_t accesses = opts.accesses / 2;
+    const std::vector<MemAccess> stream = randomStream(accesses);
 
     Table table("Misses per 1K accesses by allocation regime",
                 {"chunks", "PA congruence", "THP", "THP+1GB",
@@ -90,19 +94,19 @@ main()
         PageTable thp_table = buildPageTable(m, true, false);
         BaselineMmu thp(cfg, thp_table, "thp");
         const double thp_misses =
-            static_cast<double>(missesOf(thp, accesses)) * per_k;
+            static_cast<double>(bench::replayWalks(thp, stream)) * per_k;
 
         PageTable giant_table = buildPageTable(m, true, true);
         BaselineMmu giant(cfg, giant_table, "thp-1g");
         const double giant_misses =
-            static_cast<double>(missesOf(giant, accesses)) * per_k;
+            static_cast<double>(bench::replayWalks(giant, stream)) * per_k;
 
         const std::uint64_t d =
             selectAnchorDistance(m.contiguityHistogram()).distance;
         PageTable anchor_table = buildAnchorPageTable(m, AnchorDist::fromPages(d));
         AnchorMmu anchor(cfg, anchor_table, AnchorDist::fromPages(d));
         const double anchor_misses =
-            static_cast<double>(missesOf(anchor, accesses)) * per_k;
+            static_cast<double>(bench::replayWalks(anchor, stream)) * per_k;
 
         table.beginRow();
         table.cell(std::string(c.label));

@@ -34,11 +34,8 @@ runScheme(const WorkloadSpec &spec,
           const PageTable &table)
 {
     std::unique_ptr<Mmu> mmu = make(table);
-    PatternTrace trace(spec, vaOf(Vpn{0x7f0000000ULL}), accesses, 7);
-    MemAccess a;
-    while (trace.next(a))
-        mmu->translate(a.vaddr);
-    return mmu->stats().page_walks;
+    PatternTrace trace(spec, traceBaseVa(), accesses, 7);
+    return runSimulation(*mmu, trace, spec.mem_per_instr).misses();
 }
 
 } // namespace
@@ -57,10 +54,7 @@ main()
     for (const ScenarioKind scenario :
          {ScenarioKind::LowContig, ScenarioKind::MedContig,
           ScenarioKind::HighContig}) {
-        WorkloadSpec spec = findWorkload("canneal");
-        spec.footprint_bytes = static_cast<std::uint64_t>(
-            static_cast<double>(spec.footprint_bytes) *
-            opts.footprint_scale);
+        const WorkloadSpec spec = scaledCatalogSpec(opts, "canneal");
         ScenarioParams params;
         params.footprint_pages = spec.footprintPages();
         params.seed = opts.seed;

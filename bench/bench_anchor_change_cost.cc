@@ -8,6 +8,7 @@
  * wall time per distance.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 
@@ -24,11 +25,13 @@ main()
         "Section 3.3 — anchor-distance change (page-table sweep) cost");
 
     // A large, mostly contiguous mapping (every entry is a potential
-    // anchor slot), scaled from the paper's 30GB by ANCHORTLB_SCALE.
+    // anchor slot), scaled from the paper's 30GB by ANCHORTLB_SCALE,
+    // and at least one page.
     const SimOptions opts = bench::figureOptions();
     ScenarioParams params;
-    params.footprint_pages = static_cast<std::uint64_t>(
-        (30.0 * (1ULL << 30) / pageBytes) * opts.footprint_scale * 0.25);
+    params.footprint_pages = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>((30.0 * (1ULL << 30) / pageBytes) *
+                                      opts.footprint_scale * 0.25));
     params.seed = 3;
     const MemoryMap map = buildScenario(ScenarioKind::MedContig, params);
     PageTable table = buildPageTable(map, true);

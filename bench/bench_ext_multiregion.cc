@@ -14,6 +14,7 @@
 
 #include <iostream>
 #include <limits>
+#include <vector>
 
 #include "bench_util.hh"
 #include "common/rng.hh"
@@ -38,19 +39,22 @@ struct MixResult
     std::size_t regions = 0;
 };
 
-/** Drive identical access streams through each MMU. */
-template <typename F>
-void
-driveBoth(const MemoryMap &map, const std::vector<AnchorRegion> &regions,
-          std::uint64_t accesses, F &&touch)
+/**
+ * The access stream every MMU of a mix replays: half its draws in a
+ * hot set of the fragmented side's first 2048 pages (pointer-heavy
+ * code), half over the whole big-run side (array code), unmapped
+ * draws skipped.
+ */
+std::vector<MemAccess>
+mixStream(const MemoryMap &map, const std::vector<AnchorRegion> &regions,
+          std::uint64_t accesses)
 {
     Rng rng(41);
-    // Fragmented side: a 12MB hot working set (pointer-heavy code);
-    // big-run side: scans over the whole area (array code).
     const AnchorRegion &frag = regions.front();
     const AnchorRegion &runs = regions.back();
     const std::uint64_t frag_hot =
         std::min<std::uint64_t>(frag.pages(), 2048);
+    std::vector<MemAccess> stream;
     for (std::uint64_t i = 0; i < accesses; ++i) {
         Vpn vpn;
         if (i & 1)
@@ -58,8 +62,9 @@ driveBoth(const MemoryMap &map, const std::vector<AnchorRegion> &regions,
         else
             vpn = runs.begin + rng.nextBounded(runs.pages());
         if (map.mapped(vpn))
-            touch(vaOf(vpn));
+            stream.push_back({vaOf(vpn), false});
     }
+    return stream;
 }
 
 MixResult
@@ -78,35 +83,30 @@ runMix(std::uint64_t frag_pages, std::uint64_t run_pages,
     out.regions = partition.regions.size();
     out.single_distance = partition.default_distance.pages();
 
+    const std::vector<MemAccess> stream =
+        mixStream(map, partition.regions, accesses);
+
     PageTable base_table = buildPageTable(map, false);
     BaselineMmu base(cfg, base_table);
-    driveBoth(map, partition.regions, accesses,
-              [&](VirtAddr va) { base.translate(va); });
-    out.base = base.stats().page_walks;
+    out.base = bench::replayWalks(base, stream);
 
     PageTable single_table =
         buildAnchorPageTable(map, partition.default_distance);
     AnchorMmu single(cfg, single_table, partition.default_distance);
-    driveBoth(map, partition.regions, accesses,
-              [&](VirtAddr va) { single.translate(va); });
-    out.single = single.stats().page_walks;
+    out.single = bench::replayWalks(single, stream);
 
     // Oracle single distance: sweep all candidates.
     out.single_ideal = std::numeric_limits<std::uint64_t>::max();
     for (const std::uint64_t d : candidateDistances()) {
         single_table.sweepAnchors(map, AnchorDist::fromPages(d));
         AnchorMmu oracle(cfg, single_table, AnchorDist::fromPages(d));
-        driveBoth(map, partition.regions, accesses,
-                  [&](VirtAddr va) { oracle.translate(va); });
         out.single_ideal =
-            std::min(out.single_ideal, oracle.stats().page_walks);
+            std::min(out.single_ideal, bench::replayWalks(oracle, stream));
     }
 
     PageTable multi_table = buildRegionAnchorPageTable(map, partition);
     AnchorMmu multi(cfg, multi_table, partition);
-    driveBoth(map, partition.regions, accesses,
-              [&](VirtAddr va) { multi.translate(va); });
-    out.multi = multi.stats().page_walks;
+    out.multi = bench::replayWalks(multi, stream);
     return out;
 }
 

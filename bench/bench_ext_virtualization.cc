@@ -12,59 +12,12 @@
  */
 
 #include <iostream>
+#include <memory>
 
 #include "bench_util.hh"
-#include "mmu/anchor_mmu.hh"
-#include "mmu/baseline_mmu.hh"
 #include "os/distance_selector.hh"
 #include "os/table_builder.hh"
 #include "trace/workload.hh"
-
-namespace
-{
-
-using namespace atlb;
-
-struct Row
-{
-    double native_cpi = 0.0;
-    double nested_cpi = 0.0;
-    std::uint64_t misses = 0;
-};
-
-Row
-runOne(Mmu &mmu, const WorkloadSpec &spec, std::uint64_t accesses,
-       const PageTable *host_table, const MemoryMap *host_map)
-{
-    Row row;
-    {
-        PatternTrace trace(spec, vaOf(Vpn{0x7f0000000ULL}), accesses, 3);
-        const SimResult r =
-            runSimulation(mmu, trace, spec.mem_per_instr);
-        row.native_cpi = r.translationCpi();
-        row.misses = r.misses();
-    }
-    mmu.setNested(host_table, host_map);
-    {
-        PatternTrace trace(spec, vaOf(Vpn{0x7f0000000ULL}), accesses, 3);
-        // Stats accumulate; measure the nested pass alone.
-        const MmuStats before = mmu.stats();
-        MemAccess a;
-        while (trace.next(a))
-            mmu.translate(a.vaddr);
-        const MmuStats &after = mmu.stats();
-        const double instructions =
-            static_cast<double>(after.accesses - before.accesses) /
-            spec.mem_per_instr;
-        row.nested_cpi =
-            static_cast<double>(after.translation_cycles -
-                                before.translation_cycles) /
-            instructions;
-    }
-    return row;
-}
-
-} // namespace
 
 int
 main()
@@ -80,10 +33,7 @@ main()
                  "amplification"});
 
     for (const char *wl : {"canneal", "graph500"}) {
-        WorkloadSpec spec = findWorkload(wl);
-        spec.footprint_bytes = static_cast<std::uint64_t>(
-            static_cast<double>(spec.footprint_bytes) *
-            opts.footprint_scale);
+        const WorkloadSpec spec = scaledCatalogSpec(opts, wl);
 
         ScenarioParams gp;
         gp.footprint_pages = spec.footprintPages();
@@ -104,53 +54,36 @@ main()
             buildScenario(ScenarioKind::Demand, hp);
         const PageTable host_table = buildPageTable(host_map, true);
 
-        const MmuConfig cfg = opts.mmu;
         const std::uint64_t accesses = opts.accesses / 2;
+        const std::uint64_t d =
+            selectAnchorDistance(guest.contiguityHistogram()).distance;
 
-        {
-            const PageTable t = buildPageTable(guest, false);
-            BaselineMmu mmu(cfg, t, "base");
-            const Row r =
-                runOne(mmu, spec, accesses, &host_table, &host_map);
+        for (const Scheme scheme :
+             {Scheme::Base, Scheme::Thp, Scheme::Anchor}) {
+            const TableLayout layout = schemeRow(scheme).layout;
+            const PageTable t =
+                layout == TableLayout::Anchor
+                    ? buildAnchorPageTable(guest, AnchorDist::fromPages(d))
+                    : buildPageTable(guest, layout == TableLayout::Thp);
+            // Each pass runs the stream from its start on a fresh
+            // MMU, so its stats are its own.
+            const auto cpi = [&](bool nested) {
+                const std::unique_ptr<Mmu> mmu =
+                    buildSchemeMmu(opts.mmu, t, guest, scheme, d);
+                if (nested)
+                    mmu->setNested(&host_table, &host_map);
+                PatternTrace trace(spec, traceBaseVa(), accesses, 3);
+                return runSimulation(*mmu, trace, spec.mem_per_instr)
+                    .translationCpi();
+            };
+            const double native_cpi = cpi(false);
+            const double nested_cpi = cpi(true);
             table.beginRow();
             table.cell(std::string(wl));
-            table.cell(std::string("Base"));
-            table.cell(r.native_cpi, 4);
-            table.cell(r.nested_cpi, 4);
-            table.cell(r.native_cpi > 0 ? r.nested_cpi / r.native_cpi
-                                        : 0.0,
-                       2);
-        }
-        {
-            const PageTable t = buildPageTable(guest, true);
-            BaselineMmu mmu(cfg, t, "thp");
-            const Row r =
-                runOne(mmu, spec, accesses, &host_table, &host_map);
-            table.beginRow();
-            table.cell(std::string(wl));
-            table.cell(std::string("THP"));
-            table.cell(r.native_cpi, 4);
-            table.cell(r.nested_cpi, 4);
-            table.cell(r.native_cpi > 0 ? r.nested_cpi / r.native_cpi
-                                        : 0.0,
-                       2);
-        }
-        {
-            const std::uint64_t d =
-                selectAnchorDistance(guest.contiguityHistogram())
-                    .distance;
-            PageTable t = buildAnchorPageTable(guest, AnchorDist::fromPages(d));
-            AnchorMmu mmu(cfg, t, AnchorDist::fromPages(d));
-            const Row r =
-                runOne(mmu, spec, accesses, &host_table, &host_map);
-            table.beginRow();
-            table.cell(std::string(wl));
-            table.cell(std::string("Dynamic"));
-            table.cell(r.native_cpi, 4);
-            table.cell(r.nested_cpi, 4);
-            table.cell(r.native_cpi > 0 ? r.nested_cpi / r.native_cpi
-                                        : 0.0,
-                       2);
+            table.cell(std::string(schemeName(scheme)));
+            table.cell(native_cpi, 4);
+            table.cell(nested_cpi, 4);
+            table.cell(native_cpi > 0 ? nested_cpi / native_cpi : 0.0, 2);
         }
     }
     table.printAscii(std::cout);

@@ -50,12 +50,8 @@ main()
         const std::shared_ptr<const CellPairState> pair =
             ctx.pair(workload, k);
         AccessSampler sampler(pair->map());
-        WorkloadSpec spec = findWorkload(workload);
-        spec.footprint_bytes = static_cast<std::uint64_t>(
-            static_cast<double>(spec.footprint_bytes) *
-            opts.footprint_scale);
         PatternTrace profile_trace(
-            spec, vaOf(Vpn{0x7f0000000ULL}),
+            scaledCatalogSpec(opts, workload), traceBaseVa(),
             std::min<std::uint64_t>(opts.accesses / 4, 250'000),
             opts.seed ^ 0x5eed);
         MemAccess a;

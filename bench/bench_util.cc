@@ -109,6 +109,14 @@ meanRelativeMisses(ExperimentContext &ctx, ScenarioKind scenario)
     return sums;
 }
 
+std::uint64_t
+replayWalks(Mmu &mmu, const std::vector<MemAccess> &stream)
+{
+    ReplayTrace replay(stream.data(), stream.size());
+    translateTrace(mmu, replay);
+    return mmu.stats().page_walks;
+}
+
 void
 printSweepSummary(const ExperimentContext &ctx)
 {

@@ -51,6 +51,13 @@ Table relativeMissTable(ExperimentContext &ctx, ScenarioKind scenario,
 std::vector<double> meanRelativeMisses(ExperimentContext &ctx,
                                        ScenarioKind scenario);
 
+/**
+ * Replay @p stream through @p mmu with translateTrace and return the
+ * MMU's page walks: for benches that draw one stream of their own and
+ * run it through each MMU they compare.
+ */
+std::uint64_t replayWalks(Mmu &mmu, const std::vector<MemAccess> &stream);
+
 /** Pretty-print a header line for a bench binary. */
 void printHeader(const std::string &what);
 

@@ -26,7 +26,7 @@ profileOf(const std::string &name, std::uint64_t accesses)
 {
     WorkloadSpec spec = findWorkload(name);
     spec.footprint_bytes /= 4; // keep the example snappy
-    PatternTrace trace(spec, vaOf(Vpn{0x7f0000000ULL}), accesses, 7);
+    PatternTrace trace(spec, traceBaseVa(), accesses, 7);
     TraceProfiler prof;
     prof.consume(trace);
     return prof.profile();

@@ -6,6 +6,7 @@
 #include "os/distance_selector.hh"
 #include "os/table_builder.hh"
 #include "sim/experiment.hh"
+#include "sim/simulator.hh"
 #include "trace/workload.hh"
 
 namespace atlb
@@ -79,12 +80,7 @@ runMappingChurn(Scheme scheme, const std::vector<ChurnEpoch> &epochs,
         }
 
         const std::uint64_t misses_before = mmu->stats().page_walks;
-        MemAccess access;
-        for (std::uint64_t i = 0; i < epoch.accesses; ++i) {
-            trace.next(access);
-            mmu->translate(access.vaddr);
-        }
-        es.accesses = epoch.accesses;
+        es.accesses = translateTrace(*mmu, trace, epoch.accesses).accesses;
         es.misses = mmu->stats().page_walks - misses_before;
         result.epochs.push_back(es);
     }

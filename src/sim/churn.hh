@@ -70,7 +70,8 @@ struct ChurnResult
 };
 
 /**
- * Run @p epochs of mapping churn under @p scheme. Each epoch boundary
+ * Run @p epochs of mapping churn under @p scheme, each epoch one
+ * translateTrace call (the batch kernel). Each epoch boundary
  * rebuilds the mapping/page table, updates scheme state and flushes —
  * never leaving a stale translation behind (verified by tests).
  */

@@ -39,35 +39,6 @@ SimOptions::fromEnv()
 namespace
 {
 
-/**
- * A replay of accesses held in memory, which must outlive it: fill()
- * is one block copy per chunk.
- */
-class ReplayTrace : public TraceSource
-{
-  public:
-    ReplayTrace(const MemAccess *accesses, std::uint64_t length)
-        : accesses_(accesses), length_(length)
-    {
-    }
-
-    std::size_t fill(MemAccess *out, std::size_t max) override
-    {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(max, length_ - pos_));
-        std::copy_n(accesses_ + pos_, n, out);
-        pos_ += n;
-        return n;
-    }
-
-    void reset() override { pos_ = 0; }
-
-  private:
-    const MemAccess *accesses_;
-    std::uint64_t length_;
-    std::uint64_t pos_ = 0;
-};
-
 /** Workload-name prefix selecting a trace-driven workload. */
 constexpr const char *traceWorkloadPrefix = "trace:";
 

@@ -57,9 +57,10 @@ struct SimOptions
     /**
      * Replay-loop flavour. Batch (the default) drives
      * Mmu::translateBatch; PerAccess is the counter-identical
-     * translate() loop it is verified against. Set in code only (the
-     * batch-equivalence tests and bench/e2e's traced pass); no
-     * environment variable selects it.
+     * translate() loop it is verified against. The batch-equivalence
+     * tests are its only setters; bench/e2e's traced pass forwards the
+     * default, and the field stays only until that mirror of the
+     * engine goes. No environment variable selects it.
      */
     TranslateMode translate_mode = TranslateMode::Batch;
     /** Hardware parameters (paper Table 3 defaults). */

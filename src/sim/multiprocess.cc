@@ -1,12 +1,12 @@
 #include "multiprocess.hh"
 
-#include <functional>
 #include <memory>
 
 #include "common/logging.hh"
 #include "os/distance_selector.hh"
 #include "os/table_builder.hh"
 #include "sim/experiment.hh"
+#include "sim/simulator.hh"
 #include "trace/workload.hh"
 
 namespace atlb
@@ -189,15 +189,8 @@ runMultiProcess(Scheme scheme, const std::vector<ProcessSpec> &processes,
             options.quantum_accesses * weightOf(current),
             options.total_accesses - executed);
         MultiProcessResult::PerProcess &proc = result.processes[current];
-        MemAccess access;
-        for (std::uint64_t i = 0; i < turn; ++i) {
-            if (!states[current].trace->next(access))
-                break;
-            const TranslationResult r = mmu->translate(access.vaddr);
-            proc.ppn_hash =
-                (proc.ppn_hash ^ r.ppn.raw()) * 1099511628211ULL;
-            ++proc.accesses;
-        }
+        proc.accesses +=
+            translateTrace(*mmu, *states[current].trace, turn).accesses;
         executed += turn;
         proc.stats += statsDelta(mmu->stats(), before);
     }

@@ -95,14 +95,6 @@ struct MultiProcessResult
          * blocks sum to MultiProcessResult::stats exactly.
          */
         MmuStats stats;
-        /**
-         * FNV-1a hash over the process's translated PPN stream, in
-         * access order. Two runs that schedule the same accesses must
-         * produce the same hash no matter the switch policy — retained
-         * entries may only ever change *where* a translation is found,
-         * never what it translates to.
-         */
-        std::uint64_t ppn_hash = 14695981039346656037ULL;
     };
 
     std::vector<PerProcess> processes;
@@ -155,7 +147,8 @@ struct MultiProcessResult
  *
  * Every process gets its own mapping, page table and (for the anchor
  * schemes) dynamically selected distance; the shared MMU is context-
- * switched at each quantum boundary under options.policy. Process i
+ * switched at each quantum boundary under options.policy, and each
+ * quantum is one translateTrace call (the batch kernel). Process i
  * runs as ASID i + 1 so retained entries never alias across address
  * spaces. The access streams are derived only from the seed and the
  * schedule, never from the policy, so flush and ASID runs of the same

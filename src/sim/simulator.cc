@@ -1,5 +1,7 @@
 #include "simulator.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace atlb
@@ -32,31 +34,47 @@ SimResult::l2MissFraction() const
               : 0.0;
 }
 
+/** Accesses per fill: one virtual fill() and one kernel call each. */
+constexpr std::size_t fillAccesses = 1024;
+
+BatchStats
+translateTrace(Mmu &mmu, TraceSource &trace, std::uint64_t max_accesses,
+               std::uint64_t walk_limit)
+{
+    // Pull accesses in chunks: one virtual fill() per batch instead of
+    // one virtual next() per access keeps the generator's state hot,
+    // and the batch kernel takes the whole buffer in one call.
+    MemAccess buffer[fillAccesses];
+    BatchStats bs;
+    while (bs.accesses < max_accesses) {
+        const std::size_t n = trace.fill(
+            buffer, static_cast<std::size_t>(std::min<std::uint64_t>(
+                        fillAccesses, max_accesses - bs.accesses)));
+        if (n == 0)
+            break;
+        mmu.translateBatch(buffer, n, bs);
+        if (mmu.stats().page_walks >= walk_limit)
+            break;
+    }
+    return bs;
+}
+
 SimResult
 runSimulation(Mmu &mmu, TraceSource &trace, double mem_per_instr,
               TranslateMode mode, BatchStats *batch_stats,
               std::uint64_t walk_limit)
 {
     ATLB_ASSERT(mem_per_instr > 0.0, "mem_per_instr must be positive");
-    // Pull accesses in chunks: one virtual fill() per batch instead of
-    // one virtual next() per access keeps the generator's state hot and
-    // lets the translate loop run branch-predictably. Batch mode then
-    // hands the whole buffer to the batch kernel — one translateBatch
-    // call per 1024 accesses. Both modes read the walk count after
-    // every fill, so a walk limit stops them after the same one.
-    constexpr std::size_t batch = 1024;
-    MemAccess buffer[batch];
     if (mode == TranslateMode::Batch) {
-        BatchStats bs;
-        while (const std::size_t n = trace.fill(buffer, batch)) {
-            mmu.translateBatch(buffer, n, bs);
-            if (mmu.stats().page_walks >= walk_limit)
-                break;
-        }
+        const BatchStats bs =
+            translateTrace(mmu, trace, noAccessBound, walk_limit);
         if (batch_stats)
             *batch_stats += bs;
     } else {
-        while (const std::size_t n = trace.fill(buffer, batch)) {
+        // The same fills, so a walk limit stops both modes at the
+        // same access.
+        MemAccess buffer[fillAccesses];
+        while (const std::size_t n = trace.fill(buffer, fillAccesses)) {
             for (std::size_t i = 0; i < n; ++i)
                 mmu.translate(buffer[i].vaddr);
             if (mmu.stats().page_walks >= walk_limit)

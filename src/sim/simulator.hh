@@ -71,19 +71,37 @@ struct SimResult
 };
 
 /**
- * How the replay loop feeds the MMU. The two modes are
- * counter-identical (tests/sim/test_batch_kernel.cc pins it); Batch is
- * the production path, PerAccess the reference it is verified against
- * and the slow side of bench_hotpath's ratio.
+ * How runSimulation feeds the MMU. The two modes are counter-identical
+ * (tests/sim/test_batch_kernel.cc pins it). Batch runs translateTrace,
+ * the loop every engine run uses; PerAccess is the translate() loop
+ * the batch-equivalence tests compare it against, and those tests are
+ * its only setters. The enum stays until bench/e2e's traced mirror of
+ * the engine, which forwards SimOptions::translate_mode, is deleted.
  */
 enum class TranslateMode : std::uint8_t
 {
-    Batch,     //!< one translateBatch call per 1024-access buffer
+    Batch,     //!< translateTrace: one translateBatch call per fill
     PerAccess, //!< one translate() call per access
 };
 
 /** runSimulation's default walk limit: none, the run goes to the end. */
 constexpr std::uint64_t noWalkLimit = ~std::uint64_t{0};
+
+/** translateTrace's default access bound: none, the trace goes to its end. */
+constexpr std::uint64_t noAccessBound = ~std::uint64_t{0};
+
+/**
+ * Feed @p trace through @p mmu's batch kernel in fills of up to 1024
+ * accesses, the last clamped so that at most @p max_accesses are
+ * pulled, and stop after a fill once mmu.stats().page_walks has
+ * reached @p walk_limit. The one loop that feeds an MMU a stream: every
+ * simulation, each runMultiProcess quantum, each runMappingChurn epoch.
+ *
+ * @return the run's BatchStats; its accesses counts those translated.
+ */
+BatchStats translateTrace(Mmu &mmu, TraceSource &trace,
+                          std::uint64_t max_accesses = noAccessBound,
+                          std::uint64_t walk_limit = noWalkLimit);
 
 /**
  * Run @p trace through @p mmu to completion, or until its page walks

@@ -13,6 +13,7 @@
 #ifndef ANCHORTLB_TRACE_ACCESS_HH
 #define ANCHORTLB_TRACE_ACCESS_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -58,6 +59,35 @@ class TraceSource
 
     /** Rewind to the beginning of the stream. */
     virtual void reset() = 0;
+};
+
+/**
+ * A replay of accesses held in memory, which must outlive it: fill()
+ * is one block copy per chunk.
+ */
+class ReplayTrace : public TraceSource
+{
+  public:
+    ReplayTrace(const MemAccess *accesses, std::uint64_t length)
+        : accesses_(accesses), length_(length)
+    {
+    }
+
+    std::size_t fill(MemAccess *out, std::size_t max) override
+    {
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(max, length_ - pos_));
+        std::copy_n(accesses_ + pos_, n, out);
+        pos_ += n;
+        return n;
+    }
+
+    void reset() override { pos_ = 0; }
+
+  private:
+    const MemAccess *accesses_;
+    std::uint64_t length_;
+    std::uint64_t pos_ = 0;
 };
 
 } // namespace atlb
